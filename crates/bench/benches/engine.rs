@@ -20,9 +20,8 @@
 //!   once on the [`ShardEngine`] at 1 worker and at every available
 //!   core. This is the apples-to-apples events/sec comparison between
 //!   the sequential and sharded engines;
-//! * `service` — the real `fig-service-scale` workload: sequential
-//!   [`storesim::service::run`] wall time vs [`run_sharded`] at 1 and N
-//!   workers, with the engine's deterministic event count;
+//! * `service` — the real `fig-service-scale` workload: [`run_sharded`]
+//!   at 1 and N workers, with the engine's deterministic event count;
 //! * `service_frontier` — the 8-lane decomposed frontend placed on
 //!   F ∈ {1, 2, 4, 8} frontend shards at full parallelism: requests/sec
 //!   per placement (the output is bit-identical across F — only this
@@ -51,7 +50,7 @@ use simcore::dist::{DynDist, Exponential};
 use simcore::event::EventQueue;
 use simcore::shard::{EngineStats, ShardCtx, ShardEngine, ShardLogic};
 use simcore::time::SimTime;
-use storesim::service::{self, Frontend, ServiceConfig};
+use storesim::service::{Frontend, ServiceConfig};
 use storesim::sharded::{run_sharded, run_sharded_placed};
 
 /// Best-of-3 [`time_ns`]: the minimum over three measurement windows.
@@ -333,9 +332,6 @@ fn main() {
 
     // --- the real service workload ---
     let cfg = service_config(quick);
-    let seq_svc_secs = best_of_3_secs(|| {
-        black_box(service::run(&cfg).completed);
-    });
     let groups = 8usize;
     let mut svc_events = 0u64;
     let svc_t1_secs = best_of_3_secs(|| {
@@ -352,11 +348,9 @@ fn main() {
         svc_workers = out.engine.threads;
         black_box(out.result.completed);
     });
-    let svc_seq_rps = cfg.requests as f64 / seq_svc_secs;
     let svc_t1_eps = svc_events as f64 / svc_t1_secs;
     let svc_tn_eps = svc_events as f64 / svc_tn_secs;
     let svc_speedup = svc_tn_eps / svc_t1_eps;
-    println!("service_sequential_run         {svc_seq_rps:>12.0} requests/sec");
     println!("service_sharded_1_worker       {svc_t1_eps:>12.0} events/sec");
     println!("service_sharded_multi          {svc_tn_eps:>12.0} events/sec ({svc_workers} workers)");
     println!("service_within_run_speedup     {svc_speedup:>12.2} x");
@@ -402,7 +396,6 @@ fn main() {
          \"sharded_multi_worker_events_per_sec\": {},\n    \
          \"within_run_speedup\": {:.3}\n  }},\n  \
          \"service\": {{\n    \"servers\": {}, \"requests\": {}, \"groups\": {}, \"engine_events\": {},\n    \
-         \"sequential_run_requests_per_sec\": {},\n    \
          \"sharded_1_worker_events_per_sec\": {},\n    \
          \"workers\": {},\n    \
          \"sharded_multi_worker_events_per_sec\": {},\n    \
@@ -429,7 +422,6 @@ fn main() {
         cfg.requests,
         groups,
         svc_events,
-        json_f(svc_seq_rps),
         json_f(svc_t1_eps),
         svc_workers,
         json_f(svc_tn_eps),

@@ -14,6 +14,8 @@
 //!   to decorrelate losses.
 //! * `abl-warming` — §3.2's closing remark: the caching side-benefit of
 //!   racing multiple resolvers, quantified.
+//! * `heavytail` — the analytic heavy-tail threshold table across tail
+//!   indices (Theorem 3's regime).
 
 use crate::util::{ms, num, pct, Report};
 use crate::Effort;
@@ -33,6 +35,7 @@ pub const ABLATION_IDS: &[&str] = &[
     "abl-depth",
     "abl-spacing",
     "abl-warming",
+    "heavytail",
 ];
 
 /// Dispatches an ablation id.
@@ -43,6 +46,7 @@ pub fn run_ablation(id: &str, effort: Effort) -> String {
         "abl-depth" => depth(effort),
         "abl-spacing" => spacing(effort),
         "abl-warming" => warming(effort),
+        "heavytail" => crate::queueing::heavy_tail_table(),
         other => panic!("unknown ablation id: {other}"),
     }
 }

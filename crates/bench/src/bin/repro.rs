@@ -18,7 +18,7 @@
 
 #![forbid(unsafe_code)]
 
-use repro_bench::{run_experiment, Effort, ABLATION_IDS, ALL_IDS};
+use repro_bench::{known_ids, run_experiment, Effort, ABLATION_IDS, ALL_IDS, WALL_CLOCK_IDS};
 use std::io::Write;
 use std::time::Instant;
 
@@ -62,12 +62,7 @@ fn main() {
             },
             "list" => list = true,
             "all" => ids.extend(ALL_IDS.iter().map(|s| s.to_string())),
-            "ablations" => ids.extend(
-                ABLATION_IDS
-                    .iter()
-                    .chain(&["heavytail"])
-                    .map(|s| s.to_string()),
-            ),
+            "ablations" => ids.extend(ABLATION_IDS.iter().map(|s| s.to_string())),
             "-h" | "--help" => {
                 usage();
                 return;
@@ -84,11 +79,7 @@ fn main() {
                 println!("{id}");
             }
         } else {
-            for id in ALL_IDS
-                .iter()
-                .chain(ABLATION_IDS)
-                .chain(&["heavytail", "svc-rt"])
-            {
+            for id in known_ids() {
                 println!("{id}");
             }
         }
@@ -100,11 +91,7 @@ fn main() {
     }
 
     for id in &ids {
-        let known = ALL_IDS.contains(&id.as_str())
-            || ABLATION_IDS.contains(&id.as_str())
-            || id == "heavytail"
-            || id == "svc-rt";
-        if !known {
+        if !known_ids().any(|k| k == id) {
             eprintln!("unknown experiment id '{id}'; try `repro list`");
             std::process::exit(2);
         }
@@ -142,6 +129,9 @@ fn usage() {
          [--frontend-shards N] [--out DIR]"
     );
     eprintln!("figures:   {}", ALL_IDS.join(" "));
-    eprintln!("ablations: {} heavytail", ABLATION_IDS.join(" "));
-    eprintln!("wall-clock: svc-rt (latencies are real; excluded from `all` and byte-diffs)");
+    eprintln!("ablations: {}", ABLATION_IDS.join(" "));
+    eprintln!(
+        "wall-clock: {} (latencies are real; excluded from `all` and byte-diffs)",
+        WALL_CLOCK_IDS.join(" ")
+    );
 }

@@ -21,6 +21,7 @@ pub mod util;
 pub mod wan;
 
 pub use ablations::ABLATION_IDS;
+pub use rt_report::WALL_CLOCK_IDS;
 
 /// How much compute to spend.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -79,6 +80,16 @@ pub const ALL_IDS: &[&str] = &[
     "fig17",
 ];
 
+/// Every runnable experiment id, in `repro list` order: the figures,
+/// the ablations, then the wall-clock experiments.
+pub fn known_ids() -> impl Iterator<Item = &'static str> {
+    ALL_IDS
+        .iter()
+        .chain(ABLATION_IDS)
+        .chain(WALL_CLOCK_IDS)
+        .copied()
+}
+
 /// Runs one experiment by id, returning its printable report.
 ///
 /// # Panics
@@ -119,9 +130,8 @@ pub fn run_experiment(id: &str, effort: Effort) -> String {
         "fig15" => wan::fig15(effort),
         "fig16" => wan::fig16(effort),
         "fig17" => wan::fig17(effort),
-        "heavytail" => queueing::heavy_tail_table(),
-        "svc-rt" => rt_report::svc_rt(effort),
         id if ABLATION_IDS.contains(&id) => ablations::run_ablation(id, effort),
+        id if WALL_CLOCK_IDS.contains(&id) => rt_report::svc_rt(effort),
         other => panic!("unknown experiment id: {other}"),
     }
 }

@@ -13,6 +13,10 @@ use crate::util::{num, Report};
 use crate::Effort;
 use storesim::rt::{run, RtConfig};
 
+/// Wall-clock experiment ids: runnable by name, listed by `repro list`,
+/// but outside `repro all` and the byte-diffs.
+pub const WALL_CLOCK_IDS: &[&str] = &["svc-rt"];
+
 /// Runs the scripted wall-clock service at several worker counts,
 /// asserts the decision traces are identical, and reports the
 /// deterministic trace statistics followed by the (non-deterministic)

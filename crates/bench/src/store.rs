@@ -672,9 +672,9 @@ pub fn fig13(effort: Effort) -> String {
 }
 
 /// `fig-service-scale`: the headline experiment of the sharded parallel
-/// engine — one adaptive ramp at a cluster scale (≥256 servers, ≥1M
-/// requests in quick mode) the sequential engine cannot reach in CI. The
-/// run executes on [`storesim::sharded::run_sharded`] with the process
+/// engine — one adaptive ramp at cluster scale (≥256 servers, ≥1M
+/// requests in quick mode) spread over many server groups. The run
+/// executes on [`storesim::sharded::run_sharded`] with the process
 /// thread budget (`repro --threads`); the §2.1 switch-off headline must
 /// land on the offline threshold exactly as at small scale, and the report
 /// is **byte-identical at every thread count** (CI diffs `--threads

@@ -14,6 +14,7 @@
 use crate::cluster::{self, ClusterConfig, FilePopulation, NetProfile};
 use crate::disk::DiskProfile;
 use crate::service::{self, ServiceConfig};
+use crate::sharded::run_sharded;
 use simcore::dist::{BoundedPareto, Deterministic, DynDist, Exponential, Mixture};
 use simcore::rng::Rng;
 use simcore::runner::Runner;
@@ -380,9 +381,12 @@ fn finite_mean(xs: impl Iterator<Item = f64>) -> f64 {
 
 /// Runs `replications` independent load-ramp simulations of the sharded
 /// service ([`crate::service`]) in parallel on the global [`Runner`] and
-/// aggregates the per-bucket decision and latency curves. Replication
-/// seeds are forked from `cfg.seed` by index, so the outcome is
-/// bit-identical at any thread count.
+/// aggregates the per-bucket decision and latency curves. Each
+/// replication runs [`run_sharded`] with one server group on one worker:
+/// the replications already fill the runner's threads, and at these
+/// cluster sizes one group (every server on one engine shard) runs faster
+/// than several. Replication seeds are forked from `cfg.seed` by index,
+/// so the outcome is bit-identical at any thread count.
 ///
 /// The headline number is `switch_off`: the offered load at which the
 /// planner's live per-request decision flips from k = 2 to k = 1, which
@@ -405,7 +409,7 @@ pub fn run_service_ramp_on(
     let results = runner.run(replications, |r| {
         let mut c = cfg.clone();
         c.seed = seeds[r];
-        service::run(&c)
+        run_sharded(&c, 1, 1).result
     });
 
     let buckets = results[0].buckets.len();

@@ -20,14 +20,16 @@
 //!   CPU cost), and the event loop connecting them;
 //! * [`memcached`] — the §2.3 in-memory variant, including the *stub* mode
 //!   the paper uses to isolate client-side overhead (Fig 13);
-//! * [`service`] — the **online** variant: a sharded service whose
-//!   front-end consults the `redundancy` planner *per request*, adapting
-//!   the replication factor live as a windowed load estimate crosses the
-//!   §2.1 threshold, with loser cancellation over FIFO or PS servers;
-//! * [`sharded`] — the same online service ported onto `simcore`'s
-//!   sharded parallel engine (one shard per server group plus a frontend
-//!   shard), unlocking hundred-server, million-request ramps with
-//!   bit-identical output at any thread count;
+//! * [`service`] — the **online** variant's model: a sharded service
+//!   whose front-end consults the `redundancy` planner *per request*,
+//!   adapting the replication factor live as a windowed load estimate
+//!   crosses the §2.1 threshold, with loser cancellation over FIFO or PS
+//!   servers;
+//! * [`sharded`] — the one runner of that service, on `simcore`'s sharded
+//!   parallel engine (one shard per server group plus frontend shards),
+//!   from the 8-server replicated ramps to hundred-server,
+//!   million-request ramps, with bit-identical output at any thread
+//!   count;
 //! * [`rt`] — the **wall-clock** twin of [`service`]: real worker threads
 //!   serving scripted requests over channels, live per-request planner
 //!   decisions, and first-response cancellation racing actual execution —

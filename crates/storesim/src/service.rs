@@ -7,12 +7,14 @@
 //! (§2.1) and the follow-on literature (Joshi et al.'s redundancy-d
 //! systems, Shah et al.'s "when do redundant requests reduce latency?")
 //! ask the *online* question: given shifting load, when should the next
-//! request be duplicated? This module answers it end-to-end:
+//! request be duplicated? This module defines the model — its
+//! configuration, results, and the helpers the experiments share — and
+//! [`crate::sharded::run_sharded`] runs it end-to-end:
 //!
 //! * **Shards** — `shards` keys placed on `servers` via the same
 //!   consistent-hash ring as the batch store ([`crate::hashring`]), with
 //!   `stored_replicas`-way placement (the paper's n, n+1, … rule).
-//! * **Servers** — per-server queues on the [`simcore::event`] engine,
+//! * **Servers** — per-server queues on the [`simcore::shard`] engine,
 //!   FIFO (one request in service, queue behind it) or PS (processor
 //!   sharing, all resident requests served at rate 1/n — the egalitarian
 //!   model of the redundancy literature).
@@ -44,12 +46,11 @@
 //!   which concentrates traffic on the hash ring's hot servers and
 //!   exercises the contention the balanced-load threshold model does not
 //!   see.
-//! * **Cancellation** — on the first response, the request's
-//!   [`CancelToken`] is cancelled and cancel messages race (one
-//!   propagation delay) to the losing servers, which purge every copy the
-//!   token marks: queued copies under FIFO (an in-service read cannot be
-//!   un-seeked), queued *and* in-service copies under PS (a shared
-//!   connection can be closed mid-transfer).
+//! * **Cancellation** — on the first response, per-request cancel
+//!   messages race (one propagation delay) to the losing servers, which
+//!   purge that request's copies: queued copies under FIFO (an in-service
+//!   read cannot be un-seeked), queued *and* in-service copies under PS (a
+//!   shared connection can be closed mid-transfer).
 //!
 //! A run drives an open-loop Poisson stream whose offered baseline load
 //! ramps linearly from [`ServiceConfig::load_start`] to
@@ -61,18 +62,17 @@
 //!
 //! Everything is bit-reproducible from the seed; replications fan out on
 //! [`simcore::runner`] in [`crate::experiments::run_service_ramp`].
+//!
+//! [`RateEstimator`]: redundancy::estimator::RateEstimator
+//! [`EstimatorBank`]: redundancy::estimator::EstimatorBank
+//! [`MomentEstimator`]: redundancy::estimator::MomentEstimator
 
 use crate::hashring::HashRing;
-use redundancy::cancel::CancelToken;
-use redundancy::estimator::{EstimatorBank, MomentEstimator, RateEstimator};
-use redundancy::planner::{Planner, ThresholdCache, WorkloadProfile};
+use crate::sharded::MAX_STORED;
+use redundancy::planner::{Planner, WorkloadProfile};
 use redundancy::policy::Policy;
 use simcore::dist::{BoundedPareto, DiscreteEmpirical, Distribution, DynDist, Weibull};
-use simcore::event::EventQueue;
-use simcore::rng::Rng;
 use simcore::stats::SampleSet;
-use simcore::time::SimTime;
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Queueing discipline at each server.
@@ -92,10 +92,12 @@ pub enum MomentSource {
     /// [`ServiceConfig::service`]'s exact moments (the partly-clairvoyant
     /// PR 3 behavior, kept as the reference mode).
     Clairvoyant,
-    /// Measure: a [`MomentEstimator`] over the per-copy service durations
-    /// reported by completing servers re-derives mean, SCV, and threshold
-    /// online. Until `min_samples` durations have been observed the
-    /// front-end falls back to the clairvoyant threshold (the warm-up
+    /// Measure: a
+    /// [`MomentEstimator`](redundancy::estimator::MomentEstimator) over
+    /// the per-copy service durations the servers report
+    /// ([`DemandReport`]) re-derives mean, SCV, and threshold online.
+    /// Until `min_samples` durations have been observed the front-end
+    /// falls back to the clairvoyant threshold (the warm-up
     /// fallback: a fresh deployment starts from its capacity-planning
     /// assumptions and then calibrates them away).
     Estimated {
@@ -105,8 +107,8 @@ pub enum MomentSource {
         min_samples: usize,
         /// Threshold recalibration cadence, in observed durations. The
         /// recalibration itself is memoized on a quantized-SCV grid
-        /// ([`ThresholdCache`]), so a converged estimator stops paying
-        /// for the bisection entirely.
+        /// ([`ThresholdCache`](redundancy::planner::ThresholdCache)), so a
+        /// converged estimator stops paying for the bisection entirely.
         recalibrate: usize,
     },
 }
@@ -128,16 +130,18 @@ impl MomentSource {
 /// threshold.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LoadModel {
-    /// One cluster-wide [`RateEstimator`] over the request stream: the
-    /// balanced-load assumption of §2.1, blind to the load *shape* (the
-    /// PR 4 reference mode — bit-identical output, pinned by test).
+    /// One cluster-wide
+    /// [`RateEstimator`](redundancy::estimator::RateEstimator) over the
+    /// request stream: the balanced-load assumption of §2.1, blind to the
+    /// load *shape* (the reference mode; its quick reports are pinned
+    /// byte-for-byte by test).
     Global,
-    /// One [`EstimatorBank`] entry per server, fed every request's stored
-    /// replica set at dispatch; each request's decision compares the
-    /// **maximum** utilization of its own candidate pair
-    /// ([`Planner::decide_for`]) against the threshold, so requests whose
-    /// servers are cold keep replicating after hot-server requests have
-    /// switched off.
+    /// One [`EstimatorBank`](redundancy::estimator::EstimatorBank) entry
+    /// per server, fed every request's stored replica set at dispatch;
+    /// each request's decision compares the **maximum** utilization of
+    /// its own candidate pair ([`Planner::decide_for`]) against the
+    /// threshold, so requests whose servers are cold keep replicating
+    /// after hot-server requests have switched off.
     PerServer,
 }
 
@@ -149,7 +153,7 @@ pub enum DemandReport {
     /// censored — the purged in-flight loser is systematically the
     /// larger-demand copy, so the estimator would measure min(demands)
     /// and calibrate a biased threshold — which is why that combination
-    /// is rejected in [`run`].
+    /// is rejected by [`crate::sharded::run_sharded`].
     Completion,
     /// At copy dispatch (arrival at the server), before any cancellation
     /// can intervene: every issued copy's demand is observed exactly
@@ -181,13 +185,11 @@ pub enum Frontend {
 /// estimator stack the adaptive planner consults) and grows or shrinks
 /// the fleet by whole steps between `ServiceConfig::servers` (the floor)
 /// and [`Autoscale::max_servers`]. Servers join and leave the hash ring
-/// in LIFO index order ([`crate::HashRing::add_server`] /
-/// [`crate::HashRing::remove_server`]), shards whose ownership moved are
+/// in LIFO index order ([`HashRing::add_server`] /
+/// [`HashRing::remove_server`]), shards whose ownership moved are
 /// dual-dispatched to old and new owners for [`Autoscale::migration`]
 /// seconds, and the per-server [`redundancy::estimator::EstimatorBank`]
-/// grows/resets per-index on each change. Only the sharded runner
-/// ([`crate::sharded::run_sharded`]) supports autoscaling; the
-/// sequential [`run`] rejects it.
+/// grows/resets per-index on each change.
 ///
 /// With autoscaling on, the arrival curve is no longer the linear
 /// `load_start → load_end` ramp: request `i` offers a *diurnal* cluster
@@ -248,9 +250,8 @@ pub struct ServiceConfig {
     /// *model* parameter — it changes which simulation runs (lanes > 1 is
     /// a different, decomposed arrival process) — while the engine-shard
     /// *placement* of the lanes is a pure execution detail that never
-    /// affects output. Only [`crate::sharded::run_sharded`] supports
-    /// lanes > 1; the sequential [`run`] rejects it. Default 1, which is
-    /// byte-identical to the pre-lane frontend.
+    /// affects output. Default 1, which is byte-identical to the pre-lane
+    /// frontend.
     pub frontend_lanes: usize,
     /// Period of the cross-lane load-summary exchange, seconds. Floored
     /// at the propagation delay (the engine lookahead — summaries travel
@@ -421,7 +422,7 @@ pub fn stored_load_shares(cfg: &ServiceConfig) -> Vec<f64> {
         cfg.stored_replicas,
         cfg.servers
     );
-    // Per-shard weights, attributed exactly as `run` maps popularity
+    // Per-shard weights, attributed exactly as dispatch maps popularity
     // samples to shards: by *value* (floored and clamped), never by the
     // distribution's construction order.
     let mut weights = vec![1.0 / cfg.shards as f64; cfg.shards];
@@ -473,10 +474,11 @@ pub struct RampBucket {
     /// 99th-percentile response time, seconds (NaN when empty).
     pub p99: f64,
     /// Largest per-server busy fraction over this bucket's time slice
-    /// (max over servers of busy/elapsed between the first arrivals of
-    /// this and the next bucket; NaN for a zero-width slice). FIFO busy
-    /// is accrued as a lump at service start, so a saturated stretch can
-    /// legitimately read slightly above 1.
+    /// (max over servers of busy/elapsed between the first copies of this
+    /// and the next bucket reaching the servers, i.e. the bucket's first
+    /// arrival shifted by one propagation delay; NaN for a zero-width
+    /// slice). FIFO busy is accrued as a lump at service start, so a
+    /// saturated stretch can legitimately read slightly above 1.
     pub peak_utilization: f64,
     /// Of this bucket's measured requests, how many were **hot-pair**
     /// requests — their shard's stored replicas include the config's
@@ -590,95 +592,8 @@ pub fn switch_off_load(points: &[(f64, f64)]) -> f64 {
     crossing
 }
 
-#[derive(Clone, Copy, Debug)]
-enum Ev {
-    /// A request enters the front-end.
-    Arrive { req: u32 },
-    /// A copy reaches its server.
-    CopyArrive { req: u32, server: u16 },
-    /// The hedging delay of a [`Policy::Hedged`] request elapsed.
-    HedgeFire { req: u32 },
-    /// The in-service FIFO copy at `server` completes.
-    FifoDepart { server: u16 },
-    /// The PS job set at `server` may have drained its minimum; stale
-    /// epochs are ignored (lazy deletion).
-    PsDepart { server: u16, epoch: u32 },
-    /// A server's response reaches the client.
-    Response { req: u32, server: u16 },
-    /// The front-end's cancel message reaches `server`.
-    CancelMsg { server: u16 },
-}
-
-struct ReqState {
-    arrival: f64,
-    offered: f64,
-    /// Chosen targets, dispatch order (hedge copies are the tail).
-    targets: Vec<u16>,
-    /// Copies dispatched so far.
-    sent: u8,
-    /// The shard's stored replica set includes the config's hottest
-    /// server (per-temperature decision accounting).
-    hot: bool,
-    done: bool,
-    token: CancelToken,
-}
-
-pub(crate) struct FifoServer {
-    pub(crate) queue: VecDeque<(u32, f64)>,
-    /// `(request id, service demand)` of the copy in service, if any —
-    /// the demand is re-surfaced at departure as the server's measured
-    /// duration report to the moment estimator.
-    pub(crate) in_service: Option<(u32, f64)>,
-    pub(crate) busy: f64,
-}
-
-pub(crate) struct PsJob {
-    pub(crate) req: u32,
-    /// Total service demand (reported to the moment estimator at
-    /// completion).
-    pub(crate) size: f64,
-    pub(crate) remaining: f64,
-}
-
-pub(crate) struct PsServer {
-    pub(crate) jobs: Vec<PsJob>,
-    pub(crate) last: f64,
-    pub(crate) epoch: u32,
-    pub(crate) busy: f64,
-}
-
-impl PsServer {
-    /// Advances the shared-progress clock to `now`.
-    pub(crate) fn advance(&mut self, now: f64) {
-        let elapsed = now - self.last;
-        if elapsed > 0.0 && !self.jobs.is_empty() {
-            let share = elapsed / self.jobs.len() as f64;
-            for j in &mut self.jobs {
-                j.remaining -= share;
-            }
-            self.busy += elapsed;
-        }
-        self.last = now;
-    }
-
-    /// Next departure instant for the current job set, if any.
-    pub(crate) fn next_departure(&self, now: f64) -> Option<f64> {
-        let min = self
-            .jobs
-            .iter()
-            .map(|j| j.remaining)
-            .fold(f64::INFINITY, f64::min);
-        if min.is_finite() {
-            Some(now + min.max(0.0) * self.jobs.len() as f64)
-        } else {
-            None
-        }
-    }
-}
-
-/// Shared configuration validation for [`run`] and the sharded engine
-/// port ([`crate::sharded::run_sharded`]) — both entry points reject the
-/// same inconsistent configurations with the same panic messages.
+/// Configuration validation for [`crate::sharded::run_sharded`]: every
+/// inconsistent configuration is rejected here, before any state is built.
 pub(crate) fn validate_config(cfg: &ServiceConfig) {
     assert!(cfg.servers > 0 && cfg.shards > 0 && cfg.requests > 0);
     assert!(
@@ -686,6 +601,11 @@ pub(crate) fn validate_config(cfg: &ServiceConfig) {
         "cannot store {} replicas on {} servers",
         cfg.stored_replicas,
         cfg.servers
+    );
+    // Targets live in a fixed per-request array (no hot-path allocation).
+    assert!(
+        cfg.stored_replicas <= MAX_STORED,
+        "sharded port stores at most {MAX_STORED} replicas"
     );
     assert!(
         (0.0..1.0).contains(&cfg.load_start) && (0.0..1.0).contains(&cfg.load_end),
@@ -695,10 +615,17 @@ pub(crate) fn validate_config(cfg: &ServiceConfig) {
         cfg.load_start > 0.0 && cfg.load_end > 0.0,
         "zero load generates no arrivals"
     );
-    assert!(cfg.buckets >= 1);
-    // Event/bookkeeping ids are u16 (servers) and u8 (copies per request).
+    assert!(
+        cfg.propagation > 0.0,
+        "sharded engine needs positive propagation (the lookahead window)"
+    );
+    // Server ids and ramp-bucket tags ride in u16 event fields (the
+    // bucket tag reserves u16::MAX for warm-up copies).
+    assert!(
+        cfg.buckets >= 1 && cfg.buckets < u16::MAX as usize,
+        "too many buckets"
+    );
     assert!(cfg.servers <= u16::MAX as usize, "too many servers");
-    assert!(cfg.stored_replicas <= u8::MAX as usize, "too many stored replicas");
     let max_load = cfg.load_start.max(cfg.load_end);
     match &cfg.frontend {
         Frontend::Fixed(policy) => {
@@ -845,648 +772,18 @@ pub(crate) fn validate_config(cfg: &ServiceConfig) {
     }
 }
 
-/// Runs the service simulation.
-///
-/// # Panics
-/// Panics on inconsistent configuration: no servers/shards/requests, more
-/// stored replicas than servers, a fixed policy issuing more copies than
-/// stored replicas, loads outside `[0, 1)` (the only stability bound a
-/// tail-only `Hedged` ramp needs), an offered load that saturates the
-/// cluster (`max_copies × load_end ≥ 1` for `Always` policies,
-/// `2 × load_start ≥ 1` for the adaptive mode, which replicates only
-/// below the sub-½ threshold), estimated-mode parameters with
-/// `min_samples` outside `[2, window]`, or **completion-reported**
-/// estimated moments combined with PS cancellation (the purged in-flight
-/// loser censors the completion-based sample — see the validation
-/// comment; [`DemandReport::Dispatch`] is the censoring-free channel that
-/// makes the combination legal).
-pub fn run(cfg: &ServiceConfig) -> ServiceResult {
-    validate_config(cfg);
-    assert!(
-        cfg.frontend_lanes == 1,
-        "the sequential runner supports a single frontend lane; \
-         use run_sharded for frontend_lanes > 1"
-    );
-    assert!(
-        cfg.autoscale.is_none(),
-        "the sequential runner does not autoscale; use run_sharded"
-    );
-
-    let mean_service = cfg.service.mean();
-    assert!(mean_service.is_finite() && mean_service > 0.0);
-    let planner = cfg.planner();
-    let threshold = planner.threshold_load();
-
-    let mut root = Rng::seed_from(cfg.seed);
-    let mut arrival_rng = root.fork(1);
-    let mut place_rng = root.fork(2);
-    let mut svc_rng = root.fork(3);
-
-    let ring = HashRing::new(cfg.servers, cfg.vnodes);
-    let total = cfg.warmup + cfg.requests;
-
-    // Load estimation: one global rate estimator, or one per server
-    // (fed each request's full stored replica set at dispatch, so the
-    // per-server estimate measures where k = 1 traffic *would* land —
-    // independent of the replication decisions actually taken).
-    let (mut estimator, mut bank) = match &cfg.frontend {
-        Frontend::Adaptive {
-            window, load_model, ..
-        } => match load_model {
-            LoadModel::Global => (Some(RateEstimator::new(*window)), None),
-            LoadModel::PerServer => (None, Some(EstimatorBank::new(cfg.servers, *window))),
-        },
-        Frontend::Fixed(_) => (None, None),
-    };
-    // Online service-moment estimation (estimated mode only): the
-    // estimator ingests per-copy service durations as servers report
-    // completions; the threshold is re-derived on a cadence through a
-    // quantized-SCV memo cache. Until `min_samples` durations are in, the
-    // clairvoyant threshold is the warm-up fallback.
-    let (mut moment_est, min_samples, recalibrate) = match &cfg.frontend {
-        Frontend::Adaptive {
-            moments:
-                MomentSource::Estimated {
-                    window,
-                    min_samples,
-                    recalibrate,
-                },
-            ..
-        } => (
-            Some(MomentEstimator::new(*window)),
-            *min_samples,
-            *recalibrate as u64,
-        ),
-        _ => (None, 0, 1),
-    };
-    let mut threshold_cache = ThresholdCache::new();
-    let mut live_threshold = threshold;
-    // The per-server path routes every decision through
-    // `Planner::decide_for`; this planner carries whichever moments are
-    // currently trusted (config at start, recalibrated on the estimated
-    // cadence), so its cache lookups track `live_threshold`. The two are
-    // deliberately parallel state — the global path must keep reading
-    // the direct-bisected `threshold` until its first recalibration
-    // (bit-identity with the pre-per-server code is pinned by test), so
-    // they are updated in lockstep in `observe_service!` and must stay
-    // that way.
-    let mut live_planner = planner;
-    let mut observed: u64 = 0;
-    let mut recalibrations: u64 = 0;
-
-    // Hot-pair accounting: a request is "hot" when its shard's stored
-    // replica set includes the most-loaded server of the configured mix.
-    let hot_server = hottest_stored_server(cfg);
-    let hot_shard: Vec<bool> = (0..cfg.shards)
-        .map(|sh| {
-            ring.replicas(sh as u64, cfg.stored_replicas)
-                .contains(&hot_server)
-        })
-        .collect();
-
-    let mut fifo: Vec<FifoServer> = Vec::new();
-    let mut ps: Vec<PsServer> = Vec::new();
-    match cfg.discipline {
-        Discipline::Fifo => {
-            fifo = (0..cfg.servers)
-                .map(|_| FifoServer {
-                    queue: VecDeque::new(),
-                    in_service: None,
-                    busy: 0.0,
-                })
-                .collect();
-        }
-        Discipline::Ps => {
-            ps = (0..cfg.servers)
-                .map(|_| PsServer {
-                    jobs: Vec::new(),
-                    last: 0.0,
-                    epoch: 0,
-                    busy: 0.0,
-                })
-                .collect();
-        }
-    }
-
-    let mut reqs: Vec<ReqState> = Vec::with_capacity(total);
-    let mut response = SampleSet::with_capacity(cfg.requests);
-    // Per-bucket accumulation (measured requests only).
-    let span = cfg.load_end - cfg.load_start;
-    let bucket_of = |offered: f64| -> usize {
-        if span.abs() < f64::EPSILON {
-            0
-        } else {
-            (((offered - cfg.load_start) / span) * cfg.buckets as f64)
-                .floor()
-                .clamp(0.0, (cfg.buckets - 1) as f64) as usize
-        }
-    };
-    let mut bucket_samples: Vec<SampleSet> = (0..cfg.buckets).map(|_| SampleSet::new()).collect();
-    let mut bucket_reqs = vec![0usize; cfg.buckets];
-    let mut bucket_k2 = vec![0usize; cfg.buckets];
-    let mut bucket_hot = vec![0usize; cfg.buckets];
-    let mut bucket_hot_k2 = vec![0usize; cfg.buckets];
-    // Per-bucket per-server busy accounting: the measured window is
-    // sliced at the first arrival of each new bucket; a slice's
-    // per-server busy delta over its elapsed time is that bucket's
-    // utilization profile (its max is `RampBucket::peak_utilization`).
-    let mut bucket_busy = vec![0.0f64; cfg.buckets * cfg.servers];
-    let mut bucket_elapsed = vec![0.0f64; cfg.buckets];
-    let mut snap_busy = vec![0.0f64; cfg.servers];
-    let mut snap_t = 0.0f64;
-    let mut cur_bucket: Option<usize> = None;
-
-    let mut copies_issued = 0u64;
-    let mut copies_cancelled = 0u64;
-    let mut completed = 0usize;
-    let mut end_time = 0.0f64;
-
-    // Pre-size the future-event list to its steady-state footprint: one
-    // pending arrival plus, per server, a handful of in-flight copy /
-    // departure / response events — resizing a BinaryHeap mid-run shows up
-    // directly in the push/pop microbenchmark (`bench-engine`).
-    let mut q: EventQueue<Ev> = EventQueue::with_capacity((8 * cfg.servers).max(4 * 1024));
-
-    // --- per-discipline helpers, as macros so they can borrow locals ---
-    macro_rules! fifo_start_next {
-        ($s:expr, $now:expr) => {{
-            let srv = &mut fifo[$s];
-            if let Some((req, svc)) = srv.queue.pop_front() {
-                srv.in_service = Some((req, svc));
-                srv.busy += svc;
-                q.push(
-                    SimTime::from_secs($now + svc),
-                    Ev::FifoDepart { server: $s as u16 },
-                );
-            } else {
-                srv.in_service = None;
-            }
-        }};
-    }
-    // Cumulative busy time of server `$s` as of `$now`: FIFO accrues the
-    // whole demand at service start (lumpy), PS continuously via
-    // `advance` — a resident PS job set has been busy since `last`.
-    macro_rules! server_busy_now {
-        ($s:expr, $now:expr) => {{
-            match cfg.discipline {
-                Discipline::Fifo => fifo[$s].busy,
-                Discipline::Ps => {
-                    let srv = &ps[$s];
-                    if srv.jobs.is_empty() {
-                        srv.busy
-                    } else {
-                        srv.busy + ($now - srv.last)
-                    }
-                }
-            }
-        }};
-    }
-    // Closes the bucket `$b`'s time slice at `$now`: folds each server's
-    // busy delta since the last snapshot into the bucket and re-anchors
-    // the snapshot.
-    macro_rules! close_bucket_slice {
-        ($b:expr, $now:expr) => {{
-            for s in 0..cfg.servers {
-                let now_busy = server_busy_now!(s, $now);
-                bucket_busy[$b * cfg.servers + s] += now_busy - snap_busy[s];
-                snap_busy[s] = now_busy;
-            }
-            bucket_elapsed[$b] += $now - snap_t;
-            snap_t = $now;
-        }};
-    }
-    // A server reports its measured per-copy service duration with each
-    // completion (or the front-end observes it at dispatch, per
-    // `cfg.demand_report`); in estimated mode the front-end feeds it to
-    // the moment estimator and periodically re-derives the threshold from
-    // the live (mean, SCV) through the quantized-grid cache.
-    macro_rules! observe_service {
-        ($svc:expr) => {{
-            if let Some(me) = moment_est.as_mut() {
-                me.observe($svc);
-                observed += 1;
-                if me.len() >= min_samples && observed % recalibrate == 0 {
-                    live_threshold =
-                        threshold_cache.threshold(me.mean(), me.scv(), cfg.client_overhead);
-                    live_planner = planner.recalibrated(me.mean(), me.scv());
-                    recalibrations += 1;
-                }
-            }
-        }};
-    }
-    macro_rules! ps_reschedule {
-        ($s:expr, $now:expr) => {{
-            let srv = &mut ps[$s];
-            srv.epoch = srv.epoch.wrapping_add(1);
-            if let Some(at) = srv.next_departure($now) {
-                q.push(
-                    SimTime::from_secs(at),
-                    Ev::PsDepart {
-                        server: $s as u16,
-                        epoch: srv.epoch,
-                    },
-                );
-            }
-        }};
-    }
-    macro_rules! dispatch_copies {
-        ($req:expr, $now:expr, $from:expr, $to:expr) => {{
-            let state = &mut reqs[$req as usize];
-            for &server in &state.targets[$from..$to] {
-                copies_issued += 1;
-                q.push(
-                    SimTime::from_secs($now + cfg.propagation),
-                    Ev::CopyArrive { req: $req, server },
-                );
-            }
-            // A request counts as duplicated when a second copy is
-            // *actually dispatched* — for hedged policies that is only
-            // when the hedge fires, not at the arrival decision.
-            if $from < 2 && $to >= 2 && ($req as usize) >= cfg.warmup {
-                let b = bucket_of(state.offered);
-                bucket_k2[b] += 1;
-                if state.hot {
-                    bucket_hot_k2[b] += 1;
-                }
-            }
-            state.sent = $to as u8;
-        }};
-    }
-
-    let lambda_of = |offered: f64| offered * cfg.servers as f64 / mean_service;
-    q.push(
-        SimTime::from_secs(arrival_rng.exponential(lambda_of(cfg.offered(0)))),
-        Ev::Arrive { req: 0 },
-    );
-
-    while let Some((now, ev)) = q.pop() {
-        let t = now.as_secs();
-        end_time = t;
-        match ev {
-            Ev::Arrive { req } => {
-                let i = req as usize;
-                let offered = cfg.offered(i);
-
-                // Shard placement first: key drawn from the popularity
-                // mix (uniform by default), stored replicas via the ring
-                // — the per-server load model needs the candidate set
-                // before it can decide. The `place_rng` draw order (shard
-                // sample, then the optional shuffle below) is unchanged,
-                // so the global model stays bit-identical to the
-                // pre-per-server code.
-                let shard = match &cfg.popularity {
-                    None => place_rng.index(cfg.shards) as u64,
-                    Some(d) => shard_of(d.sample(&mut place_rng), cfg.shards) as u64,
-                };
-                let stored = ring.replicas(shard, cfg.stored_replicas);
-                let hot = hot_shard[shard as usize];
-
-                // Per-request consultation of the redundancy stack.
-                let (copies, hedge_after) = match &cfg.frontend {
-                    Frontend::Fixed(policy) => match *policy {
-                        Policy::Single => (1usize, None),
-                        Policy::Always { copies } => (copies, None),
-                        Policy::Hedged { copies, after } => (copies, Some(after.as_secs_f64())),
-                    },
-                    Frontend::Adaptive { load_model, .. } => {
-                        // The planner's advice at the live estimates: the
-                        // threshold is either the precomputed clairvoyant
-                        // one or the latest recalibration from measured
-                        // moments, and the utilization estimate uses the
-                        // live mean once it is trusted — so the decision
-                        // is the comparison `advise` (global) or
-                        // `decide_for` (per-server) would perform, with
-                        // every input measured.
-                        let live_mean = match moment_est.as_ref() {
-                            Some(me) if me.len() >= min_samples => me.mean(),
-                            _ => mean_service,
-                        };
-                        let replicate = match load_model {
-                            LoadModel::Global => {
-                                let est = estimator.as_mut().expect("adaptive estimator");
-                                est.observe_arrival(t);
-                                let rho = if est.is_warm() {
-                                    est.utilization(live_mean, cfg.servers)
-                                } else {
-                                    cfg.load_start
-                                };
-                                rho < live_threshold
-                            }
-                            LoadModel::PerServer => {
-                                let bank = bank.as_mut().expect("per-server bank");
-                                // Every stored candidate observes this
-                                // arrival: the bank measures where k = 1
-                                // traffic *would* land (divided back out
-                                // by the split factor in `utilization`),
-                                // so the estimate is independent of the
-                                // replication decisions actually taken —
-                                // no feedback loop. The pair max is
-                                // folded inline (no per-request alloc);
-                                // `decide_for` maxes over its slice, so a
-                                // pre-maxed single candidate is
-                                // equivalent.
-                                let mut rho_max = 0.0f64;
-                                for &s in &stored {
-                                    bank.observe_arrival(s, t);
-                                    let rho = if bank.get(s).is_warm() {
-                                        bank.utilization(s, live_mean, stored.len())
-                                    } else {
-                                        cfg.load_start
-                                    };
-                                    rho_max = rho_max.max(rho);
-                                }
-                                let d =
-                                    live_planner.decide_for(&mut threshold_cache, &[rho_max]);
-                                live_threshold = d.threshold_load;
-                                d.replicate
-                            }
-                        };
-                        (if replicate { 2 } else { 1 }, None)
-                    }
-                };
-
-                let k = copies.min(stored.len());
-                // Shuffle unless every stored copy is dispatched at once:
-                // a k = 1 read load-balances across the stored pair, and a
-                // hedged request must load-balance its *primary* the same
-                // way (the hedge then targets the leftovers) — otherwise
-                // hedging would concentrate first copies on ring primaries
-                // and carry a worse base load split than `Single`.
-                let targets: Vec<u16> = if k == stored.len() && hedge_after.is_none() {
-                    stored.iter().map(|&s| s as u16).collect()
-                } else {
-                    let mut order: Vec<usize> = (0..stored.len()).collect();
-                    place_rng.shuffle(&mut order);
-                    order[..k].iter().map(|&j| stored[j] as u16).collect()
-                };
-
-                reqs.push(ReqState {
-                    arrival: t,
-                    offered,
-                    targets,
-                    sent: 0,
-                    hot,
-                    done: false,
-                    token: CancelToken::new(),
-                });
-                debug_assert_eq!(reqs.len() - 1, i);
-
-                if i >= cfg.warmup {
-                    let b = bucket_of(offered);
-                    if cur_bucket != Some(b) {
-                        match cur_bucket {
-                            // Entering a new bucket closes the previous
-                            // one's time slice...
-                            Some(pb) => close_bucket_slice!(pb, t),
-                            // ...while the first measured arrival only
-                            // anchors the snapshot (warm-up busy time is
-                            // not attributed to any bucket).
-                            None => {
-                                for s in 0..cfg.servers {
-                                    snap_busy[s] = server_busy_now!(s, t);
-                                }
-                                snap_t = t;
-                            }
-                        }
-                        cur_bucket = Some(b);
-                    }
-                    bucket_reqs[b] += 1;
-                    if hot {
-                        bucket_hot[b] += 1;
-                    }
-                }
-
-                match hedge_after {
-                    Some(after) => {
-                        // Primary now; siblings only if the hedge fires.
-                        dispatch_copies!(req, t, 0, 1);
-                        q.push(SimTime::from_secs(t + after), Ev::HedgeFire { req });
-                    }
-                    None => {
-                        let k = reqs[i].targets.len();
-                        dispatch_copies!(req, t, 0, k);
-                    }
-                }
-
-                if i + 1 < total {
-                    let lambda = lambda_of(cfg.offered(i + 1));
-                    q.push_after(
-                        SimTime::from_secs(arrival_rng.exponential(lambda)),
-                        Ev::Arrive { req: req + 1 },
-                    );
-                }
-            }
-            Ev::HedgeFire { req } => {
-                let state = &reqs[req as usize];
-                if !state.done {
-                    let (from, to) = (state.sent as usize, state.targets.len());
-                    dispatch_copies!(req, t, from, to);
-                }
-            }
-            Ev::CopyArrive { req, server } => {
-                let s = server as usize;
-                let svc = cfg.service.sample(&mut svc_rng);
-                // Dispatch-time reporting: the copy's demand is observed
-                // the moment it reaches the server, before queueing or
-                // cancellation can select which copies complete — the
-                // censoring-free channel PS cancellation needs.
-                if cfg.demand_report == DemandReport::Dispatch {
-                    observe_service!(svc);
-                }
-                match cfg.discipline {
-                    Discipline::Fifo => {
-                        let srv = &mut fifo[s];
-                        srv.queue.push_back((req, svc));
-                        if srv.in_service.is_none() {
-                            fifo_start_next!(s, t);
-                        }
-                    }
-                    Discipline::Ps => {
-                        ps[s].advance(t);
-                        ps[s].jobs.push(PsJob {
-                            req,
-                            size: svc,
-                            remaining: svc,
-                        });
-                        ps_reschedule!(s, t);
-                    }
-                }
-            }
-            Ev::FifoDepart { server } => {
-                let s = server as usize;
-                let (req, svc) = fifo[s].in_service.take().expect("depart with idle server");
-                if cfg.demand_report == DemandReport::Completion {
-                    observe_service!(svc);
-                }
-                q.push(
-                    SimTime::from_secs(t + cfg.propagation),
-                    Ev::Response { req, server },
-                );
-                fifo_start_next!(s, t);
-            }
-            Ev::PsDepart { server, epoch } => {
-                let s = server as usize;
-                if ps[s].epoch != epoch {
-                    continue; // stale schedule
-                }
-                ps[s].advance(t);
-                // Depart the minimum-remaining job (deterministic
-                // tie-break: lowest index).
-                let Some(idx) = ps[s]
-                    .jobs
-                    .iter()
-                    .enumerate()
-                    .min_by(|a, b| a.1.remaining.total_cmp(&b.1.remaining))
-                    .map(|(i, _)| i)
-                else {
-                    continue;
-                };
-                let job = ps[s].jobs.remove(idx);
-                if cfg.demand_report == DemandReport::Completion {
-                    observe_service!(job.size);
-                }
-                q.push(
-                    SimTime::from_secs(t + cfg.propagation),
-                    Ev::Response {
-                        req: job.req,
-                        server,
-                    },
-                );
-                ps_reschedule!(s, t);
-            }
-            Ev::Response { req, server } => {
-                let i = req as usize;
-                let state = &mut reqs[i];
-                if state.done {
-                    continue;
-                }
-                state.done = true;
-                let extra = (state.sent as f64 - 1.0).max(0.0) * cfg.client_overhead;
-                let rt = (t - state.arrival) + extra;
-                if i >= cfg.warmup {
-                    response.push(rt);
-                    bucket_samples[bucket_of(state.offered)].push(rt);
-                    completed += 1;
-                }
-                if cfg.cancellation && (state.sent as usize) > 1 {
-                    state.token.cancel();
-                    for &other in state.targets[..state.sent as usize].iter() {
-                        if other != server {
-                            q.push(
-                                SimTime::from_secs(t + cfg.propagation),
-                                Ev::CancelMsg { server: other },
-                            );
-                        }
-                    }
-                }
-            }
-            Ev::CancelMsg { server } => {
-                let s = server as usize;
-                match cfg.discipline {
-                    Discipline::Fifo => {
-                        // Purge queued copies whose token is cancelled; the
-                        // in-service copy runs to completion (a disk read
-                        // cannot be withdrawn mid-seek).
-                        let before = fifo[s].queue.len();
-                        fifo[s]
-                            .queue
-                            .retain(|&(r, _)| !reqs[r as usize].token.is_cancelled());
-                        copies_cancelled += (before - fifo[s].queue.len()) as u64;
-                    }
-                    Discipline::Ps => {
-                        // PS can drop in-progress work too: closing the
-                        // shared connection frees the server's share.
-                        ps[s].advance(t);
-                        let before = ps[s].jobs.len();
-                        ps[s]
-                            .jobs
-                            .retain(|j| !reqs[j.req as usize].token.is_cancelled());
-                        if ps[s].jobs.len() != before {
-                            copies_cancelled += (before - ps[s].jobs.len()) as u64;
-                            ps_reschedule!(s, t);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    // The final bucket's slice runs through the post-arrival drain.
-    if let Some(pb) = cur_bucket {
-        close_bucket_slice!(pb, end_time);
-    }
-    let _ = snap_t; // the re-anchored snapshot is dead past the last close
-
-    let busy: f64 = match cfg.discipline {
-        Discipline::Fifo => fifo.iter().map(|s| s.busy).sum(),
-        Discipline::Ps => ps.iter().map(|s| s.busy).sum(),
-    };
-
-    let buckets: Vec<RampBucket> = (0..cfg.buckets)
-        .map(|b| {
-            let width = if span.abs() < f64::EPSILON {
-                0.0
-            } else {
-                span / cfg.buckets as f64
-            };
-            let load = cfg.load_start + width * (b as f64 + 0.5);
-            let samples = &mut bucket_samples[b];
-            let (mean_response, p99) = if samples.is_empty() {
-                (f64::NAN, f64::NAN)
-            } else {
-                (samples.mean(), samples.quantile(0.99))
-            };
-            let peak_utilization = if bucket_elapsed[b] > 0.0 {
-                (0..cfg.servers)
-                    .map(|s| bucket_busy[b * cfg.servers + s] / bucket_elapsed[b])
-                    .fold(f64::NAN, f64::max)
-            } else {
-                f64::NAN
-            };
-            RampBucket {
-                load,
-                requests: bucket_reqs[b],
-                k2_requests: bucket_k2[b],
-                mean_response,
-                p99,
-                peak_utilization,
-                hot_requests: bucket_hot[b],
-                hot_k2_requests: bucket_hot_k2[b],
-            }
-        })
-        .collect();
-
-    let curve: Vec<(f64, f64)> = buckets.iter().map(|b| (b.load, b.frac_k2())).collect();
-
-    let (est_mean_service, est_scv) = match moment_est.as_ref() {
-        Some(me) if me.len() >= min_samples => (me.mean(), me.scv()),
-        _ => (f64::NAN, f64::NAN),
-    };
-    ServiceResult {
-        response,
-        switch_off: switch_off_load(&curve),
-        planner_threshold: threshold,
-        live_threshold: match &cfg.frontend {
-            Frontend::Fixed(_) => f64::NAN,
-            Frontend::Adaptive { .. } => live_threshold,
-        },
-        est_mean_service,
-        est_scv,
-        recalibrations,
-        buckets,
-        copies_issued,
-        copies_cancelled,
-        mean_utilization: busy / (cfg.servers as f64 * end_time.max(f64::MIN_POSITIVE)),
-        completed,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use simcore::dist::Exponential;
     use std::sync::Arc;
     use std::time::Duration;
+
+    /// The service simulation as the replicated ramps run it: one server
+    /// group, one worker.
+    fn run(config: &ServiceConfig) -> ServiceResult {
+        crate::sharded::run_sharded(config, 1, 1).result
+    }
 
     fn exp_service() -> DynDist {
         Arc::new(Exponential::with_mean(1.0e-3))
