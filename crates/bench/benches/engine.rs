@@ -11,10 +11,6 @@
 //!   growth vs `with_capacity` pre-sizing, plus the `std::collections::
 //!   BinaryHeap` baseline the queue's 4-ary heap replaced (the delta is
 //!   the regression guard for that swap);
-//! * `decision` — the frontend's per-request decision hot path in
-//!   isolation: one `EstimatorBank` arrival observation, one
-//!   `Planner::decide_for` through the (read-mostly) `ThresholdCache`,
-//!   and one cancel-token issue, against a ~1 µs/request budget;
 //! * `ping` — a synthetic token-passing workload executed twice over the
 //!   *same* event multiset: once on a single sequential [`EventQueue`],
 //!   once on the [`ShardEngine`] at 1 worker and at every available
@@ -26,6 +22,9 @@
 //!   F ∈ {1, 2, 4, 8} frontend shards at full parallelism: requests/sec
 //!   per placement (the output is bit-identical across F — only this
 //!   wall-clock frontier moves).
+//!
+//! The per-request decision hot path is timed (and budget-gated) by the
+//! `hotpath` bench, which owns the `"hotpath"` section of the same file.
 //!
 //! `within_run_speedup` > 1 needs more than one core; on a single-core
 //! host the JSON records the (still meaningful) absolute throughputs and
@@ -43,9 +42,6 @@ use std::hint::black_box;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use redundancy::cancel::CancelToken;
-use redundancy::estimator::EstimatorBank;
-use redundancy::planner::ThresholdCache;
 use simcore::dist::{DynDist, Exponential};
 use simcore::event::EventQueue;
 use simcore::shard::{EngineStats, ShardCtx, ShardEngine, ShardLogic};
@@ -54,7 +50,7 @@ use storesim::service::{Frontend, ServiceConfig};
 use storesim::sharded::{run_sharded, run_sharded_placed};
 
 /// Best-of-3 [`time_ns`]: the minimum over three measurement windows.
-/// The ns-scale queue and decision stages sit well inside scheduler
+/// The ns-scale queue stages sit well inside scheduler
 /// noise on a shared runner; the minimum is the standard noise-robust
 /// estimator there (interference only ever adds time).
 fn best_ns(mut f: impl FnMut()) -> f64 {
@@ -277,36 +273,6 @@ fn main() {
     println!("event_queue_push_pop_presized  {push_pop_presized_ns:>10.2} ns/event");
     println!("event_queue_heap4_delta        {heap_delta_ns:>10.2} ns/event (negative = 4-ary faster)");
 
-    // --- the per-request decision hot path, in isolation ---
-    // One routed arrival into the EstimatorBank, one planner decision
-    // through the shared threshold cache (read-mostly after warm-up), one
-    // cancel-token issue — the work `arrive` adds on top of raw event
-    // dispatch, against a ~1 us/request budget.
-    let decision_budget_ns = 1000.0;
-    let cfg_probe = service_config(true);
-    let dec_planner = cfg_probe.planner();
-    let dec_mean = 1.0e-3;
-    let mut dec_bank = EstimatorBank::new(cfg_probe.servers, 2048);
-    let mut dec_cache = ThresholdCache::new();
-    let mut dec_t = 0.0f64;
-    let mut dec_s = 0usize;
-    for i in 0..cfg_probe.servers * 8 {
-        dec_bank.observe_arrival(i % cfg_probe.servers, dec_t);
-        dec_t += 1.0e-5;
-    }
-    let decision_ns = best_ns(|| {
-        dec_s = (dec_s + 1) % cfg_probe.servers;
-        dec_t += 2.0e-5;
-        dec_bank.observe_arrival(dec_s, dec_t);
-        let rho = dec_bank.utilization(dec_s, dec_mean, 2);
-        let d = dec_planner.decide_for(&mut dec_cache, &[rho]);
-        let token = CancelToken::new();
-        black_box((d.replicate, token.is_cancelled()));
-    });
-    println!(
-        "decision_hot_path              {decision_ns:>10.2} ns/iter (budget {decision_budget_ns:.0})"
-    );
-
     // --- synthetic ping: sequential EventQueue vs ShardEngine ---
     let (shards, jobs, hops) = if quick { (8, 64, 200) } else { (16, 128, 1000) };
     let ping_events = (shards as u64) * (jobs as u64) * (hops as u64 + 1);
@@ -387,8 +353,6 @@ fn main() {
          \"push_pop_default_ns_per_event\": {},\n    \
          \"push_pop_presized_ns_per_event\": {},\n    \
          \"heap4_minus_binary_heap_ns_per_event\": {}\n  }},\n  \
-         \"decision\": {{\n    \"servers\": {},\n    \"ns_per_decision\": {},\n    \
-         \"budget_ns\": {}\n  }},\n  \
          \"ping\": {{\n    \"shards\": {}, \"events\": {},\n    \
          \"sequential_eventqueue_events_per_sec\": {},\n    \
          \"sharded_1_worker_events_per_sec\": {},\n    \
@@ -408,9 +372,6 @@ fn main() {
         json_f(push_pop_default_ns),
         json_f(push_pop_presized_ns),
         json_f(heap_delta_ns),
-        cfg_probe.servers,
-        json_f(decision_ns),
-        decision_budget_ns as u64,
         shards,
         ping_events,
         json_f(seq_eps),

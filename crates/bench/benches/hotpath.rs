@@ -7,16 +7,18 @@
 //! that makes per-request planning viable at all (Shah/Lee/Ramchandran's
 //! point: past some per-decision overhead, redundancy flips negative):
 //!
-//! * `estimator_ingest` — two routed `EstimatorBank` arrival
-//!   observations plus the two utilization reads the planner consumes;
-//! * `planner_decision` — one `Planner::decide_for` through a warm
-//!   `ThresholdCache`;
+//! * `estimator_ingest` — two `LivePlanner::observe_demand` calls, the
+//!   per-copy moment ingest (with its recalibration cadence) of a
+//!   replicated request;
+//! * `planner_decision` — one `LivePlanner::decide` over a stored pair:
+//!   two routed arrival observations, two load reads, the threshold
+//!   comparison;
 //! * `cancel_issue` — the cancellation lifecycle the frontend drives per
 //!   request: token issue, the clone handed to each copy, the cancel on
 //!   first response, and the loser's observation of it;
 //! * `combined` — the stages chained exactly as `rt::run`'s dispatch
-//!   loop chains them (ingest, decide, trace-fingerprint, per-copy
-//!   moment ingest, token issue). `--assert-budget` turns the < 1000 ns
+//!   loop chains them (decide, trace-fingerprint, per-copy demand
+//!   ingest, token issue). `--assert-budget` turns the < 1000 ns
 //!   budget into a hard failure — the CI gate;
 //! * `race` — one `sync_exec::race` (two thread-spawned replicas) vs,
 //!   under `--features tokio-exec`, one `tokio_exec::race_async` (two
@@ -35,8 +37,7 @@ use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 use redundancy::cancel::CancelToken;
-use redundancy::estimator::{EstimatorBank, MomentEstimator};
-use redundancy::planner::{Planner, ThresholdCache, WorkloadProfile};
+use redundancy::planner::{LivePlanner, Planner, WorkloadProfile};
 use redundancy::sync_exec::{race, replica};
 use repro_bench::util::{json_extract_object, json_with_object};
 
@@ -104,49 +105,51 @@ fn main() {
     // is tens of millions of iterations.
     let measure = |f: &mut dyn FnMut()| if quick { time_ns(f) } else { best_ns(f) };
 
-    // Mirror RtConfig::smoke's planner inputs: 8 servers, exponential
-    // service (scv 1), client overhead well under the paper's 9 % flip.
-    let servers = 8usize;
+    // Mirror RtConfig::smoke's planner: 8 servers, 512-gap arrival
+    // windows, a 4096-demand moment window trusted after 256 and
+    // recalibrated every 512, exponential service (scv 1), and a client
+    // overhead well under the paper's 9 % flip.
+    let servers = 8u16;
     let mean_service = 5.0e-6;
     let planner = Planner::new(WorkloadProfile {
         mean_service,
         scv: 1.0,
         client_overhead: 0.02 * mean_service,
     });
+    let threshold = planner.threshold_load();
+    // One moment window of exponential demands, replayed in a cycle: once
+    // a full cycle is in, the window's moments repeat exactly, so every
+    // timed recalibration is a warm cache hit (scv ~1, threshold ~1/3).
+    let mut rng = simcore::rng::Rng::seed_from(0x407_9A7);
+    let demands: Vec<f64> = (0..4096).map(|_| rng.exponential(1.0 / mean_service)).collect();
+    // A warm loop, shared by the stages below: every index has seen a few
+    // gaps (so requests read real loads, not the cold-server fallback)
+    // and the moment window is full.
+    let mut live = LivePlanner::new(planner, threshold, servers as usize, 512, 0, 0.05)
+        .with_moments(demands.len(), 256, 512);
+    for i in 0..servers * 8 {
+        live.decide(f64::from(i) * 1.0e-5, &[i % servers], 2.0);
+    }
+    for &d in &demands {
+        live.observe_demand(d);
+    }
+    let (mut t, mut s, mut j) = (1.0e-3f64, 0u16, 0usize);
     let budget_ns = 1000.0;
 
-    // --- estimator ingest: two routed arrivals + two utilization reads ---
-    let mut bank = EstimatorBank::new(servers, 512);
-    let mut t = 0.0f64;
-    let mut s = 0usize;
-    for i in 0..servers * 8 {
-        bank.observe_arrival(i % servers, t);
-        t += 1.0e-5;
-    }
+    // --- estimator ingest: a replicated request's two demand reports ---
     let ingest_ns = measure(&mut || {
-        s = (s + 1) % servers;
-        let pair = [s, (s + 3) % servers];
-        t += 2.0e-5;
-        bank.observe_arrival(pair[0], t);
-        bank.observe_arrival(pair[1], t);
-        let loads = [
-            bank.utilization(pair[0], mean_service, 2),
-            bank.utilization(pair[1], mean_service, 2),
-        ];
-        black_box(loads);
+        for _ in 0..2 {
+            live.observe_demand(demands[j]);
+            j = (j + 1) % demands.len();
+        }
     });
     println!("estimator_ingest               {ingest_ns:>10.2} ns/iter");
 
-    // --- planner decision through a warm threshold cache ---
-    let mut cache = ThresholdCache::new();
-    let mut flip = 0u32;
-    let _ = planner.decide_for(&mut cache, &[0.1]);
+    // --- planner decision: two routed arrivals, two loads, the compare ---
     let decision_ns = measure(&mut || {
-        flip = flip.wrapping_add(1);
-        // Alternate under/over the threshold so both branches stay hot.
-        let load = if flip & 1 == 0 { 0.1 } else { 0.9 };
-        let d = planner.decide_for(&mut cache, &[load, load * 0.5]);
-        black_box(d.replicate);
+        s = (s + 1) % servers;
+        t += 2.0e-5;
+        black_box(live.decide(t, &[s, (s + 3) % servers], 2.0));
     });
     println!("planner_decision               {decision_ns:>10.2} ns/iter");
 
@@ -161,35 +164,24 @@ fn main() {
     println!("cancel_issue                   {cancel_ns:>10.2} ns/iter");
 
     // --- the combined per-request sequence, as rt::run chains it ---
-    let mut cbank = EstimatorBank::new(servers, 512);
-    let mut ccache = ThresholdCache::new();
-    let mut moments = MomentEstimator::new(4096);
     let mut fingerprint = 0xCBF2_9CE4_8422_2325u64;
-    let mut ct = 0.0f64;
-    let mut cs = 0usize;
-    for i in 0..servers * 8 {
-        cbank.observe_arrival(i % servers, ct);
-        ct += 1.0e-5;
-    }
+    let mut singles = 0u64;
     let combined_ns = measure(&mut || {
-        cs = (cs + 1) % servers;
-        let pair = [cs, (cs + 3) % servers];
-        ct += 2.0e-5;
-        cbank.observe_arrival(pair[0], ct);
-        cbank.observe_arrival(pair[1], ct);
-        let loads = [
-            cbank.utilization(pair[0], mean_service, 2),
-            cbank.utilization(pair[1], mean_service, 2),
-        ];
-        let d = planner.decide_for(&mut ccache, &loads);
-        let k: u8 = if d.replicate { 2 } else { 1 };
+        s = (s + 1) % servers;
+        t += 2.0e-5;
+        let k = 1 + u8::from(live.decide(t, &[s, (s + 3) % servers], 2.0));
+        singles += u64::from(k == 1);
         fnv1a(&mut fingerprint, &[k]);
         for _ in 0..k {
-            moments.observe(mean_service);
+            live.observe_demand(demands[j]);
+            j = (j + 1) % demands.len();
         }
         let token = CancelToken::new();
         black_box((fingerprint, token.is_cancelled()));
     });
+    // Loads sit far below the threshold, so every request takes the
+    // heavier k = 2 path (two demand reports).
+    assert_eq!(singles, 0, "combined stage left the k = 2 path");
     println!(
         "combined_hot_path              {combined_ns:>10.2} ns/iter (budget {budget_ns:.0})"
     );

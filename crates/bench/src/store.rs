@@ -459,8 +459,8 @@ pub fn fig_service_skew(effort: Effort) -> String {
 /// `fig-service-skew-aware`: the fix for the contention hump
 /// `fig-service-skew` documented. The same Zipf(0.6) ramp runs twice —
 /// once under the global-rate planner (load-shape blind, the PR 4
-/// behavior) and once under the per-server planner (`EstimatorBank` +
-/// `Planner::decide_for`): each request's decision compares the maximum
+/// behavior) and once under the per-server planner (`LivePlanner` with
+/// one index per server): each request's decision compares the maximum
 /// estimated utilization of its own stored pair against the threshold, so
 /// pairs containing the hot server switch off early while cold pairs keep
 /// replicating. Headlines: the hot server's peak busy fraction over the
@@ -785,24 +785,7 @@ pub fn fig_service_frontier(effort: Effort) -> String {
         let res = &out.result;
         // Placement invariance is an assertion, not a statistic: every F
         // must reproduce F = 1 bit for bit.
-        let mut fp = vec![
-            res.response.mean().to_bits(),
-            res.switch_off.to_bits(),
-            res.live_threshold.to_bits(),
-            res.mean_utilization.to_bits(),
-            res.copies_issued,
-            res.copies_cancelled,
-            res.completed as u64,
-            out.summaries,
-            out.engine.events,
-            out.engine.rounds,
-        ];
-        for b in &res.buckets {
-            fp.push(b.requests as u64);
-            fp.push(b.k2_requests as u64);
-            fp.push(b.mean_response.to_bits());
-            fp.push(b.p99.to_bits());
-        }
+        let fp = out.fingerprint();
         match &reference {
             None => reference = Some(fp),
             Some(rf) => assert_eq!(

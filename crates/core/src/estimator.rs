@@ -565,8 +565,9 @@ impl MomentSnapshot {
 /// the other half of the §2.1 threshold's inputs, measured online.
 ///
 /// Feed it every per-copy service (or low-load response) duration the
-/// front-end learns about; read back the live mean and SCV and hand them to
-/// [`Planner::recalibrated`](crate::planner::Planner::recalibrated). Until
+/// front-end learns about; read back the live mean and SCV the threshold
+/// is re-derived from (as [`LivePlanner`](crate::planner::LivePlanner)
+/// does). Until
 /// the window holds enough samples ([`len`](Self::len) against a caller-
 /// chosen warm-up count, or the built-in two-sample
 /// [`is_warm`](Self::is_warm) floor) a caller should fall back to its

@@ -32,12 +32,11 @@
 //!   durations into the live mean and SCV the threshold depends on (both
 //!   windowed Welford accumulators), while
 //!   [`estimator::EstimatorBank`] keeps one rate estimator *per server*
-//!   so [`planner::Planner::decide_for`] can make skew-aware per-request
-//!   decisions against the hottest candidate instead of the cluster
-//!   average. Together with [`planner::Planner::recalibrated`] they make
-//!   a front-end fully self-calibrating: rate, mean, and variability are
-//!   all measured, none assumed — see `storesim::service` for the full
-//!   loop running on simulated traffic.
+//!   so a decision can bind on the hottest candidate instead of the
+//!   cluster average. [`planner::LivePlanner`] owns them and makes the
+//!   per-request decision with rate, mean, and variability all measured
+//!   — the one loop both `storesim::sharded` (simulated traffic) and
+//!   `storesim::rt` (real threads) run.
 //!
 //! ## Quick start (threads)
 //!
@@ -80,7 +79,9 @@ pub mod tokio_exec;
 pub mod prelude {
     pub use crate::cancel::CancelToken;
     pub use crate::estimator::{EstimatorBank, MomentEstimator, RateEstimator};
-    pub use crate::planner::{Advice, PairDecision, Planner, ThresholdCache, WorkloadProfile};
+    pub use crate::planner::{
+        Advice, LivePlanner, PairDecision, Planner, ThresholdCache, WorkloadProfile,
+    };
     pub use crate::policy::Policy;
     pub use crate::sync_exec::{hedged, race, replica, RaceOutcome};
     #[cfg(feature = "tokio-exec")]

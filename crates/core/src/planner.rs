@@ -13,7 +13,12 @@
 //! M/M/1 (Theorem 1's 1/3), closed-form ≈ 0.293 for deterministic service
 //! — with the client overhead applied exactly as the paper's Fig 4 does
 //! (a constant added to every replicated request).
+//!
+//! [`LivePlanner`] runs the same rule per request on measured inputs: it
+//! is the one decision loop behind both the simulated service's frontend
+//! and the wall-clock runtime.
 
+use crate::estimator::{EstimatorBank, LoadSummary, MomentEstimator, MomentSnapshot, PeerLoads};
 use queuesim::analytic::pk::{self, ServiceMoments};
 use queuesim::analytic::two_moment;
 use simcore::stats::Welford;
@@ -104,23 +109,6 @@ impl Planner {
     /// The workload profile this planner was built from.
     pub fn profile(&self) -> WorkloadProfile {
         self.profile
-    }
-
-    /// A planner with the same client overhead but re-measured service
-    /// moments — the self-calibration path: feed it the live mean/SCV from
-    /// a [`crate::estimator::MomentEstimator`] and the returned planner's
-    /// [`threshold_load`](Self::threshold_load) is the §2.1 threshold for
-    /// the service law actually being observed, not the configured one.
-    ///
-    /// # Panics
-    /// Panics like [`new`](Self::new) on a non-positive mean or negative
-    /// SCV — callers should hold back until their estimator is warm.
-    pub fn recalibrated(&self, mean_service: f64, scv: f64) -> Planner {
-        Planner::new(WorkloadProfile {
-            mean_service,
-            scv,
-            client_overhead: self.profile.client_overhead,
-        })
     }
 
     /// The threshold load for this workload: the largest utilization below
@@ -330,6 +318,174 @@ impl ThresholdCache {
     }
 }
 
+/// The live decision loop — the one implementation of the per-request
+/// §2.1 rule, run by the simulated frontend lanes and the wall-clock
+/// runtime alike. It owns an [`EstimatorBank`] (width 1 for a global load
+/// estimate, one index per server otherwise), the [`PeerLoads`] board,
+/// an optional [`MomentEstimator`] and a [`ThresholdCache`].
+///
+/// A warm index's load is `(own + peer rates) · live mean / split`; a cold
+/// one reads `cold_load`. The threshold starts at the configured-moment
+/// value and, once the moment window is trusted, is re-derived through
+/// the cache every `recalibrate` observed demands.
+#[derive(Clone, Debug)]
+pub struct LivePlanner {
+    planner: Planner,
+    bank: EstimatorBank,
+    peers: PeerLoads,
+    moments: Option<MomentEstimator>,
+    min_samples: usize,
+    recalibrate: u64,
+    observed: u64,
+    recalibrations: u64,
+    cache: ThresholdCache,
+    threshold: f64,
+    cold_load: f64,
+}
+
+impl LivePlanner {
+    /// A loop over `width` arrival estimators of `window` gaps each, with
+    /// a board for `peers` frontends, starting from `threshold` (callers
+    /// pass `planner.threshold_load()`, bisected once however many loops
+    /// they build).
+    ///
+    /// # Panics
+    /// Panics if `width == 0` or `window < 2`.
+    pub fn new(
+        planner: Planner,
+        threshold: f64,
+        width: usize,
+        window: usize,
+        peers: usize,
+        cold_load: f64,
+    ) -> Self {
+        LivePlanner {
+            planner,
+            bank: EstimatorBank::new(width, window),
+            peers: PeerLoads::new(peers, width),
+            moments: None,
+            min_samples: 0,
+            recalibrate: 1,
+            observed: 0,
+            recalibrations: 0,
+            cache: ThresholdCache::new(),
+            threshold,
+            cold_load,
+        }
+    }
+
+    /// Self-calibration: a moment window of `window` demands, trusted from
+    /// `min_samples` on, recalibrating every `recalibrate` observations.
+    ///
+    /// # Panics
+    /// Panics if `min_samples` is outside `[2, window]` or `recalibrate`
+    /// is 0.
+    pub fn with_moments(mut self, window: usize, min_samples: usize, recalibrate: usize) -> Self {
+        assert!(
+            (2..=window).contains(&min_samples),
+            "min_samples must be in [2, window]: {min_samples} vs {window}"
+        );
+        assert!(recalibrate >= 1, "recalibrate cadence must be >= 1");
+        self.moments = Some(MomentEstimator::new(window));
+        self.min_samples = min_samples;
+        self.recalibrate = recalibrate as u64;
+        self
+    }
+
+    /// Observes one arrival at `now` on each of `indices`; `true` (replicate)
+    /// when the largest of their loads sits below the threshold.
+    pub fn decide(&mut self, now: f64, indices: &[u16], split: f64) -> bool {
+        let mean = self.live_mean();
+        let mut max_load = 0.0f64;
+        for &i in indices {
+            let i = i as usize;
+            self.bank.observe_arrival(i, now);
+            let load = if self.bank.get(i).is_warm() {
+                self.peers.total_rate(i, self.bank.rate(i)) * mean / split
+            } else {
+                self.cold_load
+            };
+            max_load = max_load.max(load);
+        }
+        max_load < self.threshold
+    }
+
+    /// Ingests one per-copy service demand, recalibrating on the cadence
+    /// (a no-op without [`with_moments`](Self::with_moments)).
+    pub fn observe_demand(&mut self, demand: f64) {
+        if let Some(me) = self.moments.as_mut() {
+            me.observe(demand);
+            self.observed += 1;
+            if me.len() >= self.min_samples && self.observed.is_multiple_of(self.recalibrate) {
+                let overhead = self.planner.profile().client_overhead;
+                self.threshold = self.cache.threshold(me.mean(), me.scv(), overhead);
+                self.recalibrations += 1;
+            }
+        }
+    }
+
+    /// The trusted window's mean service time, else the configured one.
+    pub fn live_mean(&self) -> f64 {
+        match &self.moments {
+            Some(me) if me.len() >= self.min_samples => me.mean(),
+            _ => self.planner.profile().mean_service,
+        }
+    }
+
+    /// The threshold in force.
+    pub fn threshold(&self) -> f64 {
+        self.threshold
+    }
+
+    /// Threshold recalibrations so far.
+    pub fn recalibrations(&self) -> u64 {
+        self.recalibrations
+    }
+
+    /// The moment window's trust gate (0 without one).
+    pub fn min_samples(&self) -> usize {
+        self.min_samples
+    }
+
+    /// A mergeable snapshot of the moment window, if there is one.
+    pub fn moment_snapshot(&self) -> Option<MomentSnapshot> {
+        self.moments.as_ref().map(MomentEstimator::snapshot)
+    }
+
+    /// Own plus peer rates summed over the indices and divided by `split`
+    /// (the indices each arrival was reported to); `None` while all cold.
+    pub fn rate_sum(&self, split: f64) -> Option<f64> {
+        let width = self.bank.len();
+        (0..width).any(|i| self.bank.get(i).is_warm()).then(|| {
+            (0..width)
+                .map(|i| self.peers.total_rate(i, self.bank.rate(i)))
+                .sum::<f64>()
+                / split
+        })
+    }
+
+    /// This loop's per-index rates, for broadcast to its peers.
+    pub fn summary(&self) -> LoadSummary {
+        self.bank.summary()
+    }
+
+    /// Files the latest summary heard from `peer`.
+    pub fn apply_summary(&mut self, peer: usize, summary: LoadSummary) {
+        self.peers.apply(peer, summary);
+    }
+
+    /// Widens estimators and peer board to `width` (new indices start cold).
+    pub fn grow_to(&mut self, width: usize) {
+        self.bank.grow_to(width);
+        self.peers.grow_to(width);
+    }
+
+    /// Returns index `idx` to the cold state.
+    pub fn reset(&mut self, idx: usize) {
+        self.bank.reset(idx);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -453,21 +609,24 @@ mod tests {
 
     #[test]
     fn recalibration_swaps_moments_and_keeps_overhead() {
+        // The live loop re-derives its threshold from the *measured*
+        // moments and the *configured* client overhead.
         let p = Planner::new(WorkloadProfile {
             mean_service: 1.0e-3,
             scv: 1.0,
-            client_overhead: 0.5e-3,
+            client_overhead: 0.02e-3,
         });
-        let r = p.recalibrated(2.0e-3, 0.0);
-        assert_eq!(r.profile().mean_service, 2.0e-3);
-        assert_eq!(r.profile().scv, 0.0);
-        assert_eq!(r.profile().client_overhead, 0.5e-3);
-        // Same moments back in => identical threshold.
-        let same = p.recalibrated(1.0e-3, 1.0);
-        assert_eq!(
-            same.threshold_load().to_bits(),
-            p.threshold_load().to_bits()
-        );
+        let mut lp = LivePlanner::new(p, p.threshold_load(), 1, 2, 0, 0.0).with_moments(4, 2, 2);
+        // Mean 2 ms, scv 1: the measured law halves the overhead ratio.
+        lp.observe_demand(0.0);
+        lp.observe_demand(4.0e-3);
+        assert_eq!(lp.recalibrations(), 1);
+        assert_eq!(lp.live_mean(), 2.0e-3);
+        let mut cache = ThresholdCache::new();
+        let want = cache.threshold(2.0e-3, 1.0, 0.02e-3);
+        assert_eq!(lp.threshold().to_bits(), want.to_bits());
+        assert!(want > 0.0 && want < cache.threshold(2.0e-3, 1.0, 0.0));
+        assert_ne!(want.to_bits(), p.threshold_load().to_bits());
     }
 
     #[test]
@@ -519,11 +678,14 @@ mod tests {
     fn decide_for_tracks_recalibrated_moments() {
         // A deterministic workload's threshold (~0.293) is lower than the
         // exponential 1/3: a pair load between the two must replicate
-        // under the exponential planner and not under the recalibrated
-        // deterministic one, through the same cache.
+        // under the exponential planner and not under the deterministic
+        // one, through the same cache.
         let mut cache = ThresholdCache::new();
         let exp = Planner::new(exp_profile(0.0));
-        let det = exp.recalibrated(1.0, 0.0);
+        let det = Planner::new(WorkloadProfile {
+            scv: 0.0,
+            ..exp_profile(0.0)
+        });
         let loads = [0.30, 0.31];
         assert!(exp.decide_for(&mut cache, &loads).replicate);
         assert!(!det.decide_for(&mut cache, &loads).replicate);
@@ -535,6 +697,120 @@ mod tests {
         let p = Planner::new(exp_profile(0.0));
         let mut cache = ThresholdCache::new();
         let _ = p.decide_for(&mut cache, &[]);
+    }
+
+    fn live(width: usize, peers: usize) -> LivePlanner {
+        let p = Planner::new(exp_profile(0.0));
+        LivePlanner::new(p, p.threshold_load(), width, 16, peers, 0.05)
+    }
+
+    #[test]
+    fn live_planner_width_one_matches_rate_estimator_with_peers() {
+        // The global-load rule spelled out by hand — one RateEstimator,
+        // a peer board, `rho < threshold` — must make the same decision
+        // bit for bit on a random stream with summaries arriving midway.
+        use crate::estimator::RateEstimator;
+        let mut lp = live(1, 3);
+        let threshold = lp.threshold();
+        let mut est = RateEstimator::new(16);
+        let mut peers = PeerLoads::new(3, 1);
+        let mut rng = simcore::rng::Rng::seed_from(0x11FE);
+        let mut t = 0.0;
+        let mut flips = [0usize; 2];
+        for i in 0..4_000 {
+            t += rng.exponential(1.0);
+            if i % 97 == 0 {
+                let s = LoadSummary::global(rng.f64_open() * 0.3);
+                let peer = 1 + i % 2;
+                peers.apply(peer, s.clone());
+                lp.apply_summary(peer, s);
+            }
+            est.observe_arrival(t);
+            let rho = if est.is_warm() {
+                peers.total_rate(0, est.rate()) * 1.0 / 4.0
+            } else {
+                0.05
+            };
+            let want = rho < threshold;
+            assert_eq!(lp.decide(t, &[0], 4.0), want, "request {i}");
+            assert_eq!(lp.summary(), est.summary());
+            flips[usize::from(want)] += 1;
+        }
+        assert!(flips[0] > 0 && flips[1] > 0, "both branches: {flips:?}");
+        assert_eq!(
+            lp.rate_sum(1.0).map(f64::to_bits),
+            Some(peers.total_rate(0, est.rate()).to_bits())
+        );
+    }
+
+    #[test]
+    fn live_planner_recalibrates_on_cadence_through_the_cache() {
+        let (window, min_samples, recalibrate) = (64usize, 20usize, 8usize);
+        let mut lp = live(1, 0).with_moments(window, min_samples, recalibrate);
+        let initial = lp.threshold();
+        let mut me = MomentEstimator::new(window);
+        let mut cache = ThresholdCache::new();
+        let mut rng = simcore::rng::Rng::seed_from(7);
+        for n in 1..=200usize {
+            // A deterministic-ish law (scv well below 1): its cached
+            // threshold differs from the exponential start.
+            let d = 2.0 + 0.1 * rng.f64_open();
+            lp.observe_demand(d);
+            me.observe(d);
+            let due = n >= min_samples && n % recalibrate == 0;
+            let expect_recals = if n < min_samples {
+                0
+            } else {
+                (n / recalibrate - (min_samples - 1) / recalibrate) as u64
+            };
+            assert_eq!(lp.recalibrations(), expect_recals, "after {n}");
+            if n < min_samples {
+                assert_eq!(lp.threshold().to_bits(), initial.to_bits());
+                assert_eq!(lp.live_mean(), 1.0, "untrusted window");
+            } else {
+                assert_eq!(lp.live_mean().to_bits(), me.mean().to_bits());
+            }
+            if due {
+                let want = cache.threshold(me.mean(), me.scv(), 0.0);
+                assert_eq!(lp.threshold().to_bits(), want.to_bits(), "after {n}");
+            }
+        }
+        assert!(lp.threshold() < initial, "light tail must lower the threshold");
+        assert_eq!(lp.moment_snapshot(), Some(me.snapshot()));
+    }
+
+    #[test]
+    fn live_planner_cold_index_reads_cold_load() {
+        // Threshold ~1/3: a cold_load above it vetoes, below it replicates,
+        // whatever the warm partner says.
+        let p = Planner::new(exp_profile(0.0));
+        let mut hot_cold = LivePlanner::new(p, p.threshold_load(), 4, 4, 0, 0.4);
+        let mut cool_cold = LivePlanner::new(p, p.threshold_load(), 4, 4, 0, 0.1);
+        for lp in [&mut hot_cold, &mut cool_cold] {
+            for i in 0..8 {
+                lp.decide(i as f64 * 100.0, &[0], 2.0);
+            }
+            assert!(lp.rate_sum(2.0).is_some(), "index 0 is warm");
+        }
+        assert!(!hot_cold.decide(1_000.0, &[0, 3], 2.0));
+        assert!(cool_cold.decide(1_000.0, &[0, 3], 2.0));
+        // A reset index is cold again.
+        cool_cold.reset(0);
+        assert!(cool_cold.rate_sum(2.0).is_none());
+        cool_cold.grow_to(6);
+        assert_eq!(cool_cold.summary().len(), 6);
+    }
+
+    #[test]
+    #[should_panic(expected = "min_samples must be in [2, window]")]
+    fn live_planner_rejects_min_samples_below_two() {
+        let _ = live(1, 0).with_moments(64, 1, 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "min_samples must be in [2, window]")]
+    fn live_planner_rejects_min_samples_above_window() {
+        let _ = live(1, 0).with_moments(64, 65, 8);
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! Everything else in this crate runs in *simulated* time on
 //! `simcore::event`. This module is the executable twin: `N` real worker
 //! threads serve requests over `std::sync::mpsc` channels, the adaptive
-//! frontend makes live [`Planner::decide_for`] decisions fed by the real
-//! [`EstimatorBank`] / [`MomentEstimator`] stack, and first-response
+//! frontend decides every request with [`LivePlanner`] — the same loop
+//! the simulated service's frontend lanes run — and first-response
 //! cancellation races actual in-flight execution through the shared
 //! [`CancelToken`]. It exists to answer the question the simulators
 //! cannot: is the per-request decision stack cheap enough — in real
@@ -21,10 +21,14 @@
 //! * the **request script** (arrival times, per-copy service demands,
 //!   server placements) is generated upfront from the seed, exactly like
 //!   the CRN draw streams in `queuesim::threshold`;
-//! * every estimator ingests **script time and scripted demands only**:
-//!   arrivals enter the [`EstimatorBank`] at their scripted timestamps,
-//!   and issued copies report their scripted demand at *dispatch*
-//!   (mirroring `DemandReport::Dispatch`), never a measured duration;
+//! * the planner is the simulator's [`LivePlanner`], one index per
+//!   logical server, and it ingests **script time and scripted demands
+//!   only**: each request's arrival reaches both stored replicas at its
+//!   scripted timestamp, and issued copies report their scripted demand
+//!   at *dispatch* (mirroring `DemandReport::Dispatch`), never a measured
+//!   duration. Loads, the trusted live mean, the cold-server load
+//!   (`load_start`) and the recalibrated threshold follow the simulated
+//!   per-server frontend's rule exactly;
 //! * therefore each replicate-or-not decision is a pure function of the
 //!   script prefix, and the recorded trace is byte-identical across runs
 //!   and across **any worker count** — the property pinned by the tests
@@ -45,9 +49,9 @@
 //! This file is the *only* storesim module on the lint `wall-clock`
 //! allowlist: `Instant` here is the data plane, not simulation state.
 
+use crate::service::switch_off_load;
 use redundancy::cancel::CancelToken;
-use redundancy::estimator::{EstimatorBank, MomentEstimator};
-use redundancy::planner::{Planner, ThresholdCache, WorkloadProfile};
+use redundancy::planner::{LivePlanner, Planner, WorkloadProfile};
 use simcore::dist::{DynDist, Exponential};
 use simcore::rng::Rng;
 use std::sync::mpsc;
@@ -75,7 +79,8 @@ pub struct RtConfig {
     pub window: usize,
     /// Moment-estimator window, in observed (scripted) demands.
     pub moment_window: usize,
-    /// Scripted demands observed before the live moments are trusted.
+    /// Scripted demands the moment window must hold before the live
+    /// moments are trusted (in `[2, moment_window]`).
     pub min_samples: usize,
     /// Planner recalibration cadence, in observed demands.
     pub recalibrate: usize,
@@ -310,9 +315,9 @@ pub struct RtResult {
     /// `(bucket midpoint offered load, k = 2 fraction)` over the measured
     /// ramp — deterministic.
     pub k2_fraction_by_bucket: Vec<(f64, f64)>,
-    /// Offered load past which the planner stopped replicating the
-    /// majority of requests (`None` if it never switched off).
-    pub switch_off_load: Option<f64>,
+    /// Offered load at which the k = 2 fraction last crosses ½, the
+    /// simulator's [`switch_off_load`] (NaN if it never switches off).
+    pub switch_off_load: f64,
     /// Planner's offline threshold from the config moments (reference).
     pub offline_threshold: f64,
     /// Worker threads used.
@@ -353,8 +358,9 @@ fn execute(demand_secs: f64, token: &CancelToken) -> bool {
 /// Runs the wall-clock service over the scripted workload.
 ///
 /// # Panics
-/// Panics on a zero worker count, `servers < 2`, or loads outside the
-/// replicated system's stable region.
+/// Panics on a zero worker count, `servers < 2`, loads outside the
+/// replicated system's stable region, or `min_samples` outside
+/// `[2, moment_window]`.
 pub fn run(cfg: &RtConfig) -> RtResult {
     assert!(cfg.workers >= 1, "need at least one worker");
     assert!(
@@ -364,8 +370,6 @@ pub fn run(cfg: &RtConfig) -> RtResult {
     assert!(cfg.inflight >= 1, "need a positive in-flight window");
     let script = Script::build(cfg);
     let total = cfg.total();
-    let mean_cfg = cfg.service.mean();
-    let scv_cfg = cfg.service.scv();
 
     // Worker pool: one job channel per worker, one shared completion
     // channel back. Copy on logical server s runs on worker s % workers.
@@ -404,20 +408,24 @@ pub fn run(cfg: &RtConfig) -> RtResult {
     }
     drop(done_tx);
 
-    // The live decision stack — the exact types the simulated frontend
-    // uses, crossing no thread boundary (decisions are made inline here;
-    // only `Job`s, which are `Send`, cross to workers).
-    let mut bank = EstimatorBank::new(cfg.servers, cfg.window);
-    let mut moments = MomentEstimator::new(cfg.moment_window);
+    // The live decision loop — the simulated frontend's, crossing no
+    // thread boundary (decisions are made inline here; only `Job`s,
+    // which are `Send`, cross to workers).
     let base_planner = Planner::new(WorkloadProfile {
-        mean_service: mean_cfg,
-        scv: scv_cfg,
+        mean_service: cfg.service.mean(),
+        scv: cfg.service.scv(),
         client_overhead: cfg.client_overhead,
     });
     let offline_threshold = base_planner.threshold_load();
-    let mut planner = base_planner;
-    let mut cache = ThresholdCache::new();
-    let mut observed = 0usize;
+    let mut planner = LivePlanner::new(
+        base_planner,
+        offline_threshold,
+        cfg.servers,
+        cfg.window,
+        0,
+        cfg.load_start,
+    )
+    .with_moments(cfg.moment_window, cfg.min_samples, cfg.recalibrate);
 
     // Per-request bookkeeping.
     let mut st = FrontState::new(total);
@@ -437,28 +445,15 @@ pub fn run(cfg: &RtConfig) -> RtResult {
         }
 
         // --- the deterministic decision hot path (script inputs only) ---
-        let now = script.arrivals[i];
         let pair = script.pairs[i];
-        bank.observe_arrival(pair[0] as usize, now);
-        bank.observe_arrival(pair[1] as usize, now);
-        let mean_live = planner.profile().mean_service;
-        let loads = [
-            bank.utilization(pair[0] as usize, mean_live, 2),
-            bank.utilization(pair[1] as usize, mean_live, 2),
-        ];
-        let decision = planner.decide_for(&mut cache, &loads);
-        let k = if decision.replicate { 2u8 } else { 1u8 };
+        let k = 1 + u8::from(planner.decide(script.arrivals[i], &pair, 2.0));
         *trace_slot = k;
         fingerprint_entry(&mut fingerprint, k, pair, script.single_pick[i]);
 
         // Dispatch-time demand reporting (mirrors DemandReport::Dispatch):
         // every *issued* copy's scripted demand, observed exactly once.
         for c in 0..k as usize {
-            moments.observe(script.demands[i][copy_index(k, script.single_pick[i], c)]);
-            observed += 1;
-            if observed >= cfg.min_samples && observed.is_multiple_of(cfg.recalibrate) {
-                planner = base_planner.recalibrated(moments.mean(), moments.scv());
-            }
+            planner.observe_demand(script.demands[i][copy_index(k, script.single_pick[i], c)]);
         }
 
         // --- real dispatch ---
@@ -504,10 +499,7 @@ pub fn run(cfg: &RtConfig) -> RtResult {
         let mid = 0.5 * (cfg.offered(lo) + cfg.offered(hi.saturating_sub(1)));
         k2_fraction_by_bucket.push((mid, k2 as f64 / n as f64));
     }
-    let switch_off_load = k2_fraction_by_bucket
-        .iter()
-        .find(|(_, frac)| *frac < 0.5)
-        .map(|(load, _)| *load);
+    let switch_off_load = switch_off_load(&k2_fraction_by_bucket);
 
     // Non-deterministic wall-clock stats.
     st.latencies.sort_by(f64::total_cmp);
@@ -555,17 +547,14 @@ fn fingerprint_entry(hash: &mut u64, k: u8, pair: [u16; 2], pick: u8) {
 }
 
 // The decision stack crosses into this module under `Send` bounds (jobs
-// and tokens cross threads; estimators/planners stay on the frontend but
-// must be movable into service threads by callers). Pin it at compile
+// and tokens cross threads; the planner stays on the frontend but must
+// be movable into service threads by callers). Pin it at compile
 // time so a non-Send regression in `redundancy` fails here, not in a
 // downstream embedding.
 #[allow(dead_code)] // compile-time Send assertion, never called
 fn assert_decision_stack_is_send() {
     fn is_send<T: Send>() {}
-    is_send::<Planner>();
-    is_send::<ThresholdCache>();
-    is_send::<EstimatorBank>();
-    is_send::<MomentEstimator>();
+    is_send::<LivePlanner>();
     is_send::<CancelToken>();
     is_send::<Job>();
 }
@@ -599,7 +588,7 @@ mod tests {
             out.decisions_k2 < out.requests,
             "ramp end (0.9) must sit above the switch-off"
         );
-        assert!(out.switch_off_load.is_some(), "{out:?}");
+        assert!(!out.switch_off_load.is_nan(), "{out:?}");
         assert!(out.mean_latency_s > 0.0 && out.wall_secs > 0.0);
     }
 

@@ -28,8 +28,8 @@
 //!   request stream, the balanced-load §2.1 assumption — or
 //!   **per-server** — an [`EstimatorBank`] entry per server, fed every
 //!   request's stored replica set at dispatch, with each request decided
-//!   by [`Planner::decide_for`] against the *maximum* utilization of its
-//!   own candidate pair, so cold keys keep replicating after hot keys
+//!   against the *maximum* utilization of its own candidate pair, so
+//!   cold keys keep replicating after hot keys
 //!   have switched off (the per-server load signal Sparrow's batch
 //!   sampling argues replicated dispatch needs). The threshold's moments
 //!   come from a [`MomentSource`]: **clairvoyant** (config-supplied
@@ -40,7 +40,9 @@
 //!   fully self-calibrating loop (cf. Shah et al., whose answer to "when
 //!   do redundant requests reduce latency?" hinges on the service-time
 //!   shape, and Joshi et al.'s insistence that adaptive replication react
-//!   to *measured* state).
+//!   to *measured* state). Both shapes run the same decision loop,
+//!   [`LivePlanner`], which the wall-clock runtime ([`crate::rt`]) runs
+//!   too.
 //! * **Workload mix** — keys are uniform by default, or skewed per-shard
 //!   via any [`DiscreteEmpirical`] popularity ([`zipf_popularity`]),
 //!   which concentrates traffic on the hash ring's hot servers and
@@ -66,6 +68,7 @@
 //! [`RateEstimator`]: redundancy::estimator::RateEstimator
 //! [`EstimatorBank`]: redundancy::estimator::EstimatorBank
 //! [`MomentEstimator`]: redundancy::estimator::MomentEstimator
+//! [`LivePlanner`]: redundancy::planner::LivePlanner
 
 use crate::hashring::HashRing;
 use crate::sharded::MAX_STORED;
@@ -139,9 +142,10 @@ pub enum LoadModel {
     /// One [`EstimatorBank`](redundancy::estimator::EstimatorBank) entry
     /// per server, fed every request's stored replica set at dispatch;
     /// each request's decision compares the **maximum** utilization of
-    /// its own candidate pair ([`Planner::decide_for`]) against the
-    /// threshold, so requests whose servers are cold keep replicating
-    /// after hot-server requests have switched off.
+    /// its own candidate pair against the threshold
+    /// ([`LivePlanner::decide`](redundancy::planner::LivePlanner::decide)
+    /// over the stored replicas), so requests whose servers are cold keep
+    /// replicating after hot-server requests have switched off.
     PerServer,
 }
 
@@ -188,8 +192,8 @@ pub enum Frontend {
 /// in LIFO index order ([`HashRing::add_server`] /
 /// [`HashRing::remove_server`]), shards whose ownership moved are
 /// dual-dispatched to old and new owners for [`Autoscale::migration`]
-/// seconds, and the per-server [`redundancy::estimator::EstimatorBank`]
-/// grows/resets per-index on each change.
+/// seconds, and the per-server planner's estimators grow/reset per index
+/// on each change.
 ///
 /// With autoscaling on, the arrival curve is no longer the linear
 /// `load_start → load_end` ramp: request `i` offers a *diurnal* cluster

@@ -20,11 +20,11 @@
 //! lane ℓ owns the requests with `req % lanes == ℓ`, a contiguous
 //! `1/lanes` slice of the key shards, its own forked RNG substreams
 //! (streams `3ℓ+1..=3ℓ+3`, so one lane draws exactly the streams the
-//! pre-lane frontend drew), and its own estimator state
-//! ([`RateEstimator`]/[`EstimatorBank`] slice plus [`MomentEstimator`]).
-//! Lanes see only their own arrivals, so they periodically exchange
-//! [`LoadSummary`] messages (floored at the lookahead) and combine peer
-//! rates through [`PeerLoads`] — rates are additive, so the combined
+//! pre-lane frontend drew), and its own [`LivePlanner`] — the decision
+//! loop the wall-clock runtime ([`crate::rt`]) runs too. Lanes see only
+//! their own arrivals, so they periodically exchange [`LoadSummary`]
+//! messages (floored at the lookahead) and fold peer rates into their
+//! planner's load estimate — rates are additive, so the combined
 //! utilization estimate converges to the whole cluster's without any
 //! shared mutable state.
 //!
@@ -64,8 +64,8 @@
 //!
 //! With [`ServiceConfig::autoscale`] set, the fleet resizes mid-run: an
 //! autoscale controller on lane 0 wakes on a periodic `ScaleTick`,
-//! compares the cluster-wide utilization estimate (the same
-//! estimator-plus-peer-summary stack the planner reads) against the
+//! compares the cluster-wide utilization estimate (read from the lane's
+//! own planner, peer summaries included) against the
 //! hysteresis band, and broadcasts `Topology` events that every lane —
 //! itself included — applies **at the same simulated instant**, one
 //! propagation delay after the decision. Each lane keeps its own
@@ -73,7 +73,7 @@
 //! `remove_server` sequences, so the rings never diverge; requests
 //! landing on a shard whose owners moved are dual-dispatched to the old
 //! *and* new owners for the configured migration window; and the
-//! per-server [`EstimatorBank`] grows/resets per churned index. All of
+//! per-server planner's estimators grow/reset per churned index. All of
 //! it flows through the keyed scheduling API under lane-logical origins,
 //! so elastic runs keep the workspace invariant: bit-identical output at
 //! any thread count and frontend placement. Server slots for the full
@@ -88,10 +88,8 @@ use crate::service::{
     hottest_stored_server, shard_of, switch_off_load, validate_config, DemandReport, Discipline,
     Frontend, LoadModel, MomentSource, RampBucket, ServiceConfig, ServiceResult,
 };
-use redundancy::estimator::{
-    EstimatorBank, LoadSummary, MomentEstimator, MomentSnapshot, PeerLoads, RateEstimator,
-};
-use redundancy::planner::{Planner, ThresholdCache};
+use redundancy::estimator::{LoadSummary, MomentSnapshot};
+use redundancy::planner::LivePlanner;
 use redundancy::policy::Policy;
 use simcore::dist::Distribution;
 use simcore::rng::Rng;
@@ -172,6 +170,9 @@ struct ReqSlot {
     offered: f64,
     targets: [u16; MAX_STORED],
     tlen: u8,
+    /// Copies the policy or planner chose; `tlen` exceeds it only by
+    /// dual-dispatched migration copies.
+    k: u8,
     sent: u8,
     hot: bool,
     done: bool,
@@ -196,6 +197,8 @@ struct Statics {
     summary_period: f64,
     /// `cfg.autoscale.is_some()` — checked on every hot path, so cached.
     elastic: bool,
+    /// [`LoadModel::PerServer`]: the planner keeps one index per server.
+    per_server: bool,
     /// Resolved controller period: `max(autoscale.period, lookahead)`
     /// (topology broadcasts ride cross-shard wires). 0 when static.
     scale_period: f64,
@@ -218,18 +221,8 @@ struct Lane {
     arrival_rng: Rng,
     place_rng: Rng,
     svc_rng: Rng,
-    estimator: Option<RateEstimator>,
-    bank: Option<EstimatorBank>,
-    peers: PeerLoads,
-    moment_est: Option<MomentEstimator>,
-    min_samples: usize,
-    recalibrate: u64,
-    threshold_cache: ThresholdCache,
-    planner: Planner,
-    live_planner: Planner,
-    live_threshold: f64,
-    observed: u64,
-    recalibrations: u64,
+    /// The replication decision loop (never consulted by a fixed policy).
+    planner: LivePlanner,
     /// Indexed by the lane-local request index `req / lanes`.
     reqs: Vec<ReqSlot>,
     response: SampleSet,
@@ -286,6 +279,25 @@ impl Lane {
         s
     }
 
+    /// Schedules `ev` on this lane at `at` under the lane's merge key.
+    fn schedule(&mut self, at: SimTime, ev: SEv, ctx: &mut ShardCtx<'_, SEv>) {
+        let seq = self.take_seq();
+        ctx.schedule_at_keyed(at, self.id, seq, ev);
+    }
+
+    /// Sends `ev` one propagation delay ahead to engine shard `dest`
+    /// under the lane's merge key — keyed-local when `dest` is this
+    /// lane's own shard, so placement cannot reorder it.
+    fn send(&mut self, dest: usize, ev: SEv, ctx: &mut ShardCtx<'_, SEv>) {
+        let delay = SimTime::from_secs(self.st.cfg.propagation);
+        let seq = self.take_seq();
+        if dest == ctx.shard() {
+            ctx.schedule_at_keyed(ctx.now() + delay, self.id, seq, ev);
+        } else {
+            ctx.send_keyed(dest, delay, self.id, seq, ev);
+        }
+    }
+
     fn bucket_of(&self, offered: f64) -> usize {
         if self.st.span.abs() < f64::EPSILON {
             0
@@ -303,58 +315,31 @@ impl Lane {
         offered * self.st.cfg.servers as f64 / self.st.mean_service / self.st.lanes as f64
     }
 
-    /// Ingests one per-copy service duration into the moment estimator
-    /// and, on the recalibration cadence once `min_samples` are in,
-    /// re-derives the threshold from the live (mean, SCV) through the
-    /// quantized-grid cache.
-    fn observe_service(&mut self, svc: f64) {
-        if let Some(me) = self.moment_est.as_mut() {
-            me.observe(svc);
-            self.observed += 1;
-            if me.len() >= self.min_samples && self.observed.is_multiple_of(self.recalibrate) {
-                self.live_threshold =
-                    self.threshold_cache
-                        .threshold(me.mean(), me.scv(), self.st.cfg.client_overhead);
-                self.live_planner = self.planner.recalibrated(me.mean(), me.scv());
-                self.recalibrations += 1;
-            }
-        }
-    }
-
     /// Dispatches copies `from..to` of `req`'s target list: demand sampled
     /// here (lane RNG), `CopyArrive` sent to the owning server shard under
     /// this lane's merge key.
     fn dispatch(&mut self, req: u32, from: usize, to: usize, ctx: &mut ShardCtx<'_, SEv>) {
-        let prop = SimTime::from_secs(self.st.cfg.propagation);
         let slot = (req as usize) / self.st.lanes;
         for idx in from..to {
             let server = self.reqs[slot].targets[idx];
             let demand = self.st.cfg.service.sample(&mut self.svc_rng);
             if self.st.cfg.demand_report == DemandReport::Dispatch {
-                self.observe_service(demand);
+                self.planner.observe_demand(demand);
             }
             self.copies_issued += 1;
-            let dest = self.st.group_shard_of[server as usize] as usize;
-            let (origin, seq) = (self.id, self.take_seq());
-            ctx.send_keyed(
-                dest,
-                prop,
-                origin,
-                seq,
-                SEv::CopyArrive {
-                    req,
-                    server,
-                    demand,
-                    bucket: self.cur_bucket,
-                },
-            );
+            let ev = SEv::CopyArrive {
+                req,
+                server,
+                demand,
+                bucket: self.cur_bucket,
+            };
+            self.send(self.st.group_shard_of[server as usize] as usize, ev, ctx);
         }
-        // A request counts as duplicated when a second copy is *actually
-        // dispatched* — for hedged policies only when the hedge fires.
-        // Elastic runs count at decision time in `arrive` instead:
-        // dual-dispatched migration copies are capacity overhead, not a
-        // planner choice, and must not read as k = 2 on the curve.
-        if !self.st.elastic && from < 2 && to >= 2 && (req as usize) >= self.st.cfg.warmup {
+        // A request counts as duplicated when a second chosen copy is
+        // *actually dispatched* — for hedged policies only when the hedge
+        // fires. Dual-dispatched migration copies are capacity overhead,
+        // not a planner choice, so a k = 1 request never counts.
+        if from < 2 && to >= 2 && self.reqs[slot].k >= 2 && (req as usize) >= self.st.cfg.warmup {
             let b = self.bucket_of(self.reqs[slot].offered);
             self.bucket_k2[b] += 1;
             if self.reqs[slot].hot {
@@ -387,7 +372,7 @@ impl Lane {
         // Elastic placement comes from the live ring; static from the
         // precomputed table (identical to a ring lookup, but flat).
         // Copied into a stack buffer so no borrow of `self` outlives the
-        // mutable estimator access below.
+        // mutable planner access below.
         let mut stored_buf = [0u16; MAX_STORED];
         if let Some(ring) = &self.ring {
             ring.replicas_into(shard as u64, &mut stored_buf[..k_stored]);
@@ -406,45 +391,17 @@ impl Lane {
                 Policy::Hedged { copies, after } => (copies, Some(after.as_secs_f64())),
             },
             Frontend::Adaptive { load_model, .. } => {
-                let live_mean = match self.moment_est.as_ref() {
-                    Some(me) if me.len() >= self.min_samples => me.mean(),
-                    _ => self.st.mean_service,
-                };
                 let replicate = match load_model {
-                    LoadModel::Global => {
-                        let est = self.estimator.as_mut().expect("adaptive estimator");
-                        est.observe_arrival(t);
-                        let rho = if est.is_warm() {
-                            // Divide by the *live* fleet, not the
-                            // configured one — the whole point of
-                            // elastic mode is that the threshold tracks
-                            // current capacity (static: live == servers).
-                            self.peers.total_rate(0, est.rate()) * live_mean
-                                / self.live as f64
-                        } else {
-                            self.st.cfg.load_start
-                        };
-                        rho < self.live_threshold
-                    }
+                    // Divide by the *live* fleet, not the configured one
+                    // — the whole point of elastic mode is that the
+                    // threshold tracks current capacity (static: live ==
+                    // servers).
+                    LoadModel::Global => self.planner.decide(t, &[0], self.live as f64),
+                    // Every stored replica hears the request; each reads
+                    // its share of the arrivals it was told about.
                     LoadModel::PerServer => {
-                        let bank = self.bank.as_mut().expect("per-server bank");
-                        let mut rho_max = 0.0f64;
-                        for &stored_s in &stored_buf[..k_stored] {
-                            let s = stored_s as usize;
-                            bank.observe_arrival(s, t);
-                            let rho = if bank.get(s).is_warm() {
-                                self.peers.total_rate(s, bank.rate(s)) * live_mean
-                                    / k_stored as f64
-                            } else {
-                                self.st.cfg.load_start
-                            };
-                            rho_max = rho_max.max(rho);
-                        }
-                        let d = self
-                            .live_planner
-                            .decide_for(&mut self.threshold_cache, &[rho_max]);
-                        self.live_threshold = d.threshold_load;
-                        d.replicate
+                        self.planner
+                            .decide(t, &stored_buf[..k_stored], k_stored as f64)
                     }
                 };
                 (if replicate { 2 } else { 1 }, None)
@@ -473,15 +430,6 @@ impl Lane {
 
         let mut tlen = k;
         if self.st.elastic {
-            // Decision-time k = 2 accounting (see `dispatch`): the curve
-            // reflects the planner's choice, not migration overhead.
-            if k >= 2 && i >= self.st.cfg.warmup {
-                let b = self.bucket_of(offered);
-                self.bucket_k2[b] += 1;
-                if hot {
-                    self.bucket_hot_k2[b] += 1;
-                }
-            }
             // Dual-dispatch while the shard may still be migrating: the
             // same number of copies under the *previous* placement, with
             // owners that moved added as extra targets (capped by the
@@ -506,6 +454,7 @@ impl Lane {
             offered,
             targets,
             tlen: tlen as u8,
+            k: k as u8,
             sent: 0,
             hot,
             done: false,
@@ -524,13 +473,7 @@ impl Lane {
         match hedge_after {
             Some(after) => {
                 self.dispatch(req, 0, 1, ctx);
-                let (origin, seq) = (self.id, self.take_seq());
-                ctx.schedule_at_keyed(
-                    SimTime::from_secs(t + after),
-                    origin,
-                    seq,
-                    SEv::HedgeFire { req },
-                );
+                self.schedule(SimTime::from_secs(t + after), SEv::HedgeFire { req }, ctx);
             }
             None => {
                 self.dispatch(req, 0, tlen, ctx);
@@ -539,16 +482,9 @@ impl Lane {
 
         if i + self.st.lanes < self.st.total {
             let lambda = self.lambda_of(self.st.cfg.offered_cluster(i + self.st.lanes));
-            let gap = self.arrival_rng.exponential(lambda);
-            let (origin, seq) = (self.id, self.take_seq());
-            ctx.schedule_at_keyed(
-                ctx.now() + SimTime::from_secs(gap),
-                origin,
-                seq,
-                SEv::Arrive {
-                    req: req + self.st.lanes as u32,
-                },
-            );
+            let at = ctx.now() + SimTime::from_secs(self.arrival_rng.exponential(lambda));
+            let next = req + self.st.lanes as u32;
+            self.schedule(at, SEv::Arrive { req: next }, ctx);
         }
     }
 
@@ -557,7 +493,7 @@ impl Lane {
         // client (the server's report rides the response), duplicates
         // included.
         if self.st.cfg.demand_report == DemandReport::Completion {
-            self.observe_service(demand);
+            self.planner.observe_demand(demand);
         }
         let i = req as usize;
         let slot = i / self.st.lanes;
@@ -577,13 +513,11 @@ impl Lane {
             self.completed += 1;
         }
         if self.st.cfg.cancellation && self.reqs[slot].sent > 1 {
-            let prop = SimTime::from_secs(self.st.cfg.propagation);
             for idx in 0..self.reqs[slot].sent as usize {
                 let other = self.reqs[slot].targets[idx];
                 if other != server {
                     let dest = self.st.group_shard_of[other as usize] as usize;
-                    let (origin, seq) = (self.id, self.take_seq());
-                    ctx.send_keyed(dest, prop, origin, seq, SEv::Cancel { req, server: other });
+                    self.send(dest, SEv::Cancel { req, server: other }, ctx);
                 }
             }
         }
@@ -594,13 +528,7 @@ impl Lane {
     /// engine shard) and re-arms the timer while the lane still has
     /// requests in flight.
     fn summary_tick(&mut self, ctx: &mut ShardCtx<'_, SEv>) {
-        let rates = match (&self.estimator, &self.bank) {
-            (Some(est), _) => est.summary(),
-            (_, Some(bank)) => bank.summary(),
-            _ => unreachable!("summary tick on a lane without estimators"),
-        };
-        let delay = SimTime::from_secs(self.st.cfg.propagation);
-        let here = ctx.shard();
+        let rates = self.planner.summary();
         for peer in 0..self.st.lanes {
             if peer == self.id as usize {
                 continue;
@@ -610,31 +538,19 @@ impl Lane {
                 to: peer as u16,
                 rates: rates.clone(),
             };
-            let dest = self.st.lane_shard[peer] as usize;
-            let (origin, seq) = (self.id, self.take_seq());
-            if dest == here {
-                ctx.schedule_at_keyed(ctx.now() + delay, origin, seq, ev);
-            } else {
-                ctx.send_keyed(dest, delay, origin, seq, ev);
-            }
+            self.send(self.st.lane_shard[peer] as usize, ev, ctx);
             self.summaries_sent += 1;
         }
         if self.finished < self.owned {
-            let (origin, seq) = (self.id, self.take_seq());
-            ctx.schedule_at_keyed(
-                ctx.now() + SimTime::from_secs(self.st.summary_period),
-                origin,
-                seq,
-                SEv::SummaryTick {
-                    lane: self.id as u16,
-                },
-            );
+            let at = ctx.now() + SimTime::from_secs(self.st.summary_period);
+            let lane = self.id as u16;
+            self.schedule(at, SEv::SummaryTick { lane }, ctx);
         }
     }
 
     /// The autoscale controller (lane 0): estimate cluster-wide
-    /// per-live-server utilization from the same estimator-plus-peers
-    /// stack the planner reads, step the fleet if it left the hysteresis
+    /// per-live-server utilization from the same estimates the planner
+    /// decides with, step the fleet if it left the hysteresis
     /// band, and broadcast the new topology to every lane with one
     /// propagation delay so all rings mutate at the same simulated
     /// instant. Pure function of lane state — deterministic at any
@@ -642,34 +558,20 @@ impl Lane {
     fn scale_tick(&mut self, ctx: &mut ShardCtx<'_, SEv>) {
         let t = ctx.now().as_secs();
         let a = self.st.cfg.autoscale.expect("scale tick without autoscale");
-        let live_mean = match self.moment_est.as_ref() {
-            Some(me) if me.len() >= self.min_samples => me.mean(),
-            _ => self.st.mean_service,
-        };
         // Cluster arrival rate: own estimate plus last-heard peer
-        // summaries. The per-server bank reports every request to all
+        // summaries. The per-server planner reports every request to all
         // `k_stored` candidates, so its index sum overcounts by exactly
         // that factor.
-        let rate = match (&self.estimator, &self.bank) {
-            (Some(est), _) => est
-                .is_warm()
-                .then(|| self.peers.total_rate(0, est.rate())),
-            (_, Some(bank)) => {
-                let warm = (0..bank.len()).any(|s| bank.get(s).is_warm());
-                warm.then(|| {
-                    (0..bank.len())
-                        .map(|s| self.peers.total_rate(s, bank.rate(s)))
-                        .sum::<f64>()
-                        / self.st.cfg.stored_replicas as f64
-                })
-            }
-            _ => None,
+        let split = if self.st.per_server {
+            self.st.cfg.stored_replicas as f64
+        } else {
+            1.0
         };
-        if let Some(rate) = rate {
+        if let Some(rate) = self.planner.rate_sum(split) {
             // Evaluated against the latest *announced* size: a decision
             // in flight (applied one lookahead later) must not be
             // re-taken against the stale fleet on the next tick.
-            let rho = rate * live_mean / self.target_live as f64;
+            let rho = rate * self.planner.live_mean() / self.target_live as f64;
             let mut target = self.target_live;
             if rho > a.scale_out {
                 target = (target + a.step).min(a.max_servers);
@@ -684,40 +586,27 @@ impl Lane {
                     servers: target,
                     rho,
                 });
-                let delay = SimTime::from_secs(self.st.cfg.propagation);
-                let here = ctx.shard();
                 for lane in 0..self.st.lanes {
                     let ev = SEv::Topology {
                         to: lane as u16,
                         generation: self.topo_announced,
                         servers: target as u16,
                     };
-                    let dest = self.st.lane_shard[lane] as usize;
-                    let (origin, seq) = (self.id, self.take_seq());
-                    if dest == here {
-                        ctx.schedule_at_keyed(ctx.now() + delay, origin, seq, ev);
-                    } else {
-                        ctx.send_keyed(dest, delay, origin, seq, ev);
-                    }
+                    self.send(self.st.lane_shard[lane] as usize, ev, ctx);
                 }
             }
         }
         if self.finished < self.owned {
-            let (origin, seq) = (self.id, self.take_seq());
-            ctx.schedule_at_keyed(
-                ctx.now() + SimTime::from_secs(self.st.scale_period),
-                origin,
-                seq,
-                SEv::ScaleTick,
-            );
+            let at = ctx.now() + SimTime::from_secs(self.st.scale_period);
+            self.schedule(at, SEv::ScaleTick, ctx);
         }
     }
 
     /// Applies a topology broadcast: mutate this lane's ring to the new
     /// size (LIFO add/remove — identical ops on every lane, so the
     /// clones stay equal), open the dual-dispatch window, and churn the
-    /// per-server estimator state (grow on scale-out, per-index reset of
-    /// departed servers on scale-in; survivors untouched).
+    /// per-server planner's indices (grow on scale-out, per-index reset
+    /// of departed servers on scale-in; survivors untouched).
     fn apply_topology(&mut self, t: f64, generation: u32, servers: usize) {
         debug_assert_eq!(generation, self.topo_gen + 1, "topology gap");
         self.topo_gen = generation;
@@ -729,14 +618,13 @@ impl Lane {
         while ring.servers() > servers {
             ring.remove_server();
         }
-        if let Some(bank) = self.bank.as_mut() {
-            bank.grow_to(servers);
+        if self.st.per_server {
+            self.planner.grow_to(servers);
             // Departed indices go cold; a re-added server must warm up
             // fresh, not inherit its pre-departure window.
             for idx in servers..self.live {
-                bank.reset(idx);
+                self.planner.reset(idx);
             }
-            self.peers.grow_to(servers);
         }
         self.cap_integral += self.live as f64 * (t - self.cap_last);
         self.cap_last = t;
@@ -1110,9 +998,10 @@ impl ShardLogic for Node {
             (Node::Front(f), SEv::SummaryTick { lane }) => {
                 f.lane_by_id(lane as usize).summary_tick(ctx)
             }
-            (Node::Front(f), SEv::Summary { from, to, rates }) => {
-                f.lane_by_id(to as usize).peers.apply(from as usize, rates)
-            }
+            (Node::Front(f), SEv::Summary { from, to, rates }) => f
+                .lane_by_id(to as usize)
+                .planner
+                .apply_summary(from as usize, rates),
             (Node::Front(f), SEv::ScaleTick) => f.lane_by_id(0).scale_tick(ctx),
             (Node::Front(f), SEv::Topology {
                 to,
@@ -1161,6 +1050,36 @@ pub struct ShardedOutcome {
     pub final_live: usize,
 }
 
+impl ShardedOutcome {
+    /// Everything the reports print, as bits: two outcomes with equal
+    /// fingerprints are the same simulation. Placement and worker-count
+    /// invariance is asserted on this.
+    pub fn fingerprint(&self) -> Vec<u64> {
+        let res = &self.result;
+        let mut v = vec![
+            res.response.mean().to_bits(),
+            res.switch_off.to_bits(),
+            res.live_threshold.to_bits(),
+            res.mean_utilization.to_bits(),
+            res.copies_issued,
+            res.copies_cancelled,
+            res.completed as u64,
+            self.summaries,
+            self.engine.events,
+            self.engine.rounds,
+        ];
+        for b in &res.buckets {
+            v.extend([b.requests as u64, b.k2_requests as u64]);
+            v.extend([b.mean_response, b.p99, b.peak_utilization].map(f64::to_bits));
+        }
+        v.extend([self.peak_live as u64, self.final_live as u64]);
+        for e in &self.scale_log {
+            v.extend([e.at.to_bits(), e.servers as u64, e.rho.to_bits()]);
+        }
+        v
+    }
+}
+
 /// Process-wide default frontend placement consulted by [`run_sharded`]:
 /// `0` (the default) places each lane on its own frontend shard; any
 /// other value caps the frontend shards at that count. Because placement
@@ -1198,7 +1117,8 @@ pub fn default_frontend_shards() -> usize {
 /// `Always` policies, `2 × load_start ≥ 1` for the adaptive mode, which
 /// replicates only below the sub-½ threshold), non-positive propagation
 /// (it is the lookahead), estimated-mode parameters with `min_samples`
-/// outside `[2, window]`, **completion-reported** estimated moments
+/// outside `[2, window]` (per lane, after both are split across the
+/// lanes), **completion-reported** estimated moments
 /// combined with PS cancellation (the purged in-flight loser censors the
 /// completion-based sample; [`DemandReport::Dispatch`] is the
 /// censoring-free channel that makes the combination legal), or an
@@ -1292,6 +1212,13 @@ pub fn run_sharded_placed(
         hot_shard,
         summary_period: cfg.summary_period.max(cfg.propagation),
         elastic: cfg.autoscale.is_some(),
+        per_server: matches!(
+            cfg.frontend,
+            Frontend::Adaptive {
+                load_model: LoadModel::PerServer,
+                ..
+            }
+        ),
         scale_period: cfg
             .autoscale
             .map_or(0.0, |a| a.period.max(cfg.propagation)),
@@ -1320,41 +1247,36 @@ pub fn run_sharded_placed(
         // responsiveness) what the config asked for; at one lane the
         // division is exact and nothing changes.
         let lane_window = |w: usize| (w / lanes).max(2);
-        let (estimator, bank) = match &cfg.frontend {
-            Frontend::Adaptive {
-                window, load_model, ..
-            } => match load_model {
-                LoadModel::Global => (Some(RateEstimator::new(lane_window(*window))), None),
-                LoadModel::PerServer => (
-                    None,
-                    Some(EstimatorBank::new(cfg.servers, lane_window(*window))),
-                ),
-            },
-            Frontend::Fixed(_) => (None, None),
+        let width = if statics.per_server { cfg.servers } else { 1 };
+        let window = match &cfg.frontend {
+            Frontend::Adaptive { window, .. } => *window,
+            // A fixed policy never decides; it gets the smallest planner.
+            Frontend::Fixed(_) => 2,
         };
-        let peer_width = match &cfg.frontend {
-            Frontend::Adaptive { load_model, .. } => match load_model {
-                LoadModel::Global => 1,
-                LoadModel::PerServer => cfg.servers,
-            },
-            Frontend::Fixed(_) => 1,
-        };
-        let (moment_est, min_samples, recalibrate) = match &cfg.frontend {
-            Frontend::Adaptive {
-                moments:
-                    MomentSource::Estimated {
-                        window,
-                        min_samples,
-                        recalibrate,
-                    },
-                ..
-            } => (
-                Some(MomentEstimator::new(lane_window(*window))),
+        let mut live = LivePlanner::new(
+            planner,
+            threshold,
+            width,
+            lane_window(window),
+            lanes,
+            cfg.load_start,
+        );
+        if let Frontend::Adaptive {
+            moments:
+                MomentSource::Estimated {
+                    window,
+                    min_samples,
+                    recalibrate,
+                },
+            ..
+        } = &cfg.frontend
+        {
+            live = live.with_moments(
+                lane_window(*window),
                 min_samples.div_ceil(lanes),
-                *recalibrate as u64,
-            ),
-            _ => (None, 0, 1),
-        };
+                *recalibrate,
+            );
+        }
 
         // Lane l owns requests {l, l+lanes, l+2·lanes, …} below `total`.
         let owned = (total - l).div_ceil(lanes);
@@ -1368,18 +1290,7 @@ pub fn run_sharded_placed(
             arrival_rng,
             place_rng,
             svc_rng,
-            estimator,
-            bank,
-            peers: PeerLoads::new(lanes, peer_width),
-            moment_est,
-            min_samples,
-            recalibrate,
-            threshold_cache: ThresholdCache::new(),
-            planner,
-            live_planner: planner,
-            live_threshold: threshold,
-            observed: 0,
-            recalibrations: 0,
+            planner: live,
             reqs: Vec::with_capacity(owned),
             response: SampleSet::with_capacity(cfg.requests / lanes + 1),
             bucket_samples: (0..cfg.buckets).map(|_| SampleSet::new()).collect(),
@@ -1547,7 +1458,7 @@ pub fn run_sharded_placed(
         response.merge(&lane.response);
         completed += lane.completed;
         copies_issued += lane.copies_issued;
-        recalibrations += lane.recalibrations;
+        recalibrations += lane.planner.recalibrations();
         summaries += lane.summaries_sent;
     }
 
@@ -1595,14 +1506,14 @@ pub fn run_sharded_placed(
     // lane this is exactly the lane's own windowed estimate.
     let moment_pool = lanes_out
         .iter()
-        .filter_map(|l| l.moment_est.as_ref().map(|m| m.snapshot()))
+        .filter_map(|l| l.planner.moment_snapshot())
         .fold(None::<MomentSnapshot>, |acc, s| {
             Some(acc.map_or(s, |a| a.merge(s)))
         });
     // Report the pooled moments once the lanes together hold as many
     // samples as the single-lane gate demanded (at one lane: the same
     // `len >= min_samples` comparison as before).
-    let min_pooled = lanes_out.first().map_or(0, |l| l.min_samples) * lanes;
+    let min_pooled = lanes_out.first().map_or(0, |l| l.planner.min_samples()) * lanes;
     let (est_mean_service, est_scv) = match moment_pool {
         Some(snap) if (snap.count as usize) >= min_pooled => (snap.mean, snap.scv()),
         _ => (f64::NAN, f64::NAN),
@@ -1617,7 +1528,7 @@ pub fn run_sharded_placed(
             // Lane 0's view; lanes recalibrate from the same pooled
             // summaries so the spread across lanes is within the
             // exchange period's drift.
-            Frontend::Adaptive { .. } => lanes_out[0].live_threshold,
+            Frontend::Adaptive { .. } => lanes_out[0].planner.threshold(),
         },
         est_mean_service,
         est_scv,
@@ -1656,46 +1567,14 @@ mod tests {
         cfg
     }
 
-    /// Collapses an outcome into a bitwise fingerprint of everything the
-    /// reports print.
-    fn fingerprint(out: &ShardedOutcome) -> Vec<u64> {
-        let mut v = vec![
-            out.result.response.mean().to_bits(),
-            out.result.switch_off.to_bits(),
-            out.result.live_threshold.to_bits(),
-            out.result.mean_utilization.to_bits(),
-            out.result.copies_issued,
-            out.result.copies_cancelled,
-            out.result.completed as u64,
-            out.summaries,
-            out.engine.events,
-            out.engine.rounds,
-        ];
-        for b in &out.result.buckets {
-            v.push(b.requests as u64);
-            v.push(b.k2_requests as u64);
-            v.push(b.mean_response.to_bits());
-            v.push(b.p99.to_bits());
-            v.push(b.peak_utilization.to_bits());
-        }
-        v.push(out.peak_live as u64);
-        v.push(out.final_live as u64);
-        for e in &out.scale_log {
-            v.push(e.at.to_bits());
-            v.push(e.servers as u64);
-            v.push(e.rho.to_bits());
-        }
-        v
-    }
-
     #[test]
     fn bit_identical_at_every_thread_count() {
         let cfg = small_ramp();
-        let reference = fingerprint(&run_sharded(&cfg, 5, 1));
+        let reference = run_sharded(&cfg, 5, 1).fingerprint();
         for threads in [2, 3, 6, 8] {
             assert_eq!(
                 reference,
-                fingerprint(&run_sharded(&cfg, 5, threads)),
+                run_sharded(&cfg, 5, threads).fingerprint(),
                 "threads={threads}"
             );
         }
@@ -1711,12 +1590,12 @@ mod tests {
         cfg.frontend_lanes = 4;
         cfg.requests = 20_000;
         cfg.warmup = 2_000;
-        let reference = fingerprint(&run_sharded_placed(&cfg, 3, 1, 1));
+        let reference = run_sharded_placed(&cfg, 3, 1, 1).fingerprint();
         for frontends in [1usize, 2, 4] {
             for threads in [1usize, 3, 8] {
                 assert_eq!(
                     reference,
-                    fingerprint(&run_sharded_placed(&cfg, 3, threads, frontends)),
+                    run_sharded_placed(&cfg, 3, threads, frontends).fingerprint(),
                     "frontends={frontends} threads={threads}"
                 );
             }
@@ -1752,15 +1631,15 @@ mod tests {
         cfg.frontend_lanes = 4;
         cfg.requests = 5_000;
         cfg.warmup = 500;
-        let reference = fingerprint(&run_sharded_placed(&cfg, 2, 1, 4));
+        let reference = run_sharded_placed(&cfg, 2, 1, 4).fingerprint();
         set_default_frontend_shards(2);
         let capped = run_sharded(&cfg, 2, 1);
         set_default_frontend_shards(0);
         let auto = run_sharded(&cfg, 2, 1);
         assert_eq!(capped.frontends, 2);
         assert_eq!(auto.frontends, 4);
-        assert_eq!(fingerprint(&capped), reference);
-        assert_eq!(fingerprint(&auto), reference);
+        assert_eq!(capped.fingerprint(), reference);
+        assert_eq!(auto.fingerprint(), reference);
     }
 
     #[test]
@@ -1815,7 +1694,7 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "saturates")]
-    fn rejects_saturating_config_like_sequential() {
+    fn rejects_saturating_config() {
         let service: DynDist = Arc::new(Exponential::with_mean(1.0e-3));
         let mut cfg = ServiceConfig::ramp(service, 0.6, 0.6);
         cfg.frontend = Frontend::Fixed(Policy::Always { copies: 2 });
@@ -1902,12 +1781,12 @@ mod tests {
         cfg.frontend_lanes = 4;
         cfg.requests = 20_000;
         cfg.warmup = 2_000;
-        let reference = fingerprint(&run_sharded_placed(&cfg, 3, 1, 1));
+        let reference = run_sharded_placed(&cfg, 3, 1, 1).fingerprint();
         assert!(reference.len() > 40, "scale log missing from fingerprint");
         for (frontends, threads) in [(1usize, 3usize), (2, 8), (4, 1), (4, 8)] {
             assert_eq!(
                 reference,
-                fingerprint(&run_sharded_placed(&cfg, 3, threads, frontends)),
+                run_sharded_placed(&cfg, 3, threads, frontends).fingerprint(),
                 "frontends={frontends} threads={threads}"
             );
         }

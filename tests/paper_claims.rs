@@ -203,7 +203,7 @@ fn heavy_tail_switch_off_sits_below_exponential() {
 }
 
 /// Skew-aware planning: under a Zipf key mix the per-server planner
-/// (`EstimatorBank` + `decide_for`) must cut the hot server's peak busy
+/// (`LivePlanner` with one index per server) must cut the hot server's peak busy
 /// fraction strictly below the global planner's, flatten the mid-ramp
 /// p99 contention hump, and stagger the decision by temperature — hot
 /// pairs off well below the balanced-load threshold, cold pairs

@@ -921,7 +921,7 @@ fn partitioned_frontend_trace_identical_across_placements_and_workers() {
     use low_latency_redundancy::storesim::service::{
         Frontend, LoadModel, MomentSource, ServiceConfig,
     };
-    use low_latency_redundancy::storesim::sharded::{run_sharded_placed, ShardedOutcome};
+    use low_latency_redundancy::storesim::sharded::run_sharded_placed;
     use std::sync::Arc;
 
     // Two service values at 10:1 odds, mean 1 ms: heavy exact ties.
@@ -945,38 +945,15 @@ fn partitioned_frontend_trace_identical_across_placements_and_workers() {
         load_model: LoadModel::Global,
     };
 
-    fn fingerprint(out: &ShardedOutcome) -> Vec<u64> {
-        let mut v = vec![
-            out.engine.events,
-            out.engine.rounds,
-            out.summaries,
-            out.result.completed as u64,
-            out.result.copies_issued,
-            out.result.copies_cancelled,
-            out.result.switch_off.to_bits(),
-            out.result.live_threshold.to_bits(),
-            out.result.mean_utilization.to_bits(),
-            out.result.response.mean().to_bits(),
-        ];
-        for b in &out.result.buckets {
-            v.push(b.requests as u64);
-            v.push(b.k2_requests as u64);
-            v.push(b.mean_response.to_bits());
-            v.push(b.p99.to_bits());
-            v.push(b.peak_utilization.to_bits());
-        }
-        v
-    }
-
     let reference = run_sharded_placed(&cfg, 6, 1, 1);
     assert!(
         reference.summaries > 0,
         "the hostile workload must actually exchange summaries"
     );
-    let want = fingerprint(&reference);
+    let want = reference.fingerprint();
     for frontends in [1usize, 2, 4] {
         for workers in [1usize, 3, 8] {
-            let got = fingerprint(&run_sharded_placed(&cfg, 6, workers, frontends));
+            let got = run_sharded_placed(&cfg, 6, workers, frontends).fingerprint();
             assert_eq!(
                 want, got,
                 "trace diverged at frontends={frontends} workers={workers}"
