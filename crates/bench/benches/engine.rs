@@ -18,10 +18,10 @@
 //!   the sequential and sharded engines;
 //! * `service` — the real `fig-service-scale` workload: [`run_sharded`]
 //!   at 1 and N workers, with the engine's deterministic event count;
-//! * `service_frontier` — the 8-lane decomposed frontend placed on
-//!   F ∈ {1, 2, 4, 8} frontend shards at full parallelism: requests/sec
-//!   per placement (the output is bit-identical across F — only this
-//!   wall-clock frontier moves).
+//! * `service_lanes` — the same workload with its frontend decomposed
+//!   into L ∈ {1, 2, 4, 8} lanes (one engine shard each) at full
+//!   parallelism: requests/sec per lane count, so the L = 8 over L = 1
+//!   ratio is the lane tax as a within-run ratio.
 //!
 //! The per-request decision hot path is timed (and budget-gated) by the
 //! `hotpath` bench, which owns the `"hotpath"` section of the same file.
@@ -47,7 +47,7 @@ use simcore::event::EventQueue;
 use simcore::shard::{EngineStats, ShardCtx, ShardEngine, ShardLogic};
 use simcore::time::SimTime;
 use storesim::service::{Frontend, ServiceConfig};
-use storesim::sharded::{run_sharded, run_sharded_placed};
+use storesim::sharded::run_sharded;
 
 /// Best-of-3 [`time_ns`]: the minimum over three measurement windows.
 /// The ns-scale queue stages sit well inside scheduler
@@ -321,29 +321,31 @@ fn main() {
     println!("service_sharded_multi          {svc_tn_eps:>12.0} events/sec ({svc_workers} workers)");
     println!("service_within_run_speedup     {svc_speedup:>12.2} x");
 
-    // --- the frontend placement frontier (8 lanes on F shards) ---
-    // Output is bit-identical across F (the fig-service-frontier
-    // experiment asserts it); this measures the wall-clock those
-    // placements buy at full parallelism.
+    // --- the lane sweep (L lanes, one engine shard each) ---
+    // The fig-service-frontier experiment reports the deterministic
+    // summary and event counts of the same sweep; this measures the
+    // wall-clock they cost at full parallelism.
     let mut cfg_lanes = service_config(quick);
-    cfg_lanes.frontend_lanes = 8;
-    let frontier_fs = [1usize, 2, 4, 8];
-    let mut frontier_rps = Vec::with_capacity(frontier_fs.len());
-    for &f in &frontier_fs {
+    let lane_counts = [1usize, 2, 4, 8];
+    let mut lanes_rps = Vec::with_capacity(lane_counts.len());
+    for &lanes in &lane_counts {
+        cfg_lanes.frontend_lanes = lanes;
         let secs = best_of_3_secs(|| {
             simcore::runner::set_global_threads(host_threads);
-            let out = run_sharded_placed(&cfg_lanes, groups, host_threads, f);
+            let out = run_sharded(&cfg_lanes, groups, host_threads);
             black_box(out.result.completed);
         });
         let rps = cfg_lanes.requests as f64 / secs;
-        println!("service_frontier_f{f}           {rps:>12.0} requests/sec");
-        frontier_rps.push(rps);
+        println!("service_lanes_l{lanes}              {rps:>12.0} requests/sec");
+        lanes_rps.push(rps);
     }
+    let lane_tax = lanes_rps[0] / lanes_rps[3];
+    println!("service_lane_tax_l1_over_l8    {lane_tax:>12.2} x");
 
-    let frontier_json = frontier_fs
+    let lanes_json = lane_counts
         .iter()
-        .zip(&frontier_rps)
-        .map(|(f, rps)| format!("    \"f{}_requests_per_sec\": {}", f, json_f(*rps)))
+        .zip(&lanes_rps)
+        .map(|(l, rps)| format!("    \"l{}_requests_per_sec\": {}", l, json_f(*rps)))
         .collect::<Vec<_>>()
         .join(",\n");
     let json = format!(
@@ -364,7 +366,8 @@ fn main() {
          \"workers\": {},\n    \
          \"sharded_multi_worker_events_per_sec\": {},\n    \
          \"within_run_speedup\": {:.3}\n  }},\n  \
-         \"service_frontier\": {{\n    \"frontend_lanes\": 8, \"workers\": {},\n{}\n  }}\n}}\n",
+         \"service_lanes\": {{\n    \"workers\": {},\n{},\n    \
+         \"l1_over_l8_lane_tax\": {:.3}\n  }}\n}}\n",
         if quick { " -- --quick" } else { "" },
         if quick { "quick" } else { "full" },
         host_threads,
@@ -388,7 +391,8 @@ fn main() {
         json_f(svc_tn_eps),
         svc_speedup,
         svc_workers,
-        frontier_json,
+        lanes_json,
+        lane_tax,
     );
     // The hotpath bench owns the "hotpath" section of this file; carry an
     // existing one over so the two benches can run in either order.

@@ -11,10 +11,6 @@
 //! to `DIR/<id>.txt`. `--threads N` sets the parallelism of every sweep
 //! (default: the machine's available parallelism, or the `LLR_THREADS`
 //! environment variable); results are bit-identical at any thread count.
-//! `--frontend-shards N` caps how many engine shards the sharded service
-//! experiments spread their frontend lanes over — like `--threads` a pure
-//! execution knob, and CI byte-diffs it against the serial tree to prove
-//! placement never leaks into the output.
 
 #![forbid(unsafe_code)]
 
@@ -43,13 +39,6 @@ fn main() {
                 Some(n) if n > 0 => simcore::runner::set_global_threads(n),
                 _ => {
                     eprintln!("--threads requires a positive integer");
-                    std::process::exit(2);
-                }
-            },
-            "--frontend-shards" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) if n > 0 => storesim::sharded::set_default_frontend_shards(n),
-                _ => {
-                    eprintln!("--frontend-shards requires a positive integer");
                     std::process::exit(2);
                 }
             },
@@ -126,7 +115,7 @@ fn main() {
 fn usage() {
     eprintln!(
         "usage: repro <id>...|all|ablations|list [--figures] [--quick] [--threads N] \
-         [--frontend-shards N] [--out DIR]"
+         [--out DIR]"
     );
     eprintln!("figures:   {}", ALL_IDS.join(" "));
     eprintln!("ablations: {}", ABLATION_IDS.join(" "));

@@ -2,10 +2,9 @@
 //! reproducibility invariants.
 //!
 //! The repo's signature guarantee — bit-identical simulation output at
-//! any `(workers, frontend-shards)` configuration — survives only as
-//! long as no code path consults a source of nondeterminism: HashMap
-//! iteration order, wall clocks, IEEE partial comparisons, data races,
-//! or placement-dependent scheduling keys. CI byte-diffs catch a breach
+//! any worker count — survives only as long as no code path consults a
+//! source of nondeterminism: HashMap iteration order, wall clocks, IEEE
+//! partial comparisons, or data races. CI byte-diffs catch a breach
 //! *after* it lands in an experiment; this crate catches the code
 //! pattern itself, at the source level, before anything runs.
 //!

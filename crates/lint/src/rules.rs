@@ -12,7 +12,6 @@
 //! | `wall-clock` | `Instant::now` / `SystemTime` outside the real-time executors and the bench crate: simulated time must come from the event clock. |
 //! | `float-total-order` | `.partial_cmp(..)` on floats (usually inside `sort_by`/`min_by`): IEEE partial order makes comparators panic or misbehave on NaN; `f64::total_cmp` is the project norm. |
 //! | `forbid-unsafe` | a crate root missing `#![forbid(unsafe_code)]`: data races are the other way scheduling leaks into results. |
-//! | `keyed-scheduling` | raw (non-`_keyed`) `push`/`send`/`schedule*` calls in the sharded frontend/lane code, which must stay placement-invariant. |
 //! | `allow-justification` | `#[allow(..)]` without a same-line-or-above justification comment: every suppressed diagnostic carries its reason. |
 //!
 //! Matching is heuristic by design — a hand-rolled lexer cannot resolve
@@ -152,12 +151,6 @@ pub const RULES: &[Rule] = &[
         allows: &[],
     },
     Rule {
-        id: "keyed-scheduling",
-        summary: "raw (non-_keyed) ctx/engine push/send/schedule calls banned in placement-invariant sharded-service code",
-        applies: &["crates/storesim/src/sharded.rs"],
-        allows: &[],
-    },
-    Rule {
         id: "allow-justification",
         summary: "every #[allow(..)] carries a justification comment on the same line or the line above",
         applies: &[],
@@ -195,18 +188,6 @@ const ORDER_DEPENDENT_METHODS: &[&str] = &[
     "retain",
 ];
 
-/// Scheduling methods with `_keyed` counterparts; the raw forms bake the
-/// physical shard id into the merge key and break placement invariance.
-const RAW_SCHEDULING_METHODS: &[&str] = &[
-    "push",
-    "push_after",
-    "push_at",
-    "send",
-    "schedule",
-    "schedule_at",
-    "schedule_after",
-];
-
 /// Checks one file's source against every applicable rule. `path` is the
 /// workspace-relative path with `/` separators; it selects which rules
 /// and allowlists apply.
@@ -222,7 +203,6 @@ pub fn check_file(path: &str, src: &str) -> Vec<Violation> {
             "wall-clock" => check_wall_clock(path, &lexed, &mut out),
             "float-total-order" => check_float_total_order(path, &lexed, &mut out),
             "forbid-unsafe" => check_forbid_unsafe(path, &lexed, &mut out),
-            "keyed-scheduling" => check_keyed_scheduling(path, &lexed, &mut out),
             "allow-justification" => check_allow_justification(path, &lexed, &mut out),
             other => unreachable!("rule {other} has no matcher"),
         }
@@ -410,35 +390,6 @@ fn check_forbid_unsafe(path: &str, lexed: &Lexed, out: &mut Vec<Violation>) {
             rule: "forbid-unsafe",
             msg: "crate root missing #![forbid(unsafe_code)]".to_string(),
         });
-    }
-}
-
-fn check_keyed_scheduling(path: &str, lexed: &Lexed, out: &mut Vec<Violation>) {
-    let toks = &lexed.toks;
-    for (i, t) in toks.iter().enumerate() {
-        if !(t.is_ident("ctx") || t.is_ident("engine")) {
-            continue;
-        }
-        if let (Some(dot), Some(method), Some(paren)) =
-            (toks.get(i + 1), toks.get(i + 2), toks.get(i + 3))
-        {
-            if dot.is_punct('.')
-                && method.kind == Kind::Ident
-                && RAW_SCHEDULING_METHODS.contains(&method.text.as_str())
-                && paren.is_punct('(')
-            {
-                out.push(Violation {
-                    path: path.to_string(),
-                    line: method.line,
-                    rule: "keyed-scheduling",
-                    msg: format!(
-                        "`{}.{}()` stamps the physical shard's merge key; this file must \
-                         stay placement-invariant — use the `_keyed` variant",
-                        t.text, method.text
-                    ),
-                });
-            }
-        }
     }
 }
 

@@ -30,11 +30,11 @@ fn workspace_root() -> PathBuf {
 
 #[test]
 fn rule_table_is_well_formed() {
-    assert_eq!(RULES.len(), 6);
+    assert_eq!(RULES.len(), 5);
     let mut ids: Vec<_> = RULES.iter().map(|r| r.id).collect();
     ids.sort_unstable();
     ids.dedup();
-    assert_eq!(ids.len(), 6, "duplicate rule ids");
+    assert_eq!(ids.len(), 5, "duplicate rule ids");
 }
 
 #[test]
@@ -108,17 +108,6 @@ fn forbid_unsafe_fixture_fails() {
     assert_eq!(lines_of(&v, "forbid-unsafe"), vec![1], "{v:#?}");
     // The same content as a non-root module: the rule does not apply.
     assert!(fired("crates/simcore/src/some_module.rs", src).is_empty());
-}
-
-#[test]
-fn keyed_scheduling_fixture_fails() {
-    let src = include_str!("fixtures/keyed_scheduling_bad.rs");
-    let v = fired("crates/storesim/src/sharded.rs", src);
-    let lines = lines_of(&v, "keyed-scheduling");
-    assert_eq!(lines.len(), 4, "the four raw calls: {v:#?}");
-    assert!(v.iter().all(|x| x.rule == "keyed-scheduling"), "{v:#?}");
-    // The rule is scoped to the sharded-service file only.
-    assert!(fired("crates/storesim/src/service.rs", src).is_empty());
 }
 
 #[test]

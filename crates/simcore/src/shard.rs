@@ -3,8 +3,8 @@
 //! [`EventQueue`](crate::event::EventQueue) executes one simulation on one
 //! core; [`Runner`](crate::runner::Runner) only parallelizes *across*
 //! independent runs. This module parallelizes *within* a single run: the
-//! simulation is partitioned into shards (one per server group plus a
-//! frontend shard, in the storage service), each owning a private event
+//! simulation is partitioned into shards (one per frontend lane and one per
+//! server group, in the storage service), each owning a private event
 //! queue, and shards interact only through timestamped cross-shard messages
 //! carrying at least `lookahead` of delay — in the storage service the
 //! cancellation/propagation delay plays that role.
@@ -26,13 +26,10 @@
 //! invariant; `run(1)` uses a plain sequential loop and is the reference
 //! path, and CI byte-diffs `--threads 1/3/8` result trees.
 //!
-//! The `*_keyed` scheduling variants extend the same argument to *shard
-//! placement*: a simulation whose shards host several logical actors can
-//! stamp every entry with the actor's logical origin and a counter the
-//! actor owns, making the merge keys — hence the pop order — a pure
-//! function of the logical simulation rather than of which engine shard
-//! each actor landed on. The sharded storage service uses this to keep its
-//! output byte-identical at any frontend-shard count.
+//! A simulation that gives each logical actor its own shard, as the storage
+//! service does, gets actor-level determinism with no extra bookkeeping:
+//! the origin *is* the actor and the sequence is its own counter, so the
+//! merge key is a pure function of the logical simulation.
 //!
 //! Worker threads are leased from the process-wide
 //! [`thread budget`](crate::runner::lease_threads), so engine shards
@@ -180,17 +177,15 @@ impl<E> ShardQueue<E> {
         self.push(at, event);
     }
 
-    /// Schedules a local event under an explicit `(origin, seq)` merge key
-    /// instead of this shard's id and counter.
+    /// Pushes an entry under an explicit `(origin, seq)` merge key instead
+    /// of this shard's id and counter.
     ///
-    /// This is the primitive behind *placement-invariant* simulations: a
-    /// shard hosting several logical actors (e.g. frontend lanes) stamps
-    /// each actor's events with the actor's own logical origin and a
-    /// counter the actor maintains, so the merge order — and therefore the
-    /// whole simulation — is identical whether the actors share one engine
-    /// shard or are spread across many. Callers own key uniqueness: a
-    /// simulation must not mix keyed and unkeyed scheduling under
-    /// colliding origin ids.
+    /// A queue-level primitive for callers that drive a [`ShardQueue`]
+    /// directly with keys they already hold — the benchmark package's
+    /// queue replay (`crates/bench/examples/llr_bench`) feeds recorded
+    /// entries through it. Engine simulations schedule through
+    /// [`ShardCtx`], which stamps this shard's own key. Callers own key
+    /// uniqueness.
     ///
     /// # Panics
     /// Panics if `at` precedes the shard clock.
@@ -344,46 +339,6 @@ impl<E> ShardCtx<'_, E> {
             event,
         });
     }
-
-    /// Schedules a local event at absolute time `at` (≥ `now`) under an
-    /// explicit `(origin, seq)` merge key. See
-    /// [`ShardQueue::push_keyed`] for the placement-invariance contract.
-    pub fn schedule_at_keyed(&mut self, at: SimTime, origin: u32, seq: u64, event: E) {
-        self.queue.push_keyed(at, origin, seq, event);
-    }
-
-    /// Sends `event` to shard `to` under an explicit `(origin, seq)` merge
-    /// key, arriving at `now + delay`.
-    ///
-    /// Together with [`ShardCtx::schedule_at_keyed`] this lets a logical
-    /// actor deliver a message with the *same* key whether the destination
-    /// actor happens to be co-located (keyed local push) or remote (keyed
-    /// wire) — the destination's merge order cannot tell the difference.
-    /// Because co-location is a placement accident, callers must keep
-    /// `delay ≥ lookahead` even for local keyed delivery, or a different
-    /// placement of the same simulation would panic here.
-    ///
-    /// # Panics
-    /// Panics if `delay` is below the engine lookahead or `to` is this
-    /// shard (use [`ShardCtx::schedule_at_keyed`] with the same key).
-    pub fn send_keyed(&mut self, to: usize, delay: SimTime, origin: u32, seq: u64, event: E) {
-        assert!(
-            delay >= self.lookahead,
-            "cross-shard delay {delay} below lookahead {}",
-            self.lookahead
-        );
-        assert!(
-            to as u32 != self.shard,
-            "shard {to} sending to itself; use schedule_at_keyed"
-        );
-        self.outbox.push(Wire {
-            to: to as u32,
-            time: self.now + delay,
-            origin,
-            seq,
-            event,
-        });
-    }
 }
 
 /// Counters describing one engine run.
@@ -522,20 +477,6 @@ impl<S: ShardLogic> ShardEngine<S> {
     /// before [`ShardEngine::run`].
     pub fn schedule(&mut self, shard: usize, at: SimTime, event: S::Event) {
         self.cells[shard].queue.push(at, event);
-    }
-
-    /// Seeds an initial event on `shard` under an explicit `(origin, seq)`
-    /// merge key (see [`ShardQueue::push_keyed`]). Only valid before
-    /// [`ShardEngine::run`].
-    pub fn schedule_keyed(
-        &mut self,
-        shard: usize,
-        at: SimTime,
-        origin: u32,
-        seq: u64,
-        event: S::Event,
-    ) {
-        self.cells[shard].queue.push_keyed(at, origin, seq, event);
     }
 
     /// Shared access to a shard's state (e.g. for inspection in tests).

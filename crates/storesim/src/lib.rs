@@ -26,7 +26,7 @@
 //!   crosses the §2.1 threshold, with loser cancellation over FIFO or PS
 //!   servers;
 //! * [`sharded`] — the one runner of that service, on `simcore`'s sharded
-//!   parallel engine (one shard per server group plus frontend shards),
+//!   parallel engine (one shard per frontend lane and per server group),
 //!   from the 8-server replicated ramps to hundred-server,
 //!   million-request ramps, with bit-identical output at any thread
 //!   count;

@@ -49,11 +49,12 @@
 //! This file is the *only* storesim module on the lint `wall-clock`
 //! allowlist: `Instant` here is the data plane, not simulation state.
 
-use crate::service::switch_off_load;
+use crate::service::{ramp_load, switch_off_load};
 use redundancy::cancel::CancelToken;
 use redundancy::planner::{LivePlanner, Planner, WorkloadProfile};
 use simcore::dist::{DynDist, Exponential};
 use simcore::rng::Rng;
+use simcore::stats::SampleSet;
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -142,15 +143,16 @@ impl RtConfig {
         self.warmup + self.requests
     }
 
-    /// Offered baseline load of request `i` (same ramp shape as the
-    /// simulated service: warm-up flat at `load_start`, then linear).
+    /// Offered baseline load of request `i`: the simulated service's
+    /// ramp ([`ramp_load`]).
     fn offered(&self, i: usize) -> f64 {
-        if i < self.warmup || self.requests <= 1 {
-            self.load_start
-        } else {
-            let frac = (i - self.warmup) as f64 / (self.requests - 1) as f64;
-            self.load_start + (self.load_end - self.load_start) * frac
-        }
+        ramp_load(
+            i,
+            self.warmup,
+            self.requests,
+            self.load_start,
+            self.load_end,
+        )
     }
 }
 
@@ -234,7 +236,7 @@ struct FrontState {
     tokens: Vec<Option<CancelToken>>,
     pending_copies: Vec<u8>,
     recorded: Vec<bool>,
-    latencies: Vec<f64>,
+    latencies: SampleSet,
     responses: usize,
     late: usize,
     purged: usize,
@@ -249,7 +251,7 @@ impl FrontState {
             tokens: vec![None; total],
             pending_copies: vec![0; total],
             recorded: vec![false; total],
-            latencies: Vec::with_capacity(total),
+            latencies: SampleSet::with_capacity(total),
             responses: 0,
             late: 0,
             purged: 0,
@@ -327,7 +329,9 @@ pub struct RtResult {
     pub wall_secs: f64,
     /// Mean dispatch → first-completion latency, seconds. **Non-deterministic.**
     pub mean_latency_s: f64,
-    /// 99th-percentile latency, seconds. **Non-deterministic.**
+    /// 99th-percentile latency, seconds (R-7 interpolation, as
+    /// [`SampleSet::quantile`] computes it for every simulated report; 0
+    /// when nothing completed). **Non-deterministic.**
     pub p99_latency_s: f64,
 }
 
@@ -501,14 +505,14 @@ pub fn run(cfg: &RtConfig) -> RtResult {
     }
     let switch_off_load = switch_off_load(&k2_fraction_by_bucket);
 
-    // Non-deterministic wall-clock stats.
-    st.latencies.sort_by(f64::total_cmp);
-    let mean_latency_s = st.latencies.iter().sum::<f64>() / st.latencies.len().max(1) as f64;
-    let p99_latency_s = st
-        .latencies
-        .get((st.latencies.len().saturating_sub(1)) * 99 / 100)
-        .copied()
-        .unwrap_or(0.0);
+    // Non-deterministic wall-clock stats, with the simulated reports'
+    // R-7 quantile.
+    let mean_latency_s = st.latencies.mean();
+    let p99_latency_s = if st.latencies.is_empty() {
+        0.0
+    } else {
+        st.latencies.quantile(0.99)
+    };
 
     RtResult {
         trace_fingerprint: fingerprint,

@@ -247,22 +247,16 @@ pub struct ServiceConfig {
     pub popularity: Option<Arc<DiscreteEmpirical>>,
     /// Replication decision mode.
     pub frontend: Frontend,
-    /// Logical frontend lanes: the adaptive frontend is decomposed into
-    /// this many independent actors, each owning a contiguous `1/lanes`
-    /// slice of the key shards with its own forked RNG substreams and its
-    /// own estimator state, exchanging periodic load summaries. This is a
-    /// *model* parameter — it changes which simulation runs (lanes > 1 is
-    /// a different, decomposed arrival process) — while the engine-shard
-    /// *placement* of the lanes is a pure execution detail that never
-    /// affects output. Default 1, which is byte-identical to the pre-lane
-    /// frontend.
+    /// Frontend lanes: the adaptive frontend is decomposed into this many
+    /// independent actors, each its own engine shard, owning a contiguous
+    /// `1/lanes` slice of the key shards with its own forked RNG
+    /// substreams and its own estimator state. Lanes exchange load
+    /// summaries every propagation delay (the engine lookahead, the
+    /// fastest a cross-shard message can travel). This is a *model*
+    /// parameter — lanes > 1 is a different, decomposed arrival process
+    /// that pays for its summaries in events — and the default 1 is
+    /// byte-identical to the pre-lane frontend.
     pub frontend_lanes: usize,
-    /// Period of the cross-lane load-summary exchange, seconds. Floored
-    /// at the propagation delay (the engine lookahead — summaries travel
-    /// on cross-shard wires and cannot beat it); `0.0` means "as often as
-    /// the lookahead allows". Ignored when `frontend_lanes == 1` (a lone
-    /// lane has no peers).
-    pub summary_period: f64,
     /// When servers report per-copy service demands to the moment
     /// estimator (only consulted in [`MomentSource::Estimated`] mode).
     pub demand_report: DemandReport,
@@ -311,7 +305,6 @@ impl ServiceConfig {
                 load_model: LoadModel::Global,
             },
             frontend_lanes: 1,
-            summary_period: 0.0,
             demand_report: DemandReport::Completion,
             cancellation: false,
             propagation: 50.0e-6,
@@ -336,15 +329,15 @@ impl ServiceConfig {
         })
     }
 
-    /// Offered baseline load of request `i` (warm-up requests all run at
-    /// `load_start`; the ramp spans the measured portion).
+    /// Offered baseline load of request `i` (see [`ramp_load`]).
     pub(crate) fn offered(&self, i: usize) -> f64 {
-        if i < self.warmup || self.requests <= 1 {
-            self.load_start
-        } else {
-            let frac = (i - self.warmup) as f64 / (self.requests - 1) as f64;
-            self.load_start + (self.load_end - self.load_start) * frac
-        }
+        ramp_load(
+            i,
+            self.warmup,
+            self.requests,
+            self.load_start,
+            self.load_end,
+        )
     }
 
     /// Offered *cluster* load of request `i` relative to the baseline
@@ -365,6 +358,24 @@ impl ServiceConfig {
                 }
             }
         }
+    }
+}
+
+/// The load ramp both runtimes pace arrivals by: request `i` of `warmup`
+/// warm-up plus `requests` measured requests offers `load_start` through
+/// the warm-up, then rises linearly to `load_end` on the last request.
+pub(crate) fn ramp_load(
+    i: usize,
+    warmup: usize,
+    requests: usize,
+    load_start: f64,
+    load_end: f64,
+) -> f64 {
+    if i < warmup || requests <= 1 {
+        load_start
+    } else {
+        let frac = (i - warmup) as f64 / (requests - 1) as f64;
+        load_start + (load_end - load_start) * frac
     }
 }
 
@@ -702,10 +713,6 @@ pub(crate) fn validate_config(cfg: &ServiceConfig) {
         );
     }
     assert!(cfg.frontend_lanes >= 1, "need at least one frontend lane");
-    assert!(
-        cfg.summary_period >= 0.0 && cfg.summary_period.is_finite(),
-        "summary period must be finite and non-negative"
-    );
     if cfg.frontend_lanes > 1 {
         // Lane ids ride in u16 event fields alongside server ids.
         assert!(cfg.frontend_lanes <= u16::MAX as usize, "too many frontend lanes");

@@ -25,6 +25,16 @@ use low_latency_redundancy::simcore::time::SimTime;
 use low_latency_redundancy::storesim::hashring::HashRing;
 use low_latency_redundancy::storesim::lru::LruCache;
 
+/// FNV-1a-64, the hash every byte pin below is recorded with.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut h = 0xcbf29ce484222325u64;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x100000001b3);
+    }
+    h
+}
+
 /// Events pop sorted by time; ties pop in insertion order.
 #[test]
 fn event_queue_total_order() {
@@ -555,15 +565,6 @@ fn estimator_bank_matches_bruteforce_across_interleaved_streams() {
 fn load_model_global_reproduces_pr4_reports_byte_for_byte() {
     use repro_bench::{run_experiment, Effort};
 
-    fn fnv1a64(bytes: &[u8]) -> u64 {
-        let mut h = 0xcbf29ce484222325u64;
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-        h
-    }
-
     for (id, pinned) in [
         ("fig-service-est", 0xacbf96b4732a1a18u64),
         ("fig-service-skew", 0x7aa32cd075687f89u64),
@@ -906,22 +907,23 @@ fn sharded_service_bit_identical_across_thread_counts() {
     }
 }
 
-/// The partitioned frontend is pure placement: with 4 logical frontend
-/// lanes, every (frontend shards, workers) combination in {1,2,4} ×
-/// {1,3,8} produces bit-identical outcomes on a deliberately hostile
-/// workload — a *discrete* two-point service distribution (so departures
-/// collide in exact ties constantly) with cancellation on, and a summary
-/// period of zero, which the engine floors to the propagation delay so
-/// every cross-lane load summary lands exactly on a synchronization-
-/// horizon boundary (the smallest legal delay, the first instant of a
-/// later window). Ties and boundary events are where a placement- or
-/// schedule-dependent merge would first diverge.
+/// The partitioned frontend is bit-identical at any worker count: with 4
+/// frontend lanes (one engine shard each), workers in {1, 3, 8} produce the
+/// same outcome on a deliberately hostile workload — a *discrete*
+/// two-point service distribution (so departures collide in exact ties
+/// constantly) with cancellation on, and lane summaries exchanged every
+/// propagation delay, so every cross-lane load summary lands exactly on a
+/// synchronization-horizon boundary (the smallest legal delay, the first
+/// instant of a later window). Ties and boundary events are where a
+/// schedule-dependent merge would first diverge. The outcome is also
+/// pinned: FNV-1a-64 over the fingerprint's little-endian bytes, recorded
+/// when lanes could still share an engine shard and unchanged since.
 #[test]
-fn partitioned_frontend_trace_identical_across_placements_and_workers() {
+fn partitioned_frontend_trace_identical_across_workers() {
     use low_latency_redundancy::storesim::service::{
         Frontend, LoadModel, MomentSource, ServiceConfig,
     };
-    use low_latency_redundancy::storesim::sharded::run_sharded_placed;
+    use low_latency_redundancy::storesim::sharded::run_sharded;
     use std::sync::Arc;
 
     // Two service values at 10:1 odds, mean 1 ms: heavy exact ties.
@@ -934,7 +936,6 @@ fn partitioned_frontend_trace_identical_across_placements_and_workers() {
     cfg.cancellation = true;
     cfg.propagation = 200.0e-6;
     cfg.frontend_lanes = 4;
-    cfg.summary_period = 0.0; // floored to the lookahead => boundary hits
     cfg.frontend = Frontend::Adaptive {
         window: 512,
         moments: MomentSource::Estimated {
@@ -945,20 +946,21 @@ fn partitioned_frontend_trace_identical_across_placements_and_workers() {
         load_model: LoadModel::Global,
     };
 
-    let reference = run_sharded_placed(&cfg, 6, 1, 1);
+    let reference = run_sharded(&cfg, 6, 1);
     assert!(
         reference.summaries > 0,
         "the hostile workload must actually exchange summaries"
     );
     let want = reference.fingerprint();
-    for frontends in [1usize, 2, 4] {
-        for workers in [1usize, 3, 8] {
-            let got = run_sharded_placed(&cfg, 6, workers, frontends).fingerprint();
-            assert_eq!(
-                want, got,
-                "trace diverged at frontends={frontends} workers={workers}"
-            );
-        }
+    let bytes: Vec<u8> = want.iter().flat_map(|w| w.to_le_bytes()).collect();
+    assert_eq!(
+        fnv1a64(&bytes),
+        0x5b3a8678cb697fbf,
+        "tie-heavy 4-lane pin drifted"
+    );
+    for workers in [3usize, 8] {
+        let got = run_sharded(&cfg, 6, workers).fingerprint();
+        assert_eq!(want, got, "trace diverged at workers={workers}");
     }
 }
 
@@ -967,25 +969,16 @@ fn partitioned_frontend_trace_identical_across_placements_and_workers() {
 /// scale headline, which runs with one frontend lane — must reproduce its
 /// pre-refactor report exactly (FNV-1a-64 over the report bytes, captured
 /// from the PR 6 binary). Any drift means the lane decomposition leaked
-/// into the F=1 code path — RNG forking, estimator feeding, or event-key
-/// assignment — rather than being pure placement.
+/// into the one-lane code path — RNG forking, estimator feeding, or
+/// event-key assignment.
 ///
 /// Platform note: same libm caveat as
 /// [`load_model_global_reproduces_pr4_reports_byte_for_byte`] — and same
 /// PR 10 re-pin: the ring-order replica fix moved stored placement, so
-/// the hash below is the post-fix F=1 output.
+/// the hash below is the post-fix one-lane output.
 #[test]
 fn partitioned_frontend_reproduces_pr6_scale_report_byte_for_byte() {
     use repro_bench::{run_experiment, Effort};
-
-    fn fnv1a64(bytes: &[u8]) -> u64 {
-        let mut h = 0xcbf29ce484222325u64;
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-        h
-    }
 
     let out = run_experiment("fig-service-scale", Effort::Quick);
     assert_eq!(
