@@ -17,7 +17,8 @@
 //!   core. This is the apples-to-apples events/sec comparison between
 //!   the sequential and sharded engines;
 //! * `service` — the real `fig-service-scale` workload: [`run_sharded`]
-//!   at 1 and N workers, with the engine's deterministic event count;
+//!   at 1 and N workers, with the engine's deterministic event and
+//!   cross-shard wire counts;
 //! * `service_lanes` — the same workload with its frontend decomposed
 //!   into L ∈ {1, 2, 4, 8} lanes (one engine shard each) at full
 //!   parallelism: requests/sec per lane count, so the L = 8 over L = 1
@@ -300,9 +301,11 @@ fn main() {
     let cfg = service_config(quick);
     let groups = 8usize;
     let mut svc_events = 0u64;
+    let mut svc_wires = 0u64;
     let svc_t1_secs = best_of_3_secs(|| {
         let out = run_sharded(&cfg, groups, 1);
         svc_events = out.engine.events;
+        svc_wires = out.engine.wires;
         black_box(out.result.completed);
     });
     let mut svc_workers = 1usize;
@@ -362,6 +365,7 @@ fn main() {
          \"sharded_multi_worker_events_per_sec\": {},\n    \
          \"within_run_speedup\": {:.3}\n  }},\n  \
          \"service\": {{\n    \"servers\": {}, \"requests\": {}, \"groups\": {}, \"engine_events\": {},\n    \
+         \"engine_wires\": {},\n    \
          \"sharded_1_worker_events_per_sec\": {},\n    \
          \"workers\": {},\n    \
          \"sharded_multi_worker_events_per_sec\": {},\n    \
@@ -386,6 +390,7 @@ fn main() {
         cfg.requests,
         groups,
         svc_events,
+        svc_wires,
         json_f(svc_t1_eps),
         svc_workers,
         json_f(svc_tn_eps),

@@ -363,40 +363,74 @@ impl EstimatorBank {
 /// superposing the per-frontend arrival streams sums their rates — which
 /// is what makes this exchange exact in steady state rather than a
 /// heuristic.
+///
+/// A frontend sends the same summary to every peer, one clone each. A
+/// single rate, the global-load case, is stored inline, so those clones
+/// allocate nothing (nor does another worker's thread free anything when
+/// a peer replaces one); wider summaries are boxed.
 #[derive(Clone, Debug, PartialEq)]
 pub struct LoadSummary {
-    rates: Box<[f64]>,
+    rates: Rates,
+}
+
+/// A summary's rates. Every width-1 summary is `One`, so the derived
+/// equality compares rates however the summary was built.
+#[derive(Clone, Debug, PartialEq)]
+enum Rates {
+    One([f64; 1]),
+    Many(Box<[f64]>),
 }
 
 impl LoadSummary {
     /// A single-rate summary (the [`RateEstimator`] / global-load case).
     pub fn global(rate: f64) -> Self {
         LoadSummary {
-            rates: Box::new([rate]),
+            rates: Rates::One([rate]),
         }
     }
 
     /// A per-index summary (the [`EstimatorBank`] / per-server case).
     pub fn per_index(rates: Vec<f64>) -> Self {
-        assert!(!rates.is_empty(), "summary needs at least one rate");
+        Self::from_rates(rates.into_iter())
+    }
+
+    /// What a peer not heard from contributes: no rates at all. Only
+    /// [`PeerLoads`] holds one; every public constructor carries a rate.
+    fn silent() -> Self {
         LoadSummary {
-            rates: rates.into_boxed_slice(),
+            rates: Rates::Many(Box::default()),
+        }
+    }
+
+    fn from_rates(mut rates: impl ExactSizeIterator<Item = f64>) -> Self {
+        let rates = match rates.len() {
+            0 => panic!("summary needs at least one rate"),
+            1 => Rates::One([rates.next().expect("the iterator reported one rate")]),
+            _ => Rates::Many(rates.collect()),
+        };
+        LoadSummary { rates }
+    }
+
+    fn as_slice(&self) -> &[f64] {
+        match &self.rates {
+            Rates::One(rate) => rate,
+            Rates::Many(rates) => rates,
         }
     }
 
     /// Number of indexed rates carried.
     pub fn len(&self) -> usize {
-        self.rates.len()
+        self.as_slice().len()
     }
 
     /// `true` when the summary carries no rates (never, post-construction).
     pub fn is_empty(&self) -> bool {
-        self.rates.is_empty()
+        self.as_slice().is_empty()
     }
 
     /// The rate reported for index `idx`.
     pub fn rate(&self, idx: usize) -> f64 {
-        self.rates[idx]
+        self.as_slice()[idx]
     }
 }
 
@@ -409,7 +443,7 @@ impl LoadSummary {
 /// up the same way a single frontend's does.
 #[derive(Clone, Debug)]
 pub struct PeerLoads {
-    summaries: Vec<Option<LoadSummary>>,
+    summaries: Vec<LoadSummary>,
     indices: usize,
 }
 
@@ -422,7 +456,7 @@ impl PeerLoads {
     pub fn new(peers: usize, indices: usize) -> Self {
         assert!(indices >= 1, "peer board needs at least one index");
         PeerLoads {
-            summaries: vec![None; peers],
+            summaries: vec![LoadSummary::silent(); peers],
             indices,
         }
     }
@@ -458,7 +492,7 @@ impl PeerLoads {
             summary.len(),
             self.indices
         );
-        self.summaries[peer] = Some(summary);
+        self.summaries[peer] = summary;
     }
 
     /// Sum of the peers' last-reported rates for index `idx` (peers not
@@ -468,9 +502,7 @@ impl PeerLoads {
         debug_assert!(idx < self.indices);
         self.summaries
             .iter()
-            .flatten()
-            .filter(|s| idx < s.len())
-            .map(|s| s.rate(idx))
+            .filter_map(|s| s.as_slice().get(idx).copied())
             .sum()
     }
 
@@ -493,7 +525,7 @@ impl EstimatorBank {
     /// Snapshot of every index's current rate as a broadcastable
     /// [`LoadSummary`] (width `len()`).
     pub fn summary(&self) -> LoadSummary {
-        LoadSummary::per_index(self.estimators.iter().map(|e| e.rate()).collect())
+        LoadSummary::from_rates(self.estimators.iter().map(|e| e.rate()))
     }
 }
 
@@ -963,6 +995,11 @@ mod tests {
         assert_eq!(s.len(), 1);
         assert!(!s.is_empty());
         assert_eq!(s.rate(0).to_bits(), solo.rate().to_bits());
+        // A width-1 summary is the same value however it was built.
+        assert_eq!(s, LoadSummary::per_index(vec![solo.rate()]));
+        let mut narrow = EstimatorBank::new(1, 8);
+        narrow.observe_arrival(0, 0.0);
+        assert_eq!(narrow.summary(), LoadSummary::global(narrow.rate(0)));
     }
 
     #[test]

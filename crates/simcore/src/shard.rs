@@ -16,15 +16,27 @@
 //! by such an event arrives no earlier than `T + lookahead` — outside the
 //! window — so no shard can receive a straggler into its past.
 //!
+//! With several workers, a round costs one barrier. After its windows a
+//! worker routes its outbox once: wires to its own shards go straight into
+//! their queues, and wires to each other worker are appended as one batch
+//! to a per-(sender, receiver) slot that the receiver drains when it starts
+//! its next round. The worker then bids for the next round's minimum with
+//! the earlier of its queues' minimum and the earliest wire it published,
+//! and waits at the barrier. A fast sender may publish while a slow
+//! receiver is still starting the current round, so the receiver can merge
+//! a wire one round early; that is harmless, because every wire carries a
+//! time at or past the current round's bound and cannot pop in it.
+//!
 //! **Determinism is the contract.** Every entry — locally scheduled or
 //! received from another shard — carries the key
 //! `(time, origin shard, origin sequence)`; per-shard pop order is the
 //! total order on that key. Senders stamp messages from their own
 //! monotonic counter, so the key multiset a shard drains is a pure
-//! function of the simulation, never of thread interleaving. Output is
-//! **bit-identical at any thread count**, the workspace's signature
-//! invariant; `run(1)` uses a plain sequential loop and is the reference
-//! path, and CI byte-diffs `--threads 1/3/8` result trees.
+//! function of the simulation, never of thread interleaving or of the
+//! round in which a wire was merged. Output is **bit-identical at any
+//! thread count**, the workspace's signature invariant; `run(1)` uses a
+//! plain sequential loop and is the reference path, and CI byte-diffs
+//! `--threads 1/3/all` result trees.
 //!
 //! A simulation that gives each logical actor its own shard, as the storage
 //! service does, gets actor-level determinism with no extra bookkeeping:
@@ -39,8 +51,8 @@ use crate::heap::Heap4;
 use crate::runner::lease_threads;
 use crate::time::SimTime;
 use std::cmp::Ordering as CmpOrdering;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 pub mod check;
 
@@ -348,6 +360,8 @@ pub struct EngineStats {
     pub events: u64,
     /// Synchronization rounds executed (identical at every thread count).
     pub rounds: u64,
+    /// Cross-shard messages sent (identical at every thread count).
+    pub wires: u64,
     /// Worker threads actually used (after the process-wide budget lease).
     pub threads: usize,
     /// The latest shard clock when the engine drained.
@@ -384,13 +398,28 @@ fn run_window<S: ShardLogic>(
     handled
 }
 
+/// The earliest pending time over `cells`' queues, if any.
+fn queue_min<S: ShardLogic>(cells: &[Cell<S>]) -> Option<SimTime> {
+    cells.iter().filter_map(|c| c.queue.peek_time()).min()
+}
+
+/// `time` as round-minimum slot bits ([`INF_BITS`] for `None`).
+fn min_bits(time: Option<SimTime>) -> u64 {
+    time.map_or(INF_BITS, |t| t.as_secs().to_bits())
+}
+
 /// A sense-reversing barrier that spins briefly then yields — cheap at the
-/// 2-barriers-per-round rate this engine runs at, and well-behaved when the
-/// process-wide budget oversubscribes physical cores.
+/// one-barrier-per-round rate this engine runs at, and well-behaved when the
+/// process-wide budget oversubscribes physical cores. A worker that panics
+/// poisons it (through [`PoisonOnUnwind`]), and its peers then leave
+/// instead of waiting for an arrival that will never come.
 struct SpinBarrier {
     total: usize,
     count: AtomicUsize,
     generation: AtomicUsize,
+    /// Stored with `Release` by an unwinding worker, loaded with `Acquire`
+    /// by waiters; it publishes no other data.
+    poisoned: AtomicBool,
 }
 
 impl SpinBarrier {
@@ -399,10 +428,13 @@ impl SpinBarrier {
             total,
             count: AtomicUsize::new(0),
             generation: AtomicUsize::new(0),
+            poisoned: AtomicBool::new(false),
         }
     }
 
-    fn wait(&self) {
+    /// Waits for every worker. `false` when the barrier is poisoned: a
+    /// peer panicked, and the caller should stop.
+    fn wait(&self) -> bool {
         let generation = self.generation.load(Ordering::Acquire);
         if self.count.fetch_add(1, Ordering::AcqRel) + 1 == self.total {
             self.count.store(0, Ordering::Relaxed);
@@ -411,6 +443,9 @@ impl SpinBarrier {
         } else {
             let mut spins = 0u32;
             while self.generation.load(Ordering::Acquire) == generation {
+                if self.poisoned.load(Ordering::Acquire) {
+                    return false;
+                }
                 spins = spins.wrapping_add(1);
                 if spins < 64 {
                     std::hint::spin_loop();
@@ -418,6 +453,19 @@ impl SpinBarrier {
                     std::thread::yield_now();
                 }
             }
+        }
+        true
+    }
+}
+
+/// Poisons its barrier when dropped during a panic, so a worker that
+/// unwinds out of a handler releases the peers waiting on it.
+struct PoisonOnUnwind<'a>(&'a SpinBarrier);
+
+impl Drop for PoisonOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.poisoned.store(true, Ordering::Release);
         }
     }
 }
@@ -494,6 +542,10 @@ impl<S: ShardLogic> ShardEngine<S> {
     /// process-wide budget (see [`crate::runner::lease_threads`]), and is
     /// reported in [`EngineStats::threads`]. Results are bit-identical
     /// regardless of the value used.
+    ///
+    /// # Panics
+    /// Re-raises a shard handler's panic, with its original payload, at
+    /// any worker count.
     pub fn run(&mut self, threads: usize) -> EngineStats {
         let want = threads.clamp(1, self.cells.len());
         let lease = lease_threads(want);
@@ -508,7 +560,7 @@ impl<S: ShardLogic> ShardEngine<S> {
     /// [`ShardEngine::run`].
     pub fn run_with(&mut self, workers: usize) -> EngineStats {
         let workers = workers.clamp(1, self.cells.len());
-        let (events, rounds) = if workers <= 1 {
+        let counts = if workers <= 1 {
             self.run_serial()
         } else {
             self.run_parallel(workers)
@@ -520,129 +572,189 @@ impl<S: ShardLogic> ShardEngine<S> {
             .max()
             .unwrap_or(SimTime::ZERO);
         EngineStats {
-            events,
-            rounds,
             threads: workers,
             end_time,
+            ..counts
         }
     }
 
-    /// The sequential reference path: same rounds, same windows, one thread.
-    fn run_serial(&mut self) -> (u64, u64) {
+    /// The sequential reference path: same rounds, same windows, one
+    /// thread. Returns the event, round and wire counts.
+    fn run_serial(&mut self) -> EngineStats {
         let lookahead = self.lookahead;
         let mut outbox: Vec<Wire<S::Event>> = Vec::new();
-        let mut events = 0u64;
-        let mut rounds = 0u64;
-        while let Some(t_min) = self.cells.iter().filter_map(|c| c.queue.peek_time()).min() {
+        let mut counts = EngineStats::default();
+        while let Some(t_min) = queue_min(&self.cells) {
             let bound = t_min + lookahead;
-            rounds += 1;
+            counts.rounds += 1;
             for cell in &mut self.cells {
-                events += run_window(cell, bound, lookahead, &mut outbox);
+                counts.events += run_window(cell, bound, lookahead, &mut outbox);
             }
+            counts.wires += outbox.len() as u64;
             for wire in outbox.drain(..) {
                 self.cells[wire.to as usize].queue.insert_wire(wire);
             }
         }
-        (events, rounds)
+        counts
     }
 
-    fn run_parallel(&mut self, workers: usize) -> (u64, u64) {
+    /// The multi-worker path: the round loop of the module docs, one
+    /// barrier per round. Returns the event, round and wire counts.
+    fn run_parallel(&mut self, workers: usize) -> EngineStats {
         let lookahead = self.lookahead;
         let shard_count = self.cells.len();
-        // Shards are dealt round-robin so a hot low-numbered shard (the
-        // service frontend is shard 0) lands alone on a worker when
-        // possible; local index of shard `s` on worker `s % workers` is
-        // `s / workers`.
+        // Shards are dealt round-robin: shard `s` runs on worker
+        // `s % workers` at local index `s / workers`. The placement is
+        // static and ignores load, so a hot shard shares its worker with
+        // every shard congruent to it (in the storage service at 2
+        // workers, lane 0 shares worker 0 with half the server groups).
         let mut parts: Vec<Vec<Cell<S>>> = (0..workers).map(|_| Vec::new()).collect();
         for cell in std::mem::take(&mut self.cells) {
             parts[cell.id as usize % workers].push(cell);
         }
-        let mut senders = Vec::with_capacity(workers);
-        let mut receivers = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let (tx, rx) = mpsc::channel::<Wire<S::Event>>();
-            senders.push(tx);
-            receivers.push(rx);
-        }
-        let barrier = SpinBarrier::new(workers);
-        // Ping-pong round-minimum slots indexed by round parity: while one
-        // parity is being min-reduced for the current round, the other is
-        // reset for the next, so no worker can clobber a value a straggler
-        // still needs.
-        let round_min = [AtomicU64::new(INF_BITS), AtomicU64::new(INF_BITS)];
-        let mut finished: Vec<(Vec<Cell<S>>, u64, u64)> = Vec::with_capacity(workers);
+        let exchange = Exchange::new(workers);
+        let mut finished: Vec<(Vec<Cell<S>>, EngineStats)> = Vec::with_capacity(workers);
+        let mut panic = None;
         std::thread::scope(|scope| {
-            let barrier = &barrier;
-            let round_min = &round_min;
+            let exchange = &exchange;
             let handles: Vec<_> = parts
                 .into_iter()
-                .zip(receivers)
-                .map(|(mut cells, rx)| {
-                    let senders = senders.clone();
-                    scope.spawn(move || {
-                        let mut outbox: Vec<Wire<S::Event>> = Vec::new();
-                        let mut events = 0u64;
-                        let mut rounds = 0u64;
-                        let mut parity = 0usize;
-                        loop {
-                            // Phase 1: drain the inbox (messages routed at
-                            // the end of the previous round), then reduce
-                            // this worker's minimum pending time.
-                            for wire in rx.try_iter() {
-                                let local = wire.to as usize / workers;
-                                cells[local].queue.insert_wire(wire);
-                            }
-                            let local_min = cells
-                                .iter()
-                                .filter_map(|c| c.queue.peek_time())
-                                .min()
-                                .map_or(INF_BITS, |t| t.as_secs().to_bits());
-                            round_min[parity].fetch_min(local_min, Ordering::SeqCst);
-                            barrier.wait();
-                            let global_min = round_min[parity].load(Ordering::SeqCst);
-                            if global_min == INF_BITS {
-                                // Every queue is empty and (because sends
-                                // precede the previous barrier) no message
-                                // is in flight: drained.
-                                break;
-                            }
-                            // Phase 2: everyone agrees on the window; run
-                            // it, route sends, and reset the other parity
-                            // slot for the next round.
-                            let bound =
-                                SimTime::from_secs(f64::from_bits(global_min)) + lookahead;
-                            rounds += 1;
-                            for cell in &mut cells {
-                                events += run_window(cell, bound, lookahead, &mut outbox);
-                            }
-                            for wire in outbox.drain(..) {
-                                let dest = wire.to as usize % workers;
-                                senders[dest].send(wire).expect("engine worker hung up");
-                            }
-                            round_min[1 - parity].store(INF_BITS, Ordering::SeqCst);
-                            barrier.wait();
-                            parity = 1 - parity;
-                        }
-                        (cells, events, rounds)
-                    })
-                })
+                .enumerate()
+                .map(|(me, cells)| scope.spawn(move || run_worker(exchange, me, cells, lookahead)))
                 .collect();
-            drop(senders);
             for h in handles {
-                finished.push(h.join().expect("engine worker panicked"));
+                match h.join() {
+                    Ok(Some(part)) => finished.push(part),
+                    // Left a poisoned barrier; the peer's panic is
+                    // re-raised below.
+                    Ok(None) => {}
+                    Err(payload) => {
+                        panic.get_or_insert(payload);
+                    }
+                }
             }
         });
-        let mut events = 0u64;
-        let mut rounds = 0u64;
+        if let Some(payload) = panic {
+            std::panic::resume_unwind(payload);
+        }
+        let mut counts = EngineStats::default();
         let mut cells: Vec<Cell<S>> = Vec::with_capacity(shard_count);
-        for (part, ev, rd) in finished {
-            events += ev;
-            rounds = rounds.max(rd);
+        for (part, worker) in finished {
+            counts.events += worker.events;
+            counts.wires += worker.wires;
+            counts.rounds = counts.rounds.max(worker.rounds);
             cells.extend(part);
         }
         cells.sort_unstable_by_key(|c| c.id);
         self.cells = cells;
-        (events, rounds)
+        counts
+    }
+}
+
+/// What the workers of one multi-worker run share.
+struct Exchange<E> {
+    workers: usize,
+    barrier: SpinBarrier,
+    /// Round-minimum bids in three rotating slots. Round `r` reads slot
+    /// `r % 3`, bids for round `r + 1` into slot `(r + 1) % 3`, and resets
+    /// slot `(r + 2) % 3`: every read of that slot happened before the
+    /// barrier that opened round `r`, and no bid lands in it before the
+    /// barrier that closes round `r`.
+    round_min: [AtomicU64; 3],
+    /// `slots[src * workers + dst]`: wires worker `src` published for
+    /// worker `dst`'s shards, drained by `dst` when it starts a round.
+    /// Senders append, because a slow receiver may not have drained the
+    /// previous batch yet; receivers swap the contents out.
+    slots: Vec<Mutex<Vec<Wire<E>>>>,
+}
+
+impl<E> Exchange<E> {
+    fn new(workers: usize) -> Self {
+        Exchange {
+            workers,
+            barrier: SpinBarrier::new(workers),
+            round_min: [INF_BITS; 3].map(AtomicU64::new),
+            slots: (0..workers * workers)
+                .map(|_| Mutex::new(Vec::new()))
+                .collect(),
+        }
+    }
+
+    /// The wire slot from worker `src` to worker `dst`. No handler runs
+    /// under the lock and each update (an append or a swap) leaves the
+    /// `Vec` whole, so a poisoned lock is recovered: a second panic here
+    /// would only mask the handler's own.
+    fn slot(&self, src: usize, dst: usize) -> MutexGuard<'_, Vec<Wire<E>>> {
+        self.slots[src * self.workers + dst]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// Worker `me`'s round loop over its `cells`: returns them with the
+/// worker's event, round and wire counts, or `None` when a peer panicked.
+fn run_worker<S: ShardLogic>(
+    ex: &Exchange<S::Event>,
+    me: usize,
+    mut cells: Vec<Cell<S>>,
+    lookahead: SimTime,
+) -> Option<(Vec<Cell<S>>, EngineStats)> {
+    let _poison = PoisonOnUnwind(&ex.barrier);
+    let workers = ex.workers;
+    let mut outbox: Vec<Wire<S::Event>> = Vec::new();
+    let mut inbox: Vec<Wire<S::Event>> = Vec::new();
+    let mut batches: Vec<Vec<Wire<S::Event>>> = (0..workers).map(|_| Vec::new()).collect();
+    let mut counts = EngineStats::default();
+    ex.round_min[0].fetch_min(min_bits(queue_min(&cells)), Ordering::SeqCst);
+    if !ex.barrier.wait() {
+        return None;
+    }
+    loop {
+        let slot = (counts.rounds % 3) as usize;
+        let global_min = ex.round_min[slot].load(Ordering::SeqCst);
+        if global_min == INF_BITS {
+            // Every bid was empty: no queued event and no wire in flight
+            // anywhere. Drained.
+            return Some((cells, counts));
+        }
+        ex.round_min[(slot + 2) % 3].store(INF_BITS, Ordering::SeqCst);
+        // Merge what the other workers published since this worker last
+        // looked: all of last round's batches, perhaps some of this
+        // round's (those are at or past this round's bound).
+        for src in (0..workers).filter(|&src| src != me) {
+            std::mem::swap(&mut inbox, &mut ex.slot(src, me));
+            for wire in inbox.drain(..) {
+                cells[wire.to as usize / workers].queue.insert_wire(wire);
+            }
+        }
+        let bound = SimTime::from_secs(f64::from_bits(global_min)) + lookahead;
+        counts.rounds += 1;
+        for cell in &mut cells {
+            counts.events += run_window(cell, bound, lookahead, &mut outbox);
+        }
+        // Route once: wires for this worker's shards go straight into their
+        // queues, the rest out as one batch per destination worker.
+        counts.wires += outbox.len() as u64;
+        let mut published: Option<SimTime> = None;
+        for wire in outbox.drain(..) {
+            let dest = wire.to as usize % workers;
+            if dest == me {
+                cells[wire.to as usize / workers].queue.insert_wire(wire);
+            } else {
+                published = Some(published.map_or(wire.time, |t| t.min(wire.time)));
+                batches[dest].push(wire);
+            }
+        }
+        for (dest, batch) in batches.iter_mut().enumerate() {
+            if !batch.is_empty() {
+                ex.slot(me, dest).append(batch);
+            }
+        }
+        let bid = queue_min(&cells).into_iter().chain(published).min();
+        ex.round_min[(slot + 1) % 3].fetch_min(min_bits(bid), Ordering::SeqCst);
+        if !ex.barrier.wait() {
+            return None;
+        }
     }
 }
 
@@ -653,9 +765,12 @@ mod tests {
 
     /// A shard that logs everything it handles and forwards according to a
     /// tiny scripted rule, exercising local scheduling, ties, and sends.
+    /// Each forwarding event also sends `fan` leaf messages at 1× and 2× the
+    /// lookahead, so a wide fan fills every round's batches with wires.
     struct Echo {
         log: Vec<(u64, u32)>, // (time in microseconds, payload)
         peers: usize,
+        fan: u32,
     }
 
     #[derive(Clone, Copy)]
@@ -683,18 +798,27 @@ mod tests {
                 // Exactly the lookahead: lands on the horizon boundary.
                 ctx.send(to, ctx.lookahead(), next);
             }
+            for i in 0..self.fan {
+                let leaf = (ctx.shard() + 1 + i as usize) % self.peers;
+                if leaf != ctx.shard() {
+                    let delay = ctx.lookahead() * f64::from(1 + i % 2);
+                    let payload = next.payload ^ (i << 24);
+                    ctx.send(leaf, delay, Msg { payload, hops: 0 });
+                }
+            }
         }
     }
 
-    fn echo_run(shards: usize, threads: usize, seeds: u64) -> Vec<Vec<(u64, u32)>> {
+    fn echo_run(shards: usize, fan: u32, threads: usize) -> Vec<Vec<(u64, u32)>> {
         let states = (0..shards)
             .map(|_| Echo {
                 log: Vec::new(),
                 peers: shards,
+                fan,
             })
             .collect();
         let mut engine = ShardEngine::new(states, SimTime::from_micros(50.0));
-        let mut rng = Rng::seed_from(seeds);
+        let mut rng = Rng::seed_from(42);
         for i in 0..64 {
             let shard = rng.index(shards);
             let at = SimTime::from_micros(rng.index(40) as f64);
@@ -713,10 +837,17 @@ mod tests {
 
     #[test]
     fn parallel_matches_serial_exactly() {
-        for shards in [1, 2, 3, 7] {
-            let reference = echo_run(shards, 1, 42);
-            for threads in [2, 3, 8] {
-                assert_eq!(reference, echo_run(shards, threads, 42), "shards={shards}");
+        // fan 0: one wire per event; fan 12: a dozen leaves per event.
+        for fan in [0, 12] {
+            for shards in [1, 2, 3, 7] {
+                let reference = echo_run(shards, fan, 1);
+                for threads in [2, 3, 8] {
+                    assert_eq!(
+                        reference,
+                        echo_run(shards, fan, threads),
+                        "shards={shards} fan={fan} threads={threads}"
+                    );
+                }
             }
         }
     }
@@ -728,6 +859,7 @@ mod tests {
                 .map(|_| Echo {
                     log: Vec::new(),
                     peers: 5,
+                    fan: 3,
                 })
                 .collect();
             let mut engine = ShardEngine::new(states, SimTime::from_micros(50.0));
@@ -747,8 +879,9 @@ mod tests {
         let b = build().run_with(4);
         assert_eq!(a.events, b.events);
         assert_eq!(a.rounds, b.rounds);
+        assert_eq!(a.wires, b.wires);
         assert_eq!(a.end_time, b.end_time);
-        assert!(a.events > 0 && a.rounds > 0);
+        assert!(a.events > 0 && a.rounds > 0 && a.wires > 0);
     }
 
     #[test]

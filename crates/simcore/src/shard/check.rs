@@ -4,11 +4,12 @@
 //! docs) is that per-shard pop order is a total order on the
 //! `(time, origin, seq)` merge key, so output is a pure function of the
 //! simulation — never of which worker ran which shard, which worker woke
-//! first in a round, or the order cross-shard messages drained out of the
-//! channels. CI checks that claim *dynamically* by byte-diffing a handful
-//! of thread counts; this module checks it the way loom checks a lock-free
-//! algorithm: by *enumerating* the schedule space of small workloads and
-//! asserting every schedule produces the identical event trace.
+//! first in a round, the order routed wires were merged, or the round in
+//! which a receiver picked a published batch up. CI checks that claim
+//! *dynamically* by byte-diffing a handful of thread counts; this module
+//! checks it the way loom checks a lock-free algorithm: by *enumerating*
+//! the schedule space of small workloads and asserting every schedule
+//! produces the identical event trace.
 //!
 //! A [`Schedule`] fixes every free choice the parallel runtime makes:
 //!
@@ -20,24 +21,30 @@
 //! * **local order** — the order a worker visits its own shards, forward
 //!   or reversed;
 //! * **delivery order** — the order routed wires are merged into
-//!   destination queues at the round boundary, forward or reversed.
-//!   Reversal is *more* adversarial than the real mpsc channels can
-//!   produce (they at least preserve each sender's FIFO order), so
-//!   passing here is strictly stronger than what the runtime needs.
+//!   destination queues, forward or reversed;
+//! * **early delivery** — whether a batch another worker published is
+//!   merged by its receiver at the receiver's next round start, or right
+//!   after the sender publishes it, possibly before the receiver runs its
+//!   window in the same round. With one barrier per round both happen in
+//!   the real engine: a slow receiver may still be starting its round when
+//!   a fast sender publishes.
 //!
 //! [`explore_schedules`] runs a workload under every combination,
 //! recording each shard's popped `(time, origin, seq)` keys, and asserts
 //! the traces are identical to the 1-worker identity schedule — which is
 //! verified on the spot against the production serial path
-//! ([`ShardEngine::run_with`]`(1)`) via its event/round counters. Within a
-//! round, serializing concurrent workers in *any* order is a valid
-//! linearization of the real execution because windows share no state;
-//! wires only move at the round boundary. A workload whose behaviour
-//! leaks execution order (say, through a process-global counter) is
-//! caught: some wake order reorders the leak, the traces diverge, and the
-//! panic names the offending schedule.
+//! ([`ShardEngine::run_with`]`(1)`) via its event, round and wire
+//! counters. Within a round, serializing concurrent workers in *any* order
+//! is a valid linearization of the real execution: windows share no
+//! state, a worker's wires to its own shards merge right after its
+//! windows, and a wire merged into another worker's shard before that
+//! worker's window carries a time at or past the round's bound, so it
+//! cannot pop in it. A workload whose behaviour leaks execution order (say,
+//! through a process-global counter) is caught: some wake order reorders
+//! the leak, the traces diverge, and the panic names the offending
+//! schedule.
 
-use super::{Cell, Entry, ShardCtx, ShardEngine, ShardLogic, Wire};
+use super::{queue_min, Cell, EngineStats, Entry, ShardCtx, ShardEngine, ShardLogic, Wire};
 use crate::time::SimTime;
 
 /// One popped event, keyed exactly as the engine merges it: the time's
@@ -66,8 +73,11 @@ pub struct Schedule {
     pub wake: Wake,
     /// Visit each worker's shards in reverse id order.
     pub reverse_local: bool,
-    /// Merge the round's routed wires in reverse emission order.
+    /// Merge routed wires in reverse emission order.
     pub reverse_delivery: bool,
+    /// Merge another worker's batch right after it is published instead of
+    /// at the receiver's next round start.
+    pub early_delivery: bool,
 }
 
 impl Schedule {
@@ -79,6 +89,7 @@ impl Schedule {
             wake: Wake::Static(vec![0]),
             reverse_local: false,
             reverse_delivery: false,
+            early_delivery: false,
         }
     }
 
@@ -105,6 +116,8 @@ pub struct Report {
     pub events: u64,
     /// Synchronization rounds per run (identical across all schedules).
     pub rounds: u64,
+    /// Cross-shard messages per run (identical across all schedules).
+    pub wires: u64,
 }
 
 /// [`super::run_window`] with the popped merge keys appended to `trace`.
@@ -134,13 +147,17 @@ fn run_window_traced<S: ShardLogic>(
 }
 
 /// Drains `engine` under `sched`, returning per-shard traces plus the
-/// event and round counts. The round protocol mirrors
-/// [`super::ShardEngine::run_parallel`]: global minimum, window
-/// `[T, T + lookahead)`, then wires merge at the round boundary.
+/// event, round and wire counts (`threads` is the schedule's worker count).
+/// The round protocol mirrors [`super::ShardEngine::run_parallel`]: the
+/// round minimum covers the queues and the wires in flight, the window is
+/// `[T, T + lookahead)`, a worker merges the batches published to it when
+/// it starts a round (or, under early delivery, they were merged as soon as
+/// they were published), and a worker's wires to its own shards merge
+/// right after its windows.
 pub fn run_traced<S: ShardLogic>(
     engine: &mut ShardEngine<S>,
     sched: &Schedule,
-) -> (Vec<Vec<TraceKey>>, u64, u64) {
+) -> (Vec<Vec<TraceKey>>, EngineStats) {
     let shards = engine.cells.len();
     assert_eq!(
         sched.assignment.len(),
@@ -154,14 +171,34 @@ pub fn run_traced<S: ShardLogic>(
     );
     let lookahead = engine.lookahead;
     let mut traces: Vec<Vec<TraceKey>> = vec![Vec::new(); shards];
-    let mut wires: Vec<Wire<S::Event>> = Vec::new();
-    let mut events = 0u64;
-    let mut rounds = 0u64;
-    while let Some(t_min) = engine.cells.iter().filter_map(|c| c.queue.peek_time()).min() {
+    let mut outbox: Vec<Wire<S::Event>> = Vec::new();
+    // `inbound[w]`: batches published for worker `w` last round, merged
+    // when `w` starts this round. `published[w]`: this round's, held back
+    // for the next round unless delivery is early.
+    let mut inbound: Vec<Vec<Wire<S::Event>>> = (0..sched.workers).map(|_| Vec::new()).collect();
+    let mut published: Vec<Vec<_>> = (0..sched.workers).map(|_| Vec::new()).collect();
+    let mut stats = EngineStats {
+        threads: sched.workers,
+        ..EngineStats::default()
+    };
+    let merge = |engine: &mut ShardEngine<S>, mut wires: Vec<Wire<S::Event>>| {
+        if sched.reverse_delivery {
+            wires.reverse();
+        }
+        for wire in wires {
+            engine.cells[wire.to as usize].queue.insert_wire(wire);
+        }
+    };
+    loop {
+        let flying = inbound.iter().flatten().map(|w| w.time).min();
+        let Some(t_min) = queue_min(&engine.cells).into_iter().chain(flying).min() else {
+            break;
+        };
         let bound = t_min + lookahead;
-        let order = sched.wake_order(rounds);
-        rounds += 1;
+        let order = sched.wake_order(stats.rounds);
+        stats.rounds += 1;
         for &worker in &order {
+            merge(engine, std::mem::take(&mut inbound[worker]));
             let mut owned: Vec<usize> = (0..shards)
                 .filter(|&s| sched.assignment[s] == worker)
                 .collect();
@@ -170,17 +207,31 @@ pub fn run_traced<S: ShardLogic>(
             }
             for s in owned {
                 let cell = &mut engine.cells[s];
-                events += run_window_traced(cell, bound, lookahead, &mut wires, &mut traces[s]);
+                let trace = &mut traces[s];
+                stats.events += run_window_traced(cell, bound, lookahead, &mut outbox, trace);
             }
+            stats.wires += outbox.len() as u64;
+            let mut now = Vec::new();
+            for wire in outbox.drain(..) {
+                let dest = sched.assignment[wire.to as usize];
+                if dest == worker || sched.early_delivery {
+                    now.push(wire);
+                } else {
+                    published[dest].push(wire);
+                }
+            }
+            merge(engine, now);
         }
-        if sched.reverse_delivery {
-            wires.reverse();
-        }
-        for wire in wires.drain(..) {
-            engine.cells[wire.to as usize].queue.insert_wire(wire);
-        }
+        // Every worker took its inbound batches this round.
+        std::mem::swap(&mut inbound, &mut published);
     }
-    (traces, events, rounds)
+    stats.end_time = engine
+        .cells
+        .iter()
+        .map(|c| c.queue.now())
+        .max()
+        .unwrap_or(SimTime::ZERO);
+    (traces, stats)
 }
 
 /// All permutations of `0..n`, in a deterministic order.
@@ -247,9 +298,10 @@ fn assert_traces_equal(reference: &[Vec<TraceKey>], got: &[Vec<TraceKey>], sched
 /// Runs the workload produced by `build` under **every** schedule up to
 /// `max_workers` workers — all shard-to-worker assignments × all wake
 /// orders (every static permutation plus every rotation offset) × forward
-/// and reversed local order × forward and reversed delivery order — and
-/// asserts every trace equals the identity schedule's, which is itself
-/// anchored to the production serial path by event/round counts.
+/// and reversed local order × forward and reversed delivery order × late
+/// and early delivery — and asserts every trace equals the identity
+/// schedule's, which is itself anchored to the production serial path by
+/// event, round and wire counts.
 ///
 /// `build` must return a freshly seeded engine each call; all runs must
 /// start from the same initial state or the comparison is meaningless.
@@ -278,11 +330,11 @@ where
     let serial = anchor.run_with(1);
     assert!(serial.events > 0, "workload schedules no events");
     let mut reference_engine = build();
-    let (reference, ref_events, ref_rounds) =
-        run_traced(&mut reference_engine, &Schedule::identity(shards));
+    let (reference, ref_stats) = run_traced(&mut reference_engine, &Schedule::identity(shards));
+    let counters = |s: &EngineStats| (s.events, s.rounds, s.wires);
     assert_eq!(
-        (ref_events, ref_rounds),
-        (serial.events, serial.rounds),
+        counters(&ref_stats),
+        counters(&serial),
         "traced identity schedule disagrees with the production serial engine"
     );
 
@@ -294,22 +346,26 @@ where
             for wake in &wakes {
                 for reverse_local in [false, true] {
                     for reverse_delivery in [false, true] {
-                        let sched = Schedule {
-                            workers,
-                            assignment: assignment.clone(),
-                            wake: wake.clone(),
-                            reverse_local,
-                            reverse_delivery,
-                        };
-                        let mut engine = build();
-                        let (traces, events, rounds) = run_traced(&mut engine, &sched);
-                        assert_traces_equal(&reference, &traces, &sched);
-                        assert_eq!(
-                            (events, rounds),
-                            (ref_events, ref_rounds),
-                            "schedule diverged from the serial engine (counters) under {sched:?}"
-                        );
-                        schedules += 1;
+                        for early_delivery in [false, true] {
+                            let sched = Schedule {
+                                workers,
+                                assignment: assignment.clone(),
+                                wake: wake.clone(),
+                                reverse_local,
+                                reverse_delivery,
+                                early_delivery,
+                            };
+                            let mut engine = build();
+                            let (traces, stats) = run_traced(&mut engine, &sched);
+                            assert_traces_equal(&reference, &traces, &sched);
+                            assert_eq!(
+                                counters(&stats),
+                                counters(&ref_stats),
+                                "schedule diverged from the serial engine (counters) \
+                                 under {sched:?}"
+                            );
+                            schedules += 1;
+                        }
                     }
                 }
             }
@@ -319,8 +375,9 @@ where
         shards,
         max_workers,
         schedules,
-        events: ref_events,
-        rounds: ref_rounds,
+        events: ref_stats.events,
+        rounds: ref_stats.rounds,
+        wires: ref_stats.wires,
     }
 }
 
@@ -330,13 +387,13 @@ mod tests {
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
-    /// Expected schedule count: Σ_{w=1..max} wᵈ · (w! + w) · 4, for d
+    /// Expected schedule count: Σ_{w=1..max} wᵈ · (w! + w) · 8, for d
     /// shards — assignments × (static perms + rotation offsets) × local
-    /// reversal × delivery reversal.
+    /// reversal × delivery reversal × early delivery.
     fn expected_schedules(shards: usize, max_workers: usize) -> usize {
         let factorial = |n: usize| (1..=n).product::<usize>();
         (1..=max_workers)
-            .map(|w| w.pow(shards as u32) * (factorial(w) + w) * 4)
+            .map(|w| w.pow(shards as u32) * (factorial(w) + w) * 8)
             .sum()
     }
 
@@ -385,7 +442,7 @@ mod tests {
     fn shardcheck_boundary_ties() {
         let report = explore_schedules(boundary_engine, 3);
         assert_eq!(report.schedules, expected_schedules(3, 3));
-        assert_eq!(report.schedules, 1108);
+        assert_eq!(report.schedules, 2216);
         assert!(report.events > 100, "workload too small: {report:?}");
         assert!(report.rounds >= 4, "{report:?}");
     }
@@ -428,7 +485,7 @@ mod tests {
     fn shardcheck_tie_heavy_grid() {
         let report = explore_schedules(grid_engine, 2);
         assert_eq!(report.schedules, expected_schedules(2, 2));
-        assert_eq!(report.schedules, 72);
+        assert_eq!(report.schedules, 144);
         assert!(report.events > 40, "workload too small: {report:?}");
     }
 
@@ -531,6 +588,6 @@ mod tests {
         let a = assignments(2, 3);
         assert_eq!(a.len(), 9);
         assert!(a.contains(&vec![2, 0]));
-        assert_eq!(expected_schedules(3, 3), 1108);
+        assert_eq!(expected_schedules(3, 3), 2216);
     }
 }

@@ -845,6 +845,7 @@ fn sharded_engine_trace_identical_across_worker_counts() {
             let (stats, states) = run(workers, &seeds);
             assert_eq!(stats.events, base_stats.events, "{shards} shards @ {workers} workers");
             assert_eq!(stats.rounds, base_stats.rounds, "{shards} shards @ {workers} workers");
+            assert_eq!(stats.wires, base_stats.wires, "{shards} shards @ {workers} workers");
             assert_eq!(stats.end_time, base_stats.end_time);
             for (s, (a, b)) in base_states.iter().zip(&states).enumerate() {
                 assert_eq!(
