@@ -19,8 +19,8 @@ use std::time::{Duration, Instant};
 use netsim::topology::FatTree;
 use queuesim::model::{run as run_queue, Config};
 use simcore::dist::{Distribution, Exponential, Pareto};
-use simcore::event::EventQueue;
 use simcore::rng::Rng;
+use simcore::shard::ShardQueue;
 use simcore::time::SimTime;
 use storesim::hashring::HashRing;
 use storesim::lru::LruCache;
@@ -59,8 +59,8 @@ fn main() {
     // --- event queue ---
     {
         let mut rng = Rng::seed_from(1);
-        bench(&filter, "event_queue_push_pop_1k", || {
-            let mut q = EventQueue::with_capacity(1024);
+        bench(&filter, "shard_queue_push_pop_1k", || {
+            let mut q = ShardQueue::with_capacity(0, 1024);
             for _ in 0..1024 {
                 q.push(SimTime::from_secs(rng.f64()), 0u32);
             }

@@ -19,7 +19,7 @@
 
 use crate::util::{ms, num, pct, Report};
 use crate::Effort;
-use netsim::experiments::{run_pair, NetConfig};
+use netsim::sim::{run as run_fabric, SimConfig};
 use queuesim::analytic::mm1;
 use queuesim::model::{run as run_queue, Config};
 use simcore::dist::Exponential;
@@ -125,21 +125,28 @@ fn depth(effort: Effort) -> String {
     let flows = effort.scale(20_000, 4_000);
     r.header(&["replicate_first_J", "improvement_pct_at_load_0.4"]);
     let depths = [1u32, 2, 4, 8, 16, 64, 10_000];
-    let improvements = Runner::global().map(&depths, |_i, &depth| {
-        let cfg = NetConfig {
+    // Every depth is compared against the same unreplicated run on the
+    // same flows, so that baseline runs once, as task 0, beside the
+    // replicated runs.
+    let mut runs = Runner::global().run(depths.len() + 1, |task| {
+        run_fabric(&SimConfig {
             load: 0.4,
             flows,
-            replicate_first: depth,
-            ..NetConfig::default()
-        };
-        run_pair(&cfg, 9).median_improvement_pct()
+            replicate_first: if task == 0 { 0 } else { depths[task - 1] },
+            seed: 9,
+            ..SimConfig::default()
+        })
     });
-    for (&depth, &imp) in depths.iter().zip(&improvements) {
+    let (baseline, replicated) = runs.split_at_mut(1);
+    let baseline_median = baseline[0].small_median();
+    for (&depth, run) in depths.iter().zip(replicated) {
         let label = if depth == 10_000 {
             "everything".to_string()
         } else {
             depth.to_string()
         };
+        // As `PairOutput::median_improvement_pct` computes it.
+        let imp = 100.0 * (1.0 - run.small_median() / baseline_median);
         r.row(&[label, pct(imp)]);
     }
     r.note("diminishing returns past the first handful of packets: short flows");

@@ -25,8 +25,8 @@ use crate::port::Port;
 use crate::tcp::{TcpActions, TcpConfig, TcpReceiver, TcpSender};
 use crate::topology::{FatTree, LinkId, NodeId};
 use crate::workload::{arrival_rate_for_load, generate_flows, FlowSizeDist, FlowSpec};
-use simcore::event::EventQueue;
 use simcore::rng::Rng;
+use simcore::shard::ShardQueue;
 use simcore::stats::SampleSet;
 use simcore::time::SimTime;
 
@@ -121,7 +121,7 @@ struct Engine<'a> {
     receivers: Vec<TcpReceiver>,
     specs: Vec<FlowSpec>,
     fct: Vec<Option<f64>>,
-    q: EventQueue<Ev>,
+    q: ShardQueue<Ev>,
     ecmp_salt: u64,
 }
 
@@ -295,7 +295,7 @@ pub fn run(cfg: &SimConfig) -> FctStats {
         senders,
         receivers,
         specs,
-        q: EventQueue::with_capacity(queue_cap),
+        q: ShardQueue::with_capacity(0, queue_cap),
         ecmp_salt,
     };
 

@@ -1,9 +1,8 @@
-//! A 4-ary max-heap specialized for the future-event lists.
+//! A 4-ary max-heap specialized for the future-event list.
 //!
-//! [`EventQueue`](crate::event::EventQueue) and
-//! [`ShardQueue`](crate::shard::ShardQueue) spend their time in
-//! push+pop pairs over entries with a *total* order (the merge keys
-//! `(time, seq)` and `(time, origin, seq)` are unique per entry). A 4-ary
+//! [`ShardQueue`](crate::shard::ShardQueue) spends its time in push+pop
+//! pairs over entries with a *total* order (the merge key
+//! `(time, origin, seq)` is unique per entry). A 4-ary
 //! layout halves the tree depth of the binary heap, turning roughly half of
 //! the cache-missing parent/child hops per sift into sibling comparisons
 //! that hit the same cache line — the classic d-ary trade (more compares
@@ -14,15 +13,15 @@
 //! correct heap pops the unique maximum at every step, so the pop sequence
 //! is independent of the internal layout. Swapping the binary heap for this
 //! one cannot change simulation output, only speed. A randomized test in
-//! this module and the queue-level tests in `event`/`shard` check exactly
-//! that against `std::collections::BinaryHeap`.
+//! this module checks exactly that against `std::collections::BinaryHeap`,
+//! and the queue-level tests in `shard` check the pop order.
 
 /// The arity. Children of slot `i` live at `4*i + 1 ..= 4*i + 4`; the
 /// parent of slot `i > 0` is `(i - 1) / 4`.
 const D: usize = 4;
 
 /// A 4-ary max-heap: a drop-in for the subset of
-/// `std::collections::BinaryHeap` the event queues use.
+/// `std::collections::BinaryHeap` the event queue uses.
 pub struct Heap4<T> {
     data: Vec<T>,
 }

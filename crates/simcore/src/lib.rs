@@ -8,8 +8,9 @@
 //!
 //! * [`time::SimTime`] — a total-ordered simulated clock (seconds, `f64`
 //!   resolution) usable both as an instant and as a duration;
-//! * [`event::EventQueue`] — a monotonic future-event list with stable FIFO
-//!   ordering for simultaneous events;
+//! * [`shard::ShardQueue`] — the monotonic future-event list, with stable
+//!   FIFO ordering for simultaneous events; one queue on its own runs a
+//!   sequential simulation;
 //! * [`rng::Rng`] — a from-scratch, bit-reproducible xoshiro256++ generator
 //!   with the transforms the paper's workloads need (exponential, normal,
 //!   gamma, Pareto, Weibull, Dirichlet, …);
@@ -24,9 +25,10 @@
 //!   with deterministic (task-order) results so output is bit-identical at
 //!   any thread count;
 //! * [`shard::ShardEngine`] — a sharded, conservatively-synchronized
-//!   parallel event engine for parallelism *within* one long simulation,
-//!   with a deterministic `(time, shard, sequence)` merge rule preserving
-//!   the bit-identical-at-any-thread-count invariant.
+//!   parallel event engine for parallelism *within* one long simulation:
+//!   one `ShardQueue` per shard, with a deterministic
+//!   `(time, shard, sequence)` merge rule preserving the
+//!   bit-identical-at-any-thread-count invariant.
 //!
 //! Everything here is deterministic given a seed: two runs of any experiment
 //! in this workspace produce byte-identical output, which is what makes the
@@ -43,7 +45,7 @@
 //! let arrivals = Exponential::with_rate(0.5);
 //! let service = Exponential::with_rate(1.0);
 //!
-//! let mut q = EventQueue::new();
+//! let mut q = ShardQueue::new(0);
 //! q.push(SimTime::ZERO, ());
 //! let mut clock = SimTime::ZERO;
 //! let mut busy_until = SimTime::ZERO;
@@ -65,7 +67,6 @@
 #![warn(missing_docs)]
 
 pub mod dist;
-pub mod event;
 pub mod heap;
 pub mod rng;
 pub mod runner;
@@ -82,7 +83,6 @@ pub mod prelude {
         BoundedPareto, Deterministic, DiscreteEmpirical, Distribution, Erlang, Exponential,
         HyperExponential, LogNormal, Mixture, Pareto, Shifted, TwoPoint, Uniform, Weibull,
     };
-    pub use crate::event::EventQueue;
     pub use crate::rng::Rng;
     pub use crate::runner::Runner;
     pub use crate::shard::{EngineStats, ShardCtx, ShardEngine, ShardLogic, ShardQueue};

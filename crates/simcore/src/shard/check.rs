@@ -44,7 +44,9 @@
 //! the leak, the traces diverge, and the panic names the offending
 //! schedule.
 
-use super::{queue_min, Cell, EngineStats, Entry, ShardCtx, ShardEngine, ShardLogic, Wire};
+use super::{
+    queue_min, unpack_key, Cell, EngineStats, Entry, ShardCtx, ShardEngine, ShardLogic, Wire,
+};
 use crate::time::SimTime;
 
 /// One popped event, keyed exactly as the engine merges it: the time's
@@ -131,7 +133,8 @@ fn run_window_traced<S: ShardLogic>(
     let mut handled = 0;
     while cell.queue.peek_time().is_some_and(|t| t < bound) {
         let entry: Entry<S::Event> = cell.queue.pop_entry().expect("peeked entry vanished");
-        trace.push((entry.time.as_secs().to_bits(), entry.origin, entry.seq));
+        let (origin, seq) = unpack_key(entry.key);
+        trace.push((entry.time.as_secs().to_bits(), origin, seq));
         let now = entry.time;
         let mut ctx = ShardCtx {
             now,
@@ -536,6 +539,43 @@ mod tests {
         let report = explore_schedules(hotspot_engine, 3);
         assert_eq!(report.schedules, expected_schedules(3, 3));
         assert!(report.events > 60, "workload too small: {report:?}");
+    }
+
+    /// Workload D — *early wire in flight*. Each shard answers a message
+    /// with a reply at exactly the lookahead, and also schedules a local
+    /// event half a lookahead after the reply lands; shard 1 holds a far
+    /// event from the start. So when the two shards sit on different
+    /// workers, a round ends with the reply published but not yet merged,
+    /// earlier than everything queued, while no queue is empty: the round
+    /// minimum is right only if it counts wires in flight as well as
+    /// queues.
+    struct EarlyWire;
+
+    impl ShardLogic for EarlyWire {
+        type Event = u32;
+        fn handle(&mut self, now: SimTime, hops: u32, ctx: &mut ShardCtx<'_, u32>) {
+            if hops == 0 {
+                return;
+            }
+            let lookahead = ctx.lookahead();
+            ctx.send(1 - ctx.shard(), lookahead, hops - 1);
+            ctx.schedule_at(now + lookahead * 1.5, 0);
+        }
+    }
+
+    fn early_wire_engine() -> ShardEngine<EarlyWire> {
+        let lookahead = SimTime::from_micros(50.0);
+        let mut engine = ShardEngine::new(vec![EarlyWire, EarlyWire], lookahead);
+        engine.schedule(0, SimTime::ZERO, 8);
+        engine.schedule(1, lookahead * 100.0, 0);
+        engine
+    }
+
+    #[test]
+    fn shardcheck_early_wire_in_flight() {
+        let report = explore_schedules(early_wire_engine, 2);
+        assert_eq!(report.schedules, expected_schedules(2, 2));
+        assert!(report.rounds >= 8, "{report:?}");
     }
 
     /// Meta-test: the checker must *discriminate*, not just pass. This

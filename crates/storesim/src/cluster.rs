@@ -26,8 +26,8 @@ use crate::disk::DiskProfile;
 use crate::hashring::HashRing;
 use crate::lru::LruCache;
 use simcore::dist::{Distribution, DynDist};
-use simcore::event::EventQueue;
 use simcore::rng::Rng;
+use simcore::shard::ShardQueue;
 use simcore::stats::SampleSet;
 use simcore::time::SimTime;
 
@@ -117,7 +117,8 @@ pub struct ClusterConfig {
     pub servers: usize,
     /// Number of client machines (the paper uses 10).
     pub clients: usize,
-    /// Copies per GET (1 = no replication, 2 = the paper's scheme).
+    /// Copies per GET (1 = no replication, 2 = the paper's scheme). At
+    /// most the two stored replicas (one on a single-server cluster).
     pub copies: usize,
     /// The file population.
     pub files: FilePopulation,
@@ -217,17 +218,23 @@ struct ReqState {
     arrival: SimTime,
     file: u32,
     client: u16,
-    outstanding: u8,
     recorded: bool,
 }
 
 /// Runs the cluster simulation.
 ///
 /// # Panics
-/// Panics if `copies` exceeds the server count or the realized bottleneck
-/// utilization `copies × load` is ≥ 1.
+/// Panics if `copies` is zero or exceeds the stored replica count
+/// (`2.min(servers)`), or if the realized bottleneck utilization
+/// `copies × load` is ≥ 1.
 pub fn run(cfg: &ClusterConfig) -> ClusterResult {
-    assert!(cfg.copies >= 1 && cfg.copies <= cfg.servers);
+    // Two copies of every file are stored; a GET can race at most those.
+    let stored_copies = 2.min(cfg.servers);
+    assert!(
+        cfg.copies >= 1 && cfg.copies <= stored_copies,
+        "copies = {} outside 1..={stored_copies}, the stored replica count",
+        cfg.copies
+    );
     assert!(
         (cfg.copies as f64) * cfg.load < 1.0,
         "k*load = {} saturates the cluster",
@@ -262,7 +269,7 @@ pub fn run(cfg: &ClusterConfig) -> ClusterResult {
         for (s, cache) in caches.iter_mut().enumerate() {
             for &f in &ids {
                 // Two copies are stored regardless of the query-time k.
-                let owners = ring.replicas(f as u64, 2.min(cfg.servers));
+                let owners = ring.replicas(f as u64, stored_copies);
                 if owners.contains(&s) {
                     cache.insert(f as u64, cfg.files.size(f as usize));
                 }
@@ -282,7 +289,7 @@ pub fn run(cfg: &ClusterConfig) -> ClusterResult {
 
     // Steady state holds roughly one in-flight request chain per server
     // plus one pending arrival; pre-size so the heap never reallocates.
-    let mut q: EventQueue<Ev> = EventQueue::with_capacity((8 * cfg.servers).max(1024));
+    let mut q: ShardQueue<Ev> = ShardQueue::with_capacity(0, (8 * cfg.servers).max(1024));
     q.push(
         SimTime::from_secs(arrival_rng.exponential(lambda)),
         Ev::Arrive { req: 0 },
@@ -300,7 +307,6 @@ pub fn run(cfg: &ClusterConfig) -> ClusterResult {
                     arrival: now,
                     file,
                     client,
-                    outstanding: cfg.copies as u8,
                     recorded: false,
                 });
                 debug_assert_eq!(reqs.len() - 1, req as usize);
@@ -308,7 +314,7 @@ pub fn run(cfg: &ClusterConfig) -> ClusterResult {
 
                 // Two replicas are stored; a 1-copy GET load-balances
                 // across them, a 2-copy GET races both.
-                let stored = ring.replicas(file as u64, 2.min(cfg.servers));
+                let stored = ring.replicas(file as u64, stored_copies);
                 let targets: Vec<usize> = if cfg.copies >= stored.len() {
                     stored
                 } else {
@@ -391,7 +397,6 @@ pub fn run(cfg: &ClusterConfig) -> ClusterResult {
                 cnic_free[c] = done_rx;
                 let completion = done_rx + cfg.net.client_recv_cost;
                 let state = &mut reqs[req as usize];
-                state.outstanding -= 1;
                 if !state.recorded {
                     state.recorded = true;
                     if (req as usize) >= cfg.warmup {
@@ -504,6 +509,12 @@ mod tests {
         let cfg = small_config(2, 0.2);
         let out = run(&cfg);
         assert_eq!(out.completed, cfg.requests);
+    }
+
+    #[test]
+    #[should_panic(expected = "stored replica count")]
+    fn copies_beyond_stored_replicas_panics() {
+        run(&small_config(3, 0.1));
     }
 
     #[test]

@@ -16,8 +16,8 @@
 
 use crate::hashring::HashRing;
 use simcore::dist::{Distribution, LogNormal, Mixture};
-use simcore::event::EventQueue;
 use simcore::rng::Rng;
+use simcore::shard::ShardQueue;
 use simcore::stats::SampleSet;
 use simcore::time::SimTime;
 
@@ -168,7 +168,7 @@ pub fn run_with_profile(cfg: &MemcachedConfig, prof: &MemcachedProfile) -> Memca
 
     // Pre-size past the steady-state population (a few events per server)
     // so the heap never reallocates mid-run.
-    let mut q: EventQueue<Ev> = EventQueue::with_capacity((8 * cfg.servers).max(1024));
+    let mut q: ShardQueue<Ev> = ShardQueue::with_capacity(0, (8 * cfg.servers).max(1024));
     q.push(
         SimTime::from_secs(arrival_rng.exponential(lambda)),
         Ev::Arrive { req: 0 },

@@ -1,7 +1,7 @@
 //! # rt — the wall-clock counterpart of the simulated service.
 //!
 //! Everything else in this crate runs in *simulated* time on
-//! `simcore::event`. This module is the executable twin: `N` real worker
+//! `simcore::shard`. This module is the executable twin: `N` real worker
 //! threads serve requests over `std::sync::mpsc` channels, the adaptive
 //! frontend decides every request with [`LivePlanner`] — the same loop
 //! the simulated service's frontend lanes run — and first-response

@@ -18,8 +18,8 @@ use low_latency_redundancy::netsim::topology::FatTree;
 use low_latency_redundancy::simcore::dist::{
     DiscreteEmpirical, Distribution, LogNormal, Pareto, TwoPoint, Weibull,
 };
-use low_latency_redundancy::simcore::event::EventQueue;
 use low_latency_redundancy::simcore::rng::Rng;
+use low_latency_redundancy::simcore::shard::ShardQueue;
 use low_latency_redundancy::simcore::stats::SampleSet;
 use low_latency_redundancy::simcore::time::SimTime;
 use low_latency_redundancy::storesim::hashring::HashRing;
@@ -35,14 +35,21 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Events pop sorted by time; ties pop in insertion order.
+/// The event queue (one [`ShardQueue`], as every sequential simulator
+/// drives it) pops sorted by time, and ties pop in insertion order. Half
+/// the cases draw from a few distinct times, so most pops are exact ties.
 #[test]
 fn event_queue_total_order() {
     let mut rng = Rng::seed_from(0xE7E27);
-    for _case in 0..200 {
-        let n = 1 + rng.index(200);
-        let times: Vec<u32> = (0..n).map(|_| rng.u64_below(1000) as u32).collect();
-        let mut q = EventQueue::new();
+    for case in 0..300 {
+        let n = 1 + rng.index(300);
+        let span = if case % 2 == 0 {
+            1000
+        } else {
+            1 + rng.u64_below(8)
+        };
+        let times: Vec<u32> = (0..n).map(|_| rng.u64_below(span) as u32).collect();
+        let mut q = ShardQueue::new(0);
         for (i, &t) in times.iter().enumerate() {
             q.push(SimTime::from_secs(t as f64), i);
         }
@@ -52,9 +59,9 @@ fn event_queue_total_order() {
         }
         assert_eq!(popped.len(), times.len());
         for w in popped.windows(2) {
-            assert!(w[0].0 <= w[1].0, "time order violated");
+            assert!(w[0].0 <= w[1].0, "case {case}: time order violated");
             if w[0].0 == w[1].0 {
-                assert!(w[0].1 < w[1].1, "FIFO tie-break violated");
+                assert!(w[0].1 < w[1].1, "case {case}: FIFO tie-break violated");
             }
         }
     }
@@ -749,28 +756,30 @@ fn library_race_end_to_end() {
     assert_eq!(out.value, "fast");
 }
 
-/// A single [`ShardQueue`] pops in exactly the order of the sequential
-/// [`EventQueue`] on randomized schedules — including heavy simultaneous-
-/// event ties, which must break FIFO by insertion order on both. This is
-/// the base case of the sharded engine's determinism guarantee: with one
-/// shard there is no merge rule left, only the queue.
+/// A single [`ShardQueue`] pops in exactly the order a sequential event
+/// queue must produce on randomized schedules — including heavy
+/// simultaneous-event ties, which must break FIFO by insertion order. The
+/// reference is the pushed `(time, insertion index)` list, stably sorted by
+/// time. This is the base case of the sharded engine's determinism
+/// guarantee: with one shard there is no merge rule left, only the queue.
 #[test]
 fn shard_queue_pop_order_matches_event_queue() {
-    use low_latency_redundancy::simcore::shard::ShardQueue;
     let mut rng = Rng::seed_from(0x5AA2D);
     for case in 0..100 {
         let n = 1 + rng.index(300);
         // Few distinct times => many exact ties.
         let span = 1 + rng.index(8) as u64;
-        let mut eq = EventQueue::new();
+        let mut reference = Vec::with_capacity(n);
         let mut sq = ShardQueue::new(0);
         for i in 0..n {
             let t = SimTime::from_secs(rng.u64_below(span) as f64);
-            eq.push(t, i);
+            reference.push((t, i));
             sq.push(t, i);
         }
+        reference.sort_by_key(|&(t, _)| t);
+        let mut expected = reference.into_iter();
         loop {
-            match (eq.pop(), sq.pop()) {
+            match (expected.next(), sq.pop()) {
                 (None, None) => break,
                 (a, b) => assert_eq!(a, b, "case {case}: pop order diverged"),
             }
