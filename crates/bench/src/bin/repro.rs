@@ -4,24 +4,36 @@
 //! repro <id>... [--quick] [--threads N] [--out DIR]    run specific experiments
 //! repro all     [--quick] [--threads N] [--out DIR]    run everything, paper order
 //! repro list                                           show available ids
-//! repro list --figures                                 only the `all` set (CI coverage guard)
+//! repro check DIR                                      check DIR/<id>.txt against the bands
 //! ```
 //!
 //! Output goes to stdout; with `--out DIR` each experiment is also written
 //! to `DIR/<id>.txt`. `--threads N` sets the parallelism of every sweep
 //! (default: the machine's available parallelism, or the `LLR_THREADS`
 //! environment variable); results are bit-identical at any thread count.
+//!
+//! `repro check DIR` prints one `ok   <id>: ...` or `FAIL <id>: ...` line
+//! per headline band in `repro_bench::bands`, plus `FAIL <id>: missing ...`
+//! for every `repro all` figure without a report, and exits 1 if any line
+//! failed.
 
 #![forbid(unsafe_code)]
 
-use repro_bench::{known_ids, run_experiment, Effort, ABLATION_IDS, ALL_IDS, WALL_CLOCK_IDS};
+use repro_bench::{
+    bands, known_ids, run_experiment, Effort, ABLATION_IDS, ALL_IDS, WALL_CLOCK_IDS,
+};
 use std::io::Write;
+use std::path::Path;
 use std::time::Instant;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() {
-        usage();
+    if args.first().is_some_and(|a| a == "check") {
+        match &args[1..] {
+            [dir] if Path::new(dir).is_dir() => check(Path::new(dir)),
+            [dir] => eprintln!("repro check: '{dir}' is not a directory"),
+            _ => usage(),
+        }
         std::process::exit(2);
     }
 
@@ -29,12 +41,10 @@ fn main() {
     let mut out_dir: Option<String> = None;
     let mut ids: Vec<String> = Vec::new();
     let mut list = false;
-    let mut figures_only = false;
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--quick" => effort = Effort::Quick,
-            "--figures" => figures_only = true,
             "--threads" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
                 Some(n) if n > 0 => simcore::runner::set_global_threads(n),
                 _ => {
@@ -60,30 +70,21 @@ fn main() {
         }
     }
 
-    if list {
-        // `--figures` restricts to the `repro all` set — the ids CI's
-        // serial-vs-parallel byte-diff must cover, machine-readably.
-        if figures_only {
-            for id in ALL_IDS {
-                println!("{id}");
-            }
-        } else {
-            for id in known_ids() {
-                println!("{id}");
-            }
-        }
-        return;
-    }
-    if figures_only {
-        eprintln!("--figures only applies to `repro list`");
-        std::process::exit(2);
-    }
-
     for id in &ids {
         if !known_ids().any(|k| k == id) {
             eprintln!("unknown experiment id '{id}'; try `repro list`");
             std::process::exit(2);
         }
+    }
+    if list {
+        for id in known_ids() {
+            println!("{id}");
+        }
+        return;
+    }
+    if ids.is_empty() {
+        usage();
+        std::process::exit(2);
     }
     if let Some(dir) = &out_dir {
         std::fs::create_dir_all(dir).expect("create --out directory");
@@ -112,11 +113,20 @@ fn main() {
     }
 }
 
+/// Prints every band line for `dir` and exits 1 if any failed, 0 if not.
+fn check(dir: &Path) -> ! {
+    let verdicts = bands::check_dir(dir);
+    let failed = verdicts.iter().filter(|v| !v.ok).count();
+    for v in &verdicts {
+        println!("{v}");
+    }
+    eprintln!("{failed} of {} band checks failed", verdicts.len());
+    std::process::exit(i32::from(failed > 0))
+}
+
 fn usage() {
-    eprintln!(
-        "usage: repro <id>...|all|ablations|list [--figures] [--quick] [--threads N] \
-         [--out DIR]"
-    );
+    eprintln!("usage: repro <id>...|all|ablations|list [--quick] [--threads N] [--out DIR]");
+    eprintln!("       repro check DIR");
     eprintln!("figures:   {}", ALL_IDS.join(" "));
     eprintln!("ablations: {}", ABLATION_IDS.join(" "));
     eprintln!(

@@ -3,7 +3,8 @@
 //! Each public `fig*`/`tcp`/`thm1` function runs the corresponding
 //! experiment end-to-end and returns the series as printable text (the same
 //! rows the paper plots). The `repro` binary dispatches on experiment id;
-//! `EXPERIMENTS.md` at the workspace root records paper-vs-measured values.
+//! `EXPERIMENTS.md` at the workspace root records paper-vs-measured values,
+//! and [`bands`] holds the headline bands `repro check` gates them on.
 //!
 //! Two effort levels: `Effort::Quick` (seconds per figure — used in CI and
 //! the workspace integration tests) and `Effort::Full` (figure quality,
@@ -13,6 +14,7 @@
 #![warn(missing_docs)]
 
 pub mod ablations;
+pub mod bands;
 pub mod network;
 pub mod queueing;
 pub mod rt_report;

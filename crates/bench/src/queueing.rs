@@ -240,17 +240,7 @@ mod tests {
 
     #[test]
     fn thm1_quick_agrees() {
-        let out = thm1(Effort::Quick);
-        // Extract the three threshold numbers and check the band.
-        let vals: Vec<f64> = out
-            .lines()
-            .filter(|l| !l.starts_with('#'))
-            .filter_map(|l| l.split('\t').nth(1)?.parse().ok())
-            .collect();
-        assert_eq!(vals.len(), 3);
-        for v in vals {
-            assert!((v - 1.0 / 3.0).abs() < 0.04, "threshold {v}");
-        }
+        crate::bands::assert_holds("thm1", &thm1(Effort::Quick));
     }
 
     #[test]

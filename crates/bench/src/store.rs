@@ -884,8 +884,8 @@ pub fn fig_service_elastic(effort: Effort) -> String {
         r.row(&[format!("{:.4}", e.at), format!("{}", e.servers), num(e.rho)]);
     }
     r.blank();
-    // The headline claims, asserted in-run and gated again by
-    // check_headlines.sh from the printed notes.
+    // The headline claims, asserted in-run and gated again by the
+    // `fig-service-elastic` bands in `crate::bands` from the printed notes.
     assert_eq!(
         out.peak_live, a.max_servers,
         "fleet never reached the ceiling: {:?}",
@@ -951,17 +951,6 @@ mod tests {
     #[test]
     fn fig11_report_shows_no_win() {
         let out = disk_figure(DiskFigure::Fig11, Effort::Quick);
-        // Parse the 0.2-load row: mean_2copies >= ~mean_1copy.
-        let row: Vec<f64> = out
-            .lines()
-            .filter(|l| !l.starts_with('#') && !l.is_empty())
-            .map(|l| {
-                l.split('\t')
-                    .map(|c| c.parse::<f64>().unwrap())
-                    .collect::<Vec<_>>()
-            })
-            .find(|cells| (cells[0] - 0.2).abs() < 1e-9)
-            .unwrap();
-        assert!(row[2] > row[1] * 0.9, "{row:?}");
+        crate::bands::assert_holds("fig11", &out);
     }
 }

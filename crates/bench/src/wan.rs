@@ -146,15 +146,11 @@ mod tests {
         let out = tcp_handshake(Effort::Quick);
         assert!(out.contains("ms/KB"));
         assert!(out.contains("break-even"));
+        crate::bands::assert_holds("tcp", &out);
     }
 
     #[test]
     fn fig16_has_ten_rows() {
-        let out = fig16(Effort::Quick);
-        let rows = out
-            .lines()
-            .filter(|l| !l.starts_with('#') && !l.is_empty())
-            .count();
-        assert_eq!(rows, 10);
+        crate::bands::assert_holds("fig16", &fig16(Effort::Quick));
     }
 }

@@ -93,6 +93,7 @@ pub const CRATE_ROOTS: &[&str] = &[
     "crates/bench/benches/engine.rs",
     "crates/bench/benches/hotpath.rs",
     "crates/bench/benches/primitives.rs",
+    "crates/bench/tests/cli.rs",
     "crates/lint/src/lib.rs",
     "crates/lint/src/main.rs",
     "examples/capacity_planner.rs",

@@ -1050,8 +1050,8 @@ mod tests {
     fn pareto_inverse_scale_axis_endpoints() {
         // Pins the Fig 2(b) axis mapping α = 1 + 1/β (see the method docs
         // for why no other mapping fits the figure's endpoints). Changing
-        // the mapping must break this test, re-pin the headline band in
-        // scripts/check_headlines.sh, and update EXPERIMENTS.md §2.1.
+        // the mapping must break this test, re-pin the fig2b headline band
+        // in repro-bench's `bands` table, and update EXPERIMENTS.md §2.1.
         for (beta, alpha) in [(0.1, 11.0), (0.5, 3.0), (0.9, 1.0 + 1.0 / 0.9), (0.98, 1.0 + 1.0 / 0.98)] {
             let d = Pareto::unit_mean_inverse_scale(beta);
             assert!((d.alpha() - alpha).abs() < 1e-12, "beta={beta}: {}", d.alpha());

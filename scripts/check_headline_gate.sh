@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
-# Guard for the guard: check_headlines.sh must (a) pass a pristine
-# results tree and (b) still *fail* one that drifted out of band. A
-# grep-based gate can rot silently — a renamed note string makes every
-# extraction come back empty, and a buggy band compare could wave the
-# empty value through. This script is the negative test: it tampers a
-# copy of the real results so the elastic switch-off lands far outside
-# the +-0.06 band and requires the gate to exit 1 naming the figure.
+# Guard for the guard: check_headlines.sh (`repro check`) must (a) pass
+# a pristine results tree and (b) still *fail* one that drifted out of
+# band. A gate can rot silently — a buggy band compare could wave any
+# value through. This script is the negative test: it tampers a copy of
+# the real results so the elastic switch-off lands far outside the
+# +-0.06 band and requires the gate to exit 1 naming the figure and the
+# tampered value.
 # Usage: check_headline_gate.sh <results-dir>
 set -u
 dir="${1:?usage: check_headline_gate.sh <results-dir>}"
@@ -39,7 +39,7 @@ if [ "$status" -ne 1 ]; then
   echo "$out"
   exit 1
 fi
-if ! printf '%s\n' "$out" | grep -q "FAIL fig-service-elastic: switch-off '0.90000'"; then
+if ! printf '%s\n' "$out" | grep -q '^FAIL fig-service-elastic: .*0\.90000'; then
   echo "FAIL: gate failure does not name the tampered fig-service-elastic value:"
   echo "$out"
   exit 1
