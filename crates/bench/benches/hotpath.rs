@@ -20,6 +20,12 @@
 //!   loop chains them (decide, trace-fingerprint, per-copy demand
 //!   ingest, token issue). `--assert-budget` turns the < 1000 ns
 //!   budget into a hard failure — the CI gate;
+//! * `threshold_cold` — one uncached `Planner::threshold_load()` (the
+//!   bisection a `ThresholdCache` miss pays, inline on `storesim::rt`'s
+//!   frontend thread) at scv 0.26, 1 and 10, best of 3 in either mode.
+//!   The heavy law's quadrature branch is the expensive case, so
+//!   `--assert-budget` also fails when heavy costs more than 5× the
+//!   exponential — a within-run ratio, immune to the runner's speed;
 //! * `race` — one `sync_exec::race` (two thread-spawned replicas) vs,
 //!   under `--features tokio-exec`, one `tokio_exec::race_async` (two
 //!   futures on the built-in single-thread executor), both over trivial
@@ -73,9 +79,9 @@ fn fnv1a(hash: &mut u64, bytes: &[u8]) {
     }
 }
 
-fn json_f(v: f64) -> String {
+fn json_f(v: f64, decimals: usize) -> String {
     if v.is_finite() {
-        format!("{v:.1}")
+        format!("{v:.decimals$}")
     } else {
         "null".to_string()
     }
@@ -221,6 +227,32 @@ fn main() {
         None
     };
 
+    // --- cold thresholds: one uncached bisection each (a cache fill) ---
+    // Best of 3 single calls in either mode: each takes milliseconds.
+    let cold_ms = |scv: f64| {
+        let planner = Planner::new(WorkloadProfile {
+            mean_service,
+            scv,
+            client_overhead: 0.0,
+        });
+        (0..3)
+            .map(|_| {
+                let t0 = Instant::now();
+                black_box(planner.threshold_load());
+                t0.elapsed().as_secs_f64() * 1.0e3
+            })
+            .fold(f64::INFINITY, f64::min)
+    };
+    let [light_ms, exponential_ms, heavy_ms] = [0.26, 1.0, 10.0].map(cold_ms);
+    let heavy_over_exponential = heavy_ms / exponential_ms;
+    let cold_ratio_budget = 5.0;
+    println!("threshold_cold_light           {light_ms:>10.3} ms (scv 0.26)");
+    println!("threshold_cold_exponential     {exponential_ms:>10.3} ms (scv 1)");
+    println!("threshold_cold_heavy           {heavy_ms:>10.3} ms (scv 10)");
+    println!(
+        "heavy_over_exponential         {heavy_over_exponential:>10.2} x (budget {cold_ratio_budget:.1})"
+    );
+
     let hotpath = format!(
         "{{\n    \"mode\": \"{}\",\n    \"servers\": {},\n    \
          \"estimator_ingest_ns\": {},\n    \
@@ -229,16 +261,26 @@ fn main() {
          \"combined_ns\": {},\n    \
          \"budget_ns\": {},\n    \
          \"race_thread_executor_ns\": {},\n    \
-         \"race_async_executor_ns\": {}\n  }}",
+         \"race_async_executor_ns\": {},\n    \
+         \"threshold_cold_ms_light\": {},\n    \
+         \"threshold_cold_ms_exponential\": {},\n    \
+         \"threshold_cold_ms_heavy\": {},\n    \
+         \"heavy_over_exponential_threshold_cold\": {},\n    \
+         \"heavy_over_exponential_budget\": {:.1}\n  }}",
         if quick { "quick" } else { "full" },
         servers,
-        json_f(ingest_ns),
-        json_f(decision_ns),
-        json_f(cancel_ns),
-        json_f(combined_ns),
+        json_f(ingest_ns, 1),
+        json_f(decision_ns, 1),
+        json_f(cancel_ns, 1),
+        json_f(combined_ns, 1),
         budget_ns as u64,
-        json_f(thread_race_ns),
-        async_race_ns.map_or("null".to_string(), json_f),
+        json_f(thread_race_ns, 1),
+        async_race_ns.map_or("null".to_string(), |ns| json_f(ns, 1)),
+        json_f(light_ms, 3),
+        json_f(exponential_ms, 3),
+        json_f(heavy_ms, 3),
+        json_f(heavy_over_exponential, 2),
+        cold_ratio_budget,
     );
     let doc = match std::fs::read_to_string(&out_path) {
         Ok(old) => json_with_object(&old, "hotpath", &hotpath),
@@ -259,5 +301,14 @@ fn main() {
             "combined hot path {combined_ns:.1} ns/iter exceeds the {budget_ns:.0} ns budget"
         );
         println!("asserted combined hot path {combined_ns:.1} ns < {budget_ns:.0} ns budget");
+        assert!(
+            heavy_over_exponential <= cold_ratio_budget,
+            "a cold heavy-tail threshold costs {heavy_over_exponential:.2}x the exponential one \
+             (budget {cold_ratio_budget:.1}x)"
+        );
+        println!(
+            "asserted cold threshold heavy/exponential {heavy_over_exponential:.2}x <= \
+             {cold_ratio_budget:.1}x budget"
+        );
     }
 }

@@ -59,6 +59,15 @@ impl WorkloadProfile {
     }
 }
 
+/// The two-moment model behind every threshold has no answer for a
+/// service law without a finite second moment.
+fn assert_finite_scv(scv: f64) {
+    assert!(
+        scv.is_finite(),
+        "the two-moment planner needs finite service variance (scv = {scv})"
+    );
+}
+
 /// What the planner recommends.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Advice {
@@ -100,7 +109,13 @@ pub struct Planner {
 
 impl Planner {
     /// Creates a planner for a workload.
+    ///
+    /// # Panics
+    /// Panics on a non-finite SCV (a service law with infinite variance,
+    /// such as a Pareto with `α ≤ 2`), a non-positive mean, a negative
+    /// SCV, or a negative overhead.
     pub fn new(profile: WorkloadProfile) -> Self {
+        assert_finite_scv(profile.scv);
         assert!(profile.mean_service > 0.0 && profile.scv >= 0.0);
         assert!(profile.client_overhead >= 0.0);
         Planner { profile }
@@ -115,29 +130,7 @@ impl Planner {
     /// which 2-way replication still lowers the mean (0 when the client
     /// overhead already exceeds any possible gain).
     pub fn threshold_load(&self) -> f64 {
-        let s = self.profile.moments();
-        let over = self.profile.client_overhead;
-        // Bisect mean2(rho) + overhead = mean1(rho) on (0, 0.5).
-        let gain = |rho: f64| {
-            two_moment::mean_response_replicated(s, rho, 2) + over - pk::mean_response(s, rho)
-        };
-        let mut lo = 1e-4;
-        let mut hi = 0.5 - 1e-6;
-        if gain(lo) > 0.0 {
-            return 0.0;
-        }
-        if gain(hi) < 0.0 {
-            return hi;
-        }
-        while hi - lo > 1e-4 {
-            let mid = 0.5 * (lo + hi);
-            if gain(mid) < 0.0 {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        0.5 * (lo + hi)
+        two_moment::threshold(self.profile.moments(), self.profile.client_overhead)
     }
 
     /// Per-request decision for one request's candidate servers: replicate
@@ -207,8 +200,8 @@ impl Planner {
 /// `gain(ρ)` by the same factor, so the root depends only on the service
 /// SCV and the overhead-to-mean ratio. A self-calibrating front-end
 /// re-deriving the threshold as its moment estimates drift would otherwise
-/// pay the full bisection (tens of milliseconds of CCDF quadrature) on
-/// every recalibration; this cache snaps the two dimensionless inputs onto
+/// pay the full bisection (3–10 ms of CCDF quadrature in a release build)
+/// on every recalibration; this cache snaps the two dimensionless inputs onto
 /// a ~2 %-relative grid and bisects once per grid point, so a converging
 /// estimator quickly stops paying anything at all.
 ///
@@ -285,8 +278,10 @@ impl ThresholdCache {
     /// `(scv, overhead/mean)` grid.
     ///
     /// # Panics
-    /// Panics on a non-positive mean, negative SCV, or negative overhead.
+    /// Panics on a non-finite SCV, a non-positive mean, a negative SCV, or
+    /// a negative overhead.
     pub fn threshold(&mut self, mean_service: f64, scv: f64, client_overhead: f64) -> f64 {
+        assert_finite_scv(scv);
         assert!(mean_service > 0.0, "mean must be positive: {mean_service}");
         assert!(scv >= 0.0 && client_overhead >= 0.0);
         let key = (
@@ -605,6 +600,66 @@ mod tests {
                 "ratio {ratio}: cached {approx} vs exact {exact}"
             );
         }
+    }
+
+    #[test]
+    fn thresholds_are_pinned_bit_for_bit() {
+        // Each threshold's exact bits, pinned so that a speed-up of the
+        // bisection cannot move an output. The keys cover the closed
+        // forms (scv <= 1), the quadrature branch at the floor load
+        // (scv > 1), overhead, the deterministic law whose gain crosses
+        // zero twice (threshold 0 at 5e-4 overhead while scv 0.02 gets
+        // ~0.30), and two near-extinction grid points where the floor
+        // check's bounds straddle zero and the exact check decides (see
+        // queuesim's two_moment tests).
+        let grid = |scv_key: i64, over_key: i64| {
+            (
+                ThresholdCache::dequantize_scv(scv_key),
+                over_key as f64 * 5.0e-4,
+            )
+        };
+        let pins = [
+            ((0.0, 0.0), 0x3fd2_bf2b_4a55_8eaa_u64),
+            ((0.26, 0.0), 0x3fd4_f20e_2d2f_e3f4),
+            ((1.0, 0.0), 0x3fd5_5509_0e99_1ff8),
+            ((1.02, 0.0), 0x3fd5_5509_0e99_1ff8),
+            ((4.45, 0.0), 0x3fd4_8913_9b34_a44e),
+            ((10.0, 0.0), 0x3fd3_e41c_2385_4048),
+            ((24.4, 0.0), 0x3fd3_5723_6e1d_eace),
+            ((1.0, 0.1), 0x3fd4_4317_39e2_79de),
+            ((0.0, 5.0e-4), 0),
+            ((0.02, 5.0e-4), 0x3fd3_7521_e0f7_fcfe),
+            (grid(83, 1200), 0),
+            (grid(122, 1648), 0),
+        ];
+        for ((scv, client_overhead), bits) in pins {
+            let t = Planner::new(WorkloadProfile {
+                mean_service: 1.0,
+                scv,
+                client_overhead,
+            })
+            .threshold_load();
+            assert_eq!(
+                t.to_bits(),
+                bits,
+                "scv {scv}, overhead {client_overhead}: {t}"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "two-moment planner needs finite service variance")]
+    fn infinite_variance_is_rejected_by_the_planner() {
+        let _ = Planner::new(WorkloadProfile {
+            scv: f64::INFINITY,
+            ..exp_profile(0.0)
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "two-moment planner needs finite service variance")]
+    fn infinite_variance_is_rejected_by_the_cache() {
+        let _ = ThresholdCache::new().threshold(1.0, f64::INFINITY, 0.0);
     }
 
     #[test]

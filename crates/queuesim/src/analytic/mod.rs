@@ -53,9 +53,21 @@ pub(crate) fn integrate_ccdf(ccdf: impl Fn(f64) -> f64, hint: f64) -> f64 {
 /// Generic bisection for the threshold load given a replication-gain
 /// function `g(ρ) = mean₂(ρ) − mean₁(ρ)` assumed negative below the root.
 pub(crate) fn bisect_threshold(g: impl Fn(f64) -> f64, tol: f64) -> f64 {
+    bisect_threshold_with_floor(&g, |rho| g(rho) > 0.0, tol)
+}
+
+/// [`bisect_threshold`] with the floor check — does replication already
+/// lose at the lowest load, `g(ρ_min) > 0`, making the threshold 0? —
+/// answered by `loses_at_floor`, which must agree with `g` exactly but
+/// may decide it more cheaply.
+pub(crate) fn bisect_threshold_with_floor(
+    g: impl Fn(f64) -> f64,
+    loses_at_floor: impl FnOnce(f64) -> bool,
+    tol: f64,
+) -> f64 {
     let mut lo = 1e-4;
     let mut hi = 0.5 - 1e-6;
-    if g(lo) > 0.0 {
+    if loses_at_floor(lo) {
         return 0.0;
     }
     if g(hi) < 0.0 {

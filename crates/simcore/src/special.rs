@@ -54,44 +54,69 @@ pub fn gamma_fn(x: f64) -> f64 {
     }
 }
 
-/// Regularized lower incomplete gamma function `P(a, x) = γ(a, x)/Γ(a)`.
+/// The regularized incomplete gamma functions `P(a, x) = γ(a, x)/Γ(a)` and
+/// `Q(a, x) = 1 − P(a, x)` at one shape `a` — the CDF and CCDF of a
+/// Gamma(shape `a`, scale 1) variate, which the two-moment M/G/1 response
+/// approximation in `queuesim` integrates.
 ///
 /// Series expansion for `x < a + 1`, Lentz continued fraction otherwise
-/// (Numerical Recipes §6.2). This is the CDF of a Gamma(shape `a`, scale 1)
-/// variate, which the two-moment M/G/1 response approximation in `queuesim`
-/// integrates.
-///
-/// # Panics
-/// Panics if `a ≤ 0` or `x < 0`.
-pub fn gamma_p(a: f64, x: f64) -> f64 {
-    assert!(a > 0.0, "gamma_p needs a > 0");
-    assert!(x >= 0.0, "gamma_p needs x >= 0");
-    if x == 0.0 {
-        return 0.0;
+/// (Numerical Recipes §6.2). `ln Γ(a)` is computed once, in
+/// [`new`](Self::new), not per evaluation: the approximation evaluates
+/// thousands of `x` at one shape.
+#[derive(Clone, Copy, Debug)]
+pub struct IncompleteGamma {
+    a: f64,
+    ln_gamma_a: f64,
+}
+
+impl IncompleteGamma {
+    /// The incomplete gamma functions at shape `a`.
+    ///
+    /// # Panics
+    /// Panics if `a ≤ 0`.
+    pub fn new(a: f64) -> Self {
+        assert!(a > 0.0, "incomplete gamma needs a > 0");
+        IncompleteGamma {
+            a,
+            ln_gamma_a: ln_gamma(a),
+        }
     }
-    if x < a + 1.0 {
-        gamma_p_series(a, x)
-    } else {
-        1.0 - gamma_q_cf(a, x)
+
+    /// `P(a, x)`, the lower tail.
+    ///
+    /// # Panics
+    /// Panics if `x < 0`.
+    pub fn p(&self, x: f64) -> f64 {
+        assert!(x >= 0.0, "incomplete gamma needs x >= 0");
+        if x == 0.0 {
+            return 0.0;
+        }
+        if x < self.a + 1.0 {
+            gamma_p_series(self.a, self.ln_gamma_a, x)
+        } else {
+            1.0 - gamma_q_cf(self.a, self.ln_gamma_a, x)
+        }
+    }
+
+    /// `Q(a, x)`, the upper tail, computed directly for accuracy deep in
+    /// the tail.
+    ///
+    /// # Panics
+    /// Panics if `x < 0`.
+    pub fn q(&self, x: f64) -> f64 {
+        assert!(x >= 0.0, "incomplete gamma needs x >= 0");
+        if x == 0.0 {
+            return 1.0;
+        }
+        if x < self.a + 1.0 {
+            1.0 - gamma_p_series(self.a, self.ln_gamma_a, x)
+        } else {
+            gamma_q_cf(self.a, self.ln_gamma_a, x)
+        }
     }
 }
 
-/// Regularized upper incomplete gamma `Q(a, x) = 1 − P(a, x)` — the CCDF of
-/// a Gamma(a, 1) variate, computed directly for accuracy deep in the tail.
-pub fn gamma_q(a: f64, x: f64) -> f64 {
-    assert!(a > 0.0, "gamma_q needs a > 0");
-    assert!(x >= 0.0, "gamma_q needs x >= 0");
-    if x == 0.0 {
-        return 1.0;
-    }
-    if x < a + 1.0 {
-        1.0 - gamma_p_series(a, x)
-    } else {
-        gamma_q_cf(a, x)
-    }
-}
-
-fn gamma_p_series(a: f64, x: f64) -> f64 {
+fn gamma_p_series(a: f64, ln_gamma_a: f64, x: f64) -> f64 {
     let mut ap = a;
     let mut sum = 1.0 / a;
     let mut del = sum;
@@ -103,10 +128,10 @@ fn gamma_p_series(a: f64, x: f64) -> f64 {
             break;
         }
     }
-    sum * (-x + a * x.ln() - ln_gamma(a)).exp()
+    sum * (-x + a * x.ln() - ln_gamma_a).exp()
 }
 
-fn gamma_q_cf(a: f64, x: f64) -> f64 {
+fn gamma_q_cf(a: f64, ln_gamma_a: f64, x: f64) -> f64 {
     // Modified Lentz's method for the continued fraction representation.
     const TINY: f64 = 1e-300;
     let mut b = x + 1.0 - a;
@@ -131,7 +156,7 @@ fn gamma_q_cf(a: f64, x: f64) -> f64 {
             break;
         }
     }
-    h * (-x + a * x.ln() - ln_gamma(a)).exp()
+    h * (-x + a * x.ln() - ln_gamma_a).exp()
 }
 
 #[cfg(test)]
@@ -187,22 +212,20 @@ mod tests {
     #[test]
     fn incomplete_gamma_shape_one_is_exponential() {
         // Gamma(1, 1) is Exp(1): P(1, x) = 1 - e^{-x}.
+        let g = IncompleteGamma::new(1.0);
         for &x in &[0.0f64, 0.1, 1.0, 3.0, 10.0, 40.0] {
             let expect = 1.0 - (-x).exp();
-            assert!(
-                (gamma_p(1.0, x) - expect).abs() < 1e-12,
-                "P(1,{x}) = {}",
-                gamma_p(1.0, x)
-            );
-            assert!((gamma_q(1.0, x) - (1.0 - expect)).abs() < 1e-12);
+            assert!((g.p(x) - expect).abs() < 1e-12, "P(1,{x}) = {}", g.p(x));
+            assert!((g.q(x) - (1.0 - expect)).abs() < 1e-12);
         }
     }
 
     #[test]
     fn incomplete_gamma_complement() {
         for &a in &[0.3, 1.0, 2.5, 10.0, 50.0] {
+            let g = IncompleteGamma::new(a);
             for &x in &[0.01, 0.5, 1.0, 5.0, 30.0, 100.0] {
-                let s = gamma_p(a, x) + gamma_q(a, x);
+                let s = g.p(x) + g.q(x);
                 assert!((s - 1.0).abs() < 1e-10, "P+Q at a={a} x={x}: {s}");
             }
         }
@@ -213,7 +236,7 @@ mod tests {
         // P(2, x) = 1 - e^{-x}(1 + x)  (Erlang-2 CDF).
         for &x in &[0.5f64, 2.0, 7.0] {
             let expect = 1.0 - (-x).exp() * (1.0 + x);
-            assert!((gamma_p(2.0, x) - expect).abs() < 1e-12);
+            assert!((IncompleteGamma::new(2.0).p(x) - expect).abs() < 1e-12);
         }
     }
 
@@ -222,7 +245,7 @@ mod tests {
         // For large a, the Gamma(a,1) median approaches a - 1/3.
         let a = 100.0;
         let med = a - 1.0 / 3.0;
-        let p = gamma_p(a, med);
+        let p = IncompleteGamma::new(a).p(med);
         assert!((p - 0.5).abs() < 0.01, "P(100, {med}) = {p}");
     }
 }

@@ -1373,7 +1373,7 @@ pub fn run_sharded(cfg: &ServiceConfig, groups: usize, threads: usize) -> Sharde
 mod tests {
     use super::*;
     use crate::service;
-    use simcore::dist::{DynDist, Exponential};
+    use simcore::dist::{DynDist, Exponential, Pareto};
 
     fn small_ramp() -> ServiceConfig {
         let service: DynDist = Arc::new(Exponential::with_mean(1.0e-3));
@@ -1507,6 +1507,15 @@ mod tests {
         let service: DynDist = Arc::new(Exponential::with_mean(1.0e-3));
         let mut cfg = ServiceConfig::ramp(service, 0.6, 0.6);
         cfg.frontend = Frontend::Fixed(Policy::Always { copies: 2 });
+        let _ = run_sharded(&cfg, 2, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "two-moment planner needs finite service variance")]
+    fn rejects_infinite_variance_service_for_the_adaptive_planner() {
+        // Pareto with alpha = 1.5: finite mean, infinite variance.
+        let service: DynDist = Arc::new(Pareto::unit_mean(1.5));
+        let cfg = ServiceConfig::ramp(service, 0.05, 0.3);
         let _ = run_sharded(&cfg, 2, 1);
     }
 
