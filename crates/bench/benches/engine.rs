@@ -38,7 +38,10 @@
 //! The harness is self-contained (`harness = false`, no external
 //! dependencies).
 
-#![forbid(unsafe_code)]
+#![expect(
+    clippy::disallowed_types,
+    reason = "benchmarks measure wall-clock; that is their output, not simulation state"
+)]
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;

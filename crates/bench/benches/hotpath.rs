@@ -37,7 +37,10 @@
 //! resolve against the workspace root). Other sections of an existing
 //! file are preserved — the `engine` bench owns those.
 
-#![forbid(unsafe_code)]
+#![expect(
+    clippy::disallowed_types,
+    reason = "benchmarks measure wall-clock; that is their output, not simulation state"
+)]
 
 use std::hint::black_box;
 use std::time::{Duration, Instant};

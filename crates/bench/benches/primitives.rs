@@ -11,7 +11,10 @@
 //! iterations to fill a ~100 ms window, reporting ns/iter. Pass a substring
 //! as the first argument to filter benchmarks by name.
 
-#![forbid(unsafe_code)]
+#![expect(
+    clippy::disallowed_types,
+    reason = "benchmarks measure wall-clock; that is their output, not simulation state"
+)]
 
 use std::hint::black_box;
 use std::time::{Duration, Instant};

@@ -10,7 +10,6 @@
 //! the workspace integration tests) and `Effort::Full` (figure quality,
 //! minutes for the packet-level sweeps).
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod ablations;

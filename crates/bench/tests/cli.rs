@@ -1,8 +1,6 @@
 //! The `repro` binary's usage errors and the exit codes and lines of
 //! `repro check`.
 
-#![forbid(unsafe_code)]
-
 use std::path::PathBuf;
 use std::process::{Command, Output};
 

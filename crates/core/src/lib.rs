@@ -64,7 +64,6 @@
 //! assert_eq!(winner.winner, 1);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cancel;

@@ -227,7 +227,7 @@ impl Planner {
 /// any thread count.
 #[derive(Clone, Debug, Default)]
 pub struct ThresholdCache {
-    // Determinism audit (lint rule map-iteration): HashMap is safe here
+    // Determinism audit (clippy's hash-traversal bans): HashMap is safe here
     // because every access is a keyed get/insert on the quantized grid
     // point — the map is never traversed, so iteration order can't leak
     // into results. Keep it that way; a traversal must move to BTreeMap.

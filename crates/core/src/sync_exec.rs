@@ -6,6 +6,11 @@
 //! up to the closure — exactly the spectrum between the paper's
 //! no-cancellation model and Dean & Barroso's tied requests.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the thread-backed racer executes in real time by definition"
+)]
+
 use crate::cancel::CancelToken;
 use std::sync::mpsc;
 use std::thread;

@@ -15,6 +15,11 @@
 //! is a timer future backed by a helper thread. Replace both freely with a
 //! real runtime's equivalents in production code.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the async racer executes in real time by definition"
+)]
+
 use std::future::Future;
 use std::pin::Pin;
 use std::sync::{Arc, Mutex};

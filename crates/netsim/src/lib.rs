@@ -36,7 +36,6 @@
 //! assert!(out.replicated.small_median() <= out.baseline.small_median() * 1.05);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod experiments;

@@ -26,10 +26,7 @@ pub mod two_moment;
 /// `[0, ∞)` — i.e. computes `E[X] = ∫ P(X > x) dx` — by composite Simpson
 /// on `[0, hi]` where `hi` is found by doubling until `ccdf(hi)` is
 /// negligible, plus a geometric tail correction.
-///
-/// Used by the approximation layers to turn model CCDFs (and their k-th
-/// powers, for the min of k copies) into means.
-#[cfg_attr(not(test), allow(dead_code))]
+#[cfg(test)]
 pub(crate) fn integrate_ccdf(ccdf: impl Fn(f64) -> f64, hint: f64) -> f64 {
     // Find an upper cutoff where the tail is negligible.
     let mut hi = hint.max(1e-9);

@@ -47,7 +47,6 @@
 //! assert!(double.response.mean() < single.response.mean());
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod analytic;

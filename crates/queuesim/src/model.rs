@@ -168,7 +168,6 @@ pub fn run<D: Distribution>(cfg: &Config<D>, seed: u64) -> RunResult {
     let mut free_at = vec![0.0f64; n];
     let mut response = SampleSet::with_capacity(cfg.requests);
     let mut moments = Welford::new();
-    let mut busy_time = 0.0f64;
     let mut measured_busy = 0.0f64;
 
     let overhead = if k > 1 { cfg.replication_overhead } else { 0.0 };
@@ -206,7 +205,6 @@ pub fn run<D: Distribution>(cfg: &Config<D>, seed: u64) -> RunResult {
             let start = now.max(free_at[srv]);
             let done = start + svc;
             free_at[srv] = done;
-            busy_time += svc;
             if i >= cfg.warmup {
                 measured_busy += svc;
             }
@@ -224,7 +222,6 @@ pub fn run<D: Distribution>(cfg: &Config<D>, seed: u64) -> RunResult {
             for &(srv, start, svc) in copies_state.iter().take(k.min(16)) {
                 if start >= best_done && start + svc == free_at[srv] {
                     free_at[srv] -= svc;
-                    busy_time -= svc;
                     if i >= cfg.warmup {
                         measured_busy -= svc;
                     }
@@ -237,7 +234,6 @@ pub fn run<D: Distribution>(cfg: &Config<D>, seed: u64) -> RunResult {
             moments.push(rt);
         }
     }
-    let _ = busy_time;
     let measured_span = (now - warmup_end_time).max(f64::MIN_POSITIVE);
     RunResult {
         response,

@@ -1177,7 +1177,7 @@ mod tests {
         let d = DiscreteEmpirical::new(&[(1.0, 0.2), (2.0, 0.0), (3.0, 0.5), (4.0, 0.0), (5.0, 0.3)]);
         let mut rng = Rng::seed_from(23);
         // BTreeMap keeps the `{counts:?}` failure message in key order and
-        // stays clear of the determinism lint's HashMap-traversal rule.
+        // stays clear of clippy's HashMap-traversal bans.
         let mut counts = std::collections::BTreeMap::new();
         for _ in 0..100_000 {
             let x = d.sample(&mut rng);

@@ -63,7 +63,6 @@
 //! assert!((stats.mean() - 2.0).abs() < 0.2);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod dist;

@@ -351,8 +351,8 @@ mod tests {
     fn distinct_indices_uniform_pairs() {
         // Drawing 2 of 4: each unordered pair should appear ~1/6 of the time.
         let mut r = Rng::seed_from(29);
-        // BTreeMap: the loop below traverses the map, and the determinism
-        // lint bans order-dependent HashMap traversal in this crate.
+        // BTreeMap: the loop below traverses the map, and the workspace's
+        // clippy config bans order-dependent HashMap traversal.
         let mut counts = std::collections::BTreeMap::new();
         let n = 60_000;
         for _ in 0..n {

@@ -13,8 +13,10 @@
 /// Panics for non-positive integers (poles of Γ).
 pub fn ln_gamma(x: f64) -> f64 {
     const G: f64 = 7.0;
-    // Published Lanczos coefficients, kept digit-for-digit.
-    #[allow(clippy::excessive_precision)]
+    #[allow(
+        clippy::excessive_precision,
+        reason = "published Lanczos coefficients, kept digit-for-digit"
+    )]
     const COEF: [f64; 9] = [
         0.999_999_999_999_809_93,
         676.520_368_121_885_1,

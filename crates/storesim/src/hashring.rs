@@ -189,8 +189,8 @@ impl HashRing {
 mod tests {
     use super::*;
     // BTreeMap, not HashMap: the assertion loops below traverse maps,
-    // and the determinism lint (`cargo run -p lint`, rule map-iteration)
-    // bans order-dependent HashMap traversal in simulation crates.
+    // and the workspace's clippy config (`iter_over_hash_type`,
+    // `disallowed_methods`) bans order-dependent HashMap traversal.
     use std::collections::BTreeMap;
 
     #[test]

@@ -42,7 +42,6 @@
 //! cost vs mean service time). What doesn't: absolute 2013 disk constants,
 //! which are configurable in [`disk::DiskProfile`].
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cluster;

@@ -46,8 +46,16 @@
 //! completed before observing the cancel) increments a counter instead of
 //! double-completing.
 //!
-//! This file is the *only* storesim module on the lint `wall-clock`
-//! allowlist: `Instant` here is the data plane, not simulation state.
+//! This file is the *only* storesim module exempt from the workspace's
+//! `clippy::disallowed_types` wall-clock ban (the `expect` below):
+//! `Instant` here is the data plane, not simulation state.
+
+#![expect(
+    clippy::disallowed_types,
+    reason = "the wall-clock runtime module executes on real threads; Instant is its \
+              data plane, and every estimator/planner input there is script time by \
+              construction (see the module docs); no other storesim module is exempt"
+)]
 
 use crate::service::{ramp_load, switch_off_load};
 use redundancy::cancel::CancelToken;
@@ -555,13 +563,12 @@ fn fingerprint_entry(hash: &mut u64, k: u8, pair: [u16; 2], pick: u8) {
 // be movable into service threads by callers). Pin it at compile
 // time so a non-Send regression in `redundancy` fails here, not in a
 // downstream embedding.
-#[allow(dead_code)] // compile-time Send assertion, never called
-fn assert_decision_stack_is_send() {
-    fn is_send<T: Send>() {}
+const _: () = {
+    const fn is_send<T: Send>() {}
     is_send::<LivePlanner>();
     is_send::<CancelToken>();
     is_send::<Job>();
-}
+};
 
 #[cfg(test)]
 mod tests {

@@ -36,7 +36,7 @@ use std::collections::{HashMap, VecDeque};
 pub struct NameCache {
     capacity: usize,
     order: VecDeque<u64>,
-    // Determinism audit (lint rule map-iteration): keyed-only refcounts
+    // Determinism audit (clippy's hash-traversal bans): keyed-only refcounts
     // (entry/get_mut/remove); eviction order comes from `order`, never
     // from map traversal, so HashMap's random iteration order is unused.
     counts: HashMap<u64, u32>,

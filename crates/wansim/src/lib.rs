@@ -23,7 +23,6 @@
 //! (footnote 3's spaced packet pairs) and [`dns_caching`] (the
 //! "caching side-benefit" of racing several resolvers).
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod costbench;

@@ -10,8 +10,6 @@
 //! cargo run --release --example capacity_planner
 //! ```
 
-#![forbid(unsafe_code)]
-
 use low_latency_redundancy::queuesim::model::{run, Config};
 use low_latency_redundancy::redundancy::prelude::*;
 use low_latency_redundancy::simcore::dist::{Exponential, HyperExponential};

@@ -11,8 +11,6 @@
 //! cargo run --release --features tokio-exec --example dns_race
 //! ```
 
-#![forbid(unsafe_code)]
-
 use low_latency_redundancy::redundancy::tokio_exec::{block_on, race_async, sleep};
 use low_latency_redundancy::simcore::rng::Rng;
 use low_latency_redundancy::simcore::stats::SampleSet;

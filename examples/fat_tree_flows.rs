@@ -6,8 +6,6 @@
 //! cargo run --release --example fat_tree_flows [load] [flows]
 //! ```
 
-#![forbid(unsafe_code)]
-
 use low_latency_redundancy::netsim::experiments::{run_pair, NetConfig};
 
 fn main() {

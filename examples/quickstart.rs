@@ -5,8 +5,6 @@
 //! cargo run --release --example quickstart
 //! ```
 
-#![forbid(unsafe_code)]
-
 use low_latency_redundancy::redundancy::prelude::*;
 use low_latency_redundancy::simcore::dist::{Distribution, LogNormal};
 use low_latency_redundancy::simcore::rng::Rng;

@@ -5,8 +5,6 @@
 //! cargo run --release --example replicated_store
 //! ```
 
-#![forbid(unsafe_code)]
-
 use low_latency_redundancy::storesim::experiments::{run_load_sweep, ExperimentSpec};
 
 fn main() {

@@ -37,8 +37,6 @@
 //! 54-host packet-level fabric, and across wide-area DNS and TCP handshake
 //! models.
 
-#![forbid(unsafe_code)]
-
 pub use netsim;
 pub use queuesim;
 pub use redundancy;

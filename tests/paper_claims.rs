@@ -4,8 +4,6 @@
 //! These intentionally go through the same entry points a user would: the
 //! `repro-bench` experiment runners and the public crate APIs.
 
-#![forbid(unsafe_code)]
-
 use low_latency_redundancy::queuesim::threshold::{threshold_load, ThresholdOptions};
 use low_latency_redundancy::simcore::dist::{Deterministic, Exponential, Pareto, TwoPoint};
 use repro_bench::{bands, run_experiment, Effort};

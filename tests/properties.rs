@@ -11,8 +11,6 @@
 //! [`Rng`](low_latency_redundancy::simcore::rng::Rng) at fixed seeds (no
 //! external property-testing dependency), so failures replay exactly.
 
-#![forbid(unsafe_code)]
-
 use low_latency_redundancy::netsim::tcp::{TcpConfig, TcpReceiver, TcpSender};
 use low_latency_redundancy::netsim::topology::FatTree;
 use low_latency_redundancy::simcore::dist::{
