@@ -1,7 +1,8 @@
-//! Engine benchmarks (`cargo bench -p repro-bench --bench engine`).
+//! Engine and hot-path benchmarks (`cargo bench -p repro-bench --bench engine`).
 //!
 //! Measures the event-engine hot paths the sharded parallel engine was
-//! built to accelerate, and emits the numbers as JSON (default
+//! built to accelerate and the per-request decision path of the live
+//! frontend, and writes every number as one JSON document (default
 //! `BENCH_engine.json`; relative paths resolve against the workspace
 //! root, not the package directory `cargo bench` runs in, so the
 //! committed copy updates in place. `--out PATH` overrides; `--quick`
@@ -25,15 +26,42 @@
 //! * `service_lanes` — the same workload with its frontend decomposed
 //!   into L ∈ {1, 2, 4, 8} lanes (one engine shard each) at full
 //!   parallelism: requests/sec per lane count, so the L = 8 over L = 1
-//!   ratio is the lane tax as a within-run ratio.
+//!   ratio is the lane tax as a within-run ratio;
+//! * `hotpath` — the per-request work `storesim::rt`'s frontend does
+//!   between pulling a request off the script and handing copies to the
+//!   workers, timed on `LivePlanner`, the loop both runtimes run:
+//!   - `estimator_ingest`: two `LivePlanner::observe_demand` calls, the
+//!     per-copy moment ingest (with its recalibration cadence) of a
+//!     replicated request;
+//!   - `planner_decision`: one `LivePlanner::decide` over a stored pair:
+//!     two routed arrival observations, two load reads, the threshold
+//!     comparison;
+//!   - `cancel_issue`: token issue, the clone handed to each copy, the
+//!     cancel on first response, and the loser's observation of it;
+//!   - `combined`: the stages chained exactly as `rt::run`'s dispatch loop
+//!     chains them (decide, trace-fingerprint, per-copy demand ingest,
+//!     token issue);
+//!   - `race`: one `sync_exec::race` (two thread-spawned replicas) vs one
+//!     `tokio_exec::race_async` (two futures on the built-in single-thread
+//!     executor), both over trivial bodies so the numbers isolate executor
+//!     dispatch + first-response cancellation, not the work being raced;
+//!   - `threshold_cold`: one uncached `Planner::threshold_load()` (the
+//!     bisection a `ThresholdCache` miss pays, inline on `storesim::rt`'s
+//!     frontend thread) at scv 0.26, 1 and 10, best of 3 in either mode.
 //!
-//! The per-request decision hot path is timed (and budget-gated) by the
-//! `hotpath` bench, which owns the `"hotpath"` section of the same file.
+//! `--assert` gates the run (the CI gate): after writing the JSON it
+//! prints one `ok`/`FAIL` line per gate and exits 1 if any failed.
 //!
-//! `within_run_speedup` > 1 needs more than one core; on a single-core
-//! host the JSON records the (still meaningful) absolute throughputs and
-//! a speedup of ~1. `--assert-speedup` turns the service speedup into a
-//! hard failure when the host has more than one core (the CI gate).
+//! * The combined hot path costs < 1000 ns, the budget that makes
+//!   per-request planning viable at all (Shah/Lee/Ramchandran's point:
+//!   past some per-decision overhead, redundancy flips negative).
+//! * A cold scv-10 threshold costs ≤ 5× a cold scv-1 one. The heavy law's
+//!   quadrature branch is the expensive case; the bound is a within-run
+//!   ratio, immune to the runner's speed.
+//! * The service `within_run_speedup` is > 1.0. It needs more than one
+//!   core, so it is checked only there; on a single-core host the JSON
+//!   records the (still meaningful) absolute throughputs and a speedup
+//!   of ~1.
 //!
 //! The harness is self-contained (`harness = false`, no external
 //! dependencies).
@@ -49,11 +77,24 @@ use std::hint::black_box;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use redundancy::cancel::CancelToken;
+use redundancy::planner::{LivePlanner, Planner, WorkloadProfile};
+use redundancy::sync_exec::{race, replica};
+use redundancy::tokio_exec::{block_on, race_async};
 use simcore::dist::{DynDist, Exponential};
 use simcore::shard::{EngineStats, ShardCtx, ShardEngine, ShardLogic, ShardQueue};
 use simcore::time::SimTime;
 use storesim::service::{Frontend, ServiceConfig};
 use storesim::sharded::run_sharded;
+
+/// `--assert`: the combined per-request hot path costs less than this.
+const BUDGET_NS: f64 = 1000.0;
+/// `--assert`: a cold scv-10 threshold costs at most this multiple of a
+/// cold scv-1 one.
+const COLD_RATIO_BUDGET: f64 = 5.0;
+/// `--assert`: the service's N-worker run beats its 1-worker run by more
+/// than this factor (on a multi-core host).
+const MIN_SPEEDUP: f64 = 1.0;
 
 /// Best-of-3 [`time_ns`]: the minimum over three measurement windows.
 /// The ns-scale queue stages sit well inside scheduler
@@ -210,9 +251,17 @@ fn service_config(quick: bool) -> ServiceConfig {
     cfg
 }
 
-fn json_f(v: f64) -> String {
+/// The FNV-1a step `rt::run` folds each trace entry through.
+fn fnv1a(hash: &mut u64, bytes: &[u8]) {
+    for &b in bytes {
+        *hash ^= u64::from(b);
+        *hash = hash.wrapping_mul(0x100_0000_01B3);
+    }
+}
+
+fn json_f(v: f64, decimals: usize) -> String {
     if v.is_finite() {
-        format!("{v:.1}")
+        format!("{v:.decimals$}")
     } else {
         "null".to_string()
     }
@@ -221,7 +270,7 @@ fn json_f(v: f64) -> String {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
-    let assert_speedup = args.iter().any(|a| a == "--assert-speedup");
+    let assert = args.iter().any(|a| a == "--assert");
     let out_arg = args
         .iter()
         .position(|a| a == "--out")
@@ -354,15 +403,147 @@ fn main() {
     let lane_tax = lanes_rps[0] / lanes_rps[3];
     println!("service_lane_tax_l1_over_l8    {lane_tax:>12.2} x");
 
+    // --- the per-request hot path ---
+    // Quick mode keeps the same measurement window but takes one sample
+    // instead of best-of-3 — the stages are ns-scale, so even one window
+    // is tens of millions of iterations.
+    let measure = |f: &mut dyn FnMut()| if quick { time_ns(f) } else { best_ns(f) };
+
+    // Mirror RtConfig::smoke's planner: 8 servers, 512-gap arrival
+    // windows, a 4096-demand moment window trusted after 256 and
+    // recalibrated every 512, exponential service (scv 1), and a client
+    // overhead well under the paper's 9 % flip.
+    let servers = 8u16;
+    let mean_service = 5.0e-6;
+    let planner = Planner::new(WorkloadProfile {
+        mean_service,
+        scv: 1.0,
+        client_overhead: 0.02 * mean_service,
+    });
+    let threshold = planner.threshold_load();
+    // One moment window of exponential demands, replayed in a cycle: once
+    // a full cycle is in, the window's moments repeat exactly, so every
+    // timed recalibration is a warm cache hit (scv ~1, threshold ~1/3).
+    let mut rng = simcore::rng::Rng::seed_from(0x407_9A7);
+    let demands: Vec<f64> = (0..4096)
+        .map(|_| rng.exponential(1.0 / mean_service))
+        .collect();
+    // A warm loop, shared by the stages below: every index has seen a few
+    // gaps (so requests read real loads, not the cold-server fallback)
+    // and the moment window is full.
+    let mut live = LivePlanner::new(planner, threshold, servers as usize, 512, 0, 0.05)
+        .with_moments(demands.len(), 256, 512);
+    for i in 0..servers * 8 {
+        live.decide(f64::from(i) * 1.0e-5, &[i % servers], 2.0);
+    }
+    for &d in &demands {
+        live.observe_demand(d);
+    }
+    let (mut t, mut s, mut j) = (1.0e-3f64, 0u16, 0usize);
+
+    // estimator ingest: a replicated request's two demand reports
+    let ingest_ns = measure(&mut || {
+        for _ in 0..2 {
+            live.observe_demand(demands[j]);
+            j = (j + 1) % demands.len();
+        }
+    });
+    println!("estimator_ingest               {ingest_ns:>10.2} ns/iter");
+
+    // planner decision: two routed arrivals, two loads, the compare
+    let decision_ns = measure(&mut || {
+        s = (s + 1) % servers;
+        t += 2.0e-5;
+        black_box(live.decide(t, &[s, (s + 3) % servers], 2.0));
+    });
+    println!("planner_decision               {decision_ns:>10.2} ns/iter");
+
+    // cancel issue: token, per-copy clones, cancel, loser observes
+    let cancel_ns = measure(&mut || {
+        let token = CancelToken::new();
+        let c0 = token.clone();
+        let c1 = token.clone();
+        token.cancel();
+        black_box((c0.is_cancelled(), c1.is_cancelled()));
+    });
+    println!("cancel_issue                   {cancel_ns:>10.2} ns/iter");
+
+    // the combined per-request sequence, as rt::run chains it
+    let mut fingerprint = 0xCBF2_9CE4_8422_2325u64;
+    let mut singles = 0u64;
+    let combined_ns = measure(&mut || {
+        s = (s + 1) % servers;
+        t += 2.0e-5;
+        let k = 1 + u8::from(live.decide(t, &[s, (s + 3) % servers], 2.0));
+        singles += u64::from(k == 1);
+        fnv1a(&mut fingerprint, &[k]);
+        for _ in 0..k {
+            live.observe_demand(demands[j]);
+            j = (j + 1) % demands.len();
+        }
+        let token = CancelToken::new();
+        black_box((fingerprint, token.is_cancelled()));
+    });
+    // Loads sit far below the threshold, so every request takes the
+    // heavier k = 2 path (two demand reports).
+    assert_eq!(singles, 0, "combined stage left the k = 2 path");
+    println!("combined_hot_path              {combined_ns:>10.2} ns/iter (budget {BUDGET_NS:.0})");
+
+    // thread racer vs async racer over trivial bodies
+    let thread_race_ns = measure(&mut || {
+        let out = race(vec![
+            replica(|_t: &CancelToken| 1u32),
+            replica(|_t: &CancelToken| 2u32),
+        ])
+        .unwrap();
+        black_box((out.value, out.winner));
+    });
+    println!(
+        "race_thread_executor           {thread_race_ns:>10.2} ns/race (2 copies, sync_exec::race)"
+    );
+    let async_race_ns = measure(&mut || {
+        let futs: Vec<_> = (1u32..=2).map(|i| async move { i }).collect();
+        black_box(block_on(race_async(futs)).unwrap());
+    });
+    println!(
+        "race_async_executor            {async_race_ns:>10.2} ns/race (2 copies, tokio_exec::race_async)"
+    );
+    println!(
+        "race_thread_over_async         {:>10.2} x (thread-spawn cost per race)",
+        thread_race_ns / async_race_ns
+    );
+
+    // cold thresholds: one uncached bisection each (a cache fill), best of
+    // 3 single calls in either mode: each takes milliseconds
+    let cold_ms = |scv: f64| {
+        let planner = Planner::new(WorkloadProfile {
+            mean_service,
+            scv,
+            client_overhead: 0.0,
+        });
+        best_of_3_secs(|| {
+            black_box(planner.threshold_load());
+        }) * 1.0e3
+    };
+    let [light_ms, exponential_ms, heavy_ms] = [0.26, 1.0, 10.0].map(cold_ms);
+    let heavy_over_exponential = heavy_ms / exponential_ms;
+    println!("threshold_cold_light           {light_ms:>10.3} ms (scv 0.26)");
+    println!("threshold_cold_exponential     {exponential_ms:>10.3} ms (scv 1)");
+    println!("threshold_cold_heavy           {heavy_ms:>10.3} ms (scv 10)");
+    println!(
+        "heavy_over_exponential         {heavy_over_exponential:>10.2} x (budget {COLD_RATIO_BUDGET:.1})"
+    );
+
+    let mode = if quick { "quick" } else { "full" };
     let lanes_json = lane_counts
         .iter()
         .zip(&lanes_rps)
-        .map(|(l, rps)| format!("    \"l{}_requests_per_sec\": {}", l, json_f(*rps)))
+        .map(|(l, rps)| format!("    \"l{}_requests_per_sec\": {}", l, json_f(*rps, 1)))
         .collect::<Vec<_>>()
         .join(",\n");
     let json = format!(
         "{{\n  \"generated_by\": \"cargo bench -p repro-bench --bench engine{}\",\n  \
-         \"mode\": \"{}\",\n  \"host_threads\": {},\n  \
+         \"mode\": \"{mode}\",\n  \"host_threads\": {},\n  \
          \"event_queue\": {{\n    \"push_pop_binary_heap_ns_per_event\": {},\n    \
          \"push_pop_default_ns_per_event\": {},\n    \
          \"push_pop_presized_ns_per_event\": {},\n    \
@@ -380,51 +561,90 @@ fn main() {
          \"sharded_multi_worker_events_per_sec\": {},\n    \
          \"within_run_speedup\": {:.3}\n  }},\n  \
          \"service_lanes\": {{\n    \"workers\": {},\n{},\n    \
-         \"l1_over_l8_lane_tax\": {:.3}\n  }}\n}}\n",
+         \"l1_over_l8_lane_tax\": {:.3}\n  }},\n  \
+         \"hotpath\": {{\n    \"mode\": \"{mode}\",\n    \"servers\": {},\n    \
+         \"estimator_ingest_ns\": {},\n    \
+         \"planner_decision_ns\": {},\n    \
+         \"cancel_issue_ns\": {},\n    \
+         \"combined_ns\": {},\n    \
+         \"budget_ns\": {BUDGET_NS},\n    \
+         \"race_thread_executor_ns\": {},\n    \
+         \"race_async_executor_ns\": {},\n    \
+         \"threshold_cold_ms_light\": {},\n    \
+         \"threshold_cold_ms_exponential\": {},\n    \
+         \"threshold_cold_ms_heavy\": {},\n    \
+         \"heavy_over_exponential_threshold_cold\": {},\n    \
+         \"heavy_over_exponential_budget\": {COLD_RATIO_BUDGET:.1}\n  }}\n}}\n",
         if quick { " -- --quick" } else { "" },
-        if quick { "quick" } else { "full" },
         host_threads,
-        json_f(push_pop_binary_heap_ns),
-        json_f(push_pop_default_ns),
-        json_f(push_pop_presized_ns),
-        json_f(heap_delta_ns),
+        json_f(push_pop_binary_heap_ns, 1),
+        json_f(push_pop_default_ns, 1),
+        json_f(push_pop_presized_ns, 1),
+        json_f(heap_delta_ns, 1),
         shards,
         ping_events,
-        json_f(flat_eps),
-        json_f(t1_eps),
+        json_f(flat_eps, 1),
+        json_f(t1_eps, 1),
         ping_workers,
-        json_f(tn_eps),
+        json_f(tn_eps, 1),
         tn_eps / t1_eps,
         cfg.servers,
         cfg.requests,
         groups,
         svc_events,
         svc_wires,
-        json_f(svc_t1_eps),
+        json_f(svc_t1_eps, 1),
         svc_workers,
-        json_f(svc_tn_eps),
+        json_f(svc_tn_eps, 1),
         svc_speedup,
         svc_workers,
         lanes_json,
         lane_tax,
+        servers,
+        json_f(ingest_ns, 1),
+        json_f(decision_ns, 1),
+        json_f(cancel_ns, 1),
+        json_f(combined_ns, 1),
+        json_f(thread_race_ns, 1),
+        json_f(async_race_ns, 1),
+        json_f(light_ms, 3),
+        json_f(exponential_ms, 3),
+        json_f(heavy_ms, 3),
+        json_f(heavy_over_exponential, 2),
     );
-    // The hotpath bench owns the "hotpath" section of this file; carry an
-    // existing one over so the two benches can run in either order.
-    let json = match std::fs::read_to_string(&out_path)
-        .ok()
-        .and_then(|old| repro_bench::util::json_extract_object(&old, "hotpath"))
-    {
-        Some(hp) => repro_bench::util::json_with_object(&json, "hotpath", &hp),
-        None => json,
-    };
     std::fs::write(&out_path, &json).expect("write BENCH_engine.json");
     println!("wrote {out_path}");
 
-    if assert_speedup && host_threads > 1 {
-        assert!(
-            svc_speedup > 1.0,
-            "service within_run_speedup {svc_speedup:.3} <= 1.0 on a {host_threads}-core host"
+    if assert {
+        let mut failed = 0;
+        let mut gate = |ok: bool, what: String| {
+            println!("{} {what}", if ok { "ok  " } else { "FAIL" });
+            failed += usize::from(!ok);
+        };
+        gate(
+            combined_ns < BUDGET_NS,
+            format!("hotpath: combined {combined_ns:.1} ns < {BUDGET_NS:.0} ns budget"),
         );
-        println!("asserted service within_run_speedup {svc_speedup:.3} > 1.0");
+        gate(
+            heavy_over_exponential <= COLD_RATIO_BUDGET,
+            format!(
+                "threshold_cold: scv 10 costs {heavy_over_exponential:.2}x scv 1 \
+                 <= {COLD_RATIO_BUDGET:.1}x"
+            ),
+        );
+        if host_threads > 1 {
+            gate(
+                svc_speedup > MIN_SPEEDUP,
+                format!(
+                    "service: within_run_speedup {svc_speedup:.3} > {MIN_SPEEDUP:.1} \
+                     on {host_threads} cores"
+                ),
+            );
+        } else {
+            println!("skip service: within_run_speedup needs more than one core");
+        }
+        if failed > 0 {
+            std::process::exit(1);
+        }
     }
 }

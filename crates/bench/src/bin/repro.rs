@@ -9,8 +9,8 @@
 //!
 //! Output goes to stdout; with `--out DIR` each experiment is also written
 //! to `DIR/<id>.txt`. `--threads N` sets the parallelism of every sweep
-//! (default: the machine's available parallelism, or the `LLR_THREADS`
-//! environment variable); results are bit-identical at any thread count.
+//! (default: the machine's available parallelism); results are
+//! bit-identical at any thread count.
 //!
 //! `repro check DIR` prints one `ok   <id>: ...` or `FAIL <id>: ...` line
 //! per headline band in `repro_bench::bands`, plus `FAIL <id>: missing ...`

@@ -65,68 +65,6 @@ pub fn num(x: f64) -> String {
     format!("{x:.5}")
 }
 
-/// Finds the byte span of the top-level `"key": { ... }` *value* (from
-/// its opening brace to the matching close, inclusive) in a JSON
-/// document shaped like the bench outputs.
-///
-/// This is a brace-balancing scan with string-literal awareness, not a
-/// JSON parser — enough for the flat two-level documents the `engine`
-/// and `hotpath` benches exchange through `BENCH_engine.json`.
-fn json_object_span(doc: &str, key: &str) -> Option<(usize, usize)> {
-    let needle = format!("\"{key}\":");
-    let at = doc.find(&needle)?;
-    let rel = doc[at + needle.len()..].find('{')?;
-    let start = at + needle.len() + rel;
-    let bytes = doc.as_bytes();
-    let mut depth = 0usize;
-    let mut in_string = false;
-    let mut escaped = false;
-    for (i, &b) in bytes.iter().enumerate().skip(start) {
-        if in_string {
-            match b {
-                _ if escaped => escaped = false,
-                b'\\' => escaped = true,
-                b'"' => in_string = false,
-                _ => {}
-            }
-            continue;
-        }
-        match b {
-            b'"' => in_string = true,
-            b'{' => depth += 1,
-            b'}' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some((start, i + 1));
-                }
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
-/// Extracts the top-level `"key": { ... }` object (braces included) from
-/// a bench JSON document, or `None` if the key is absent.
-pub fn json_extract_object(doc: &str, key: &str) -> Option<String> {
-    json_object_span(doc, key).map(|(s, e)| doc[s..e].to_string())
-}
-
-/// Returns `doc` with the top-level `"key"` object replaced by `object`
-/// (which must include its braces), or appended as the last member when
-/// the key is absent. Lets the `engine` and `hotpath` benches each own
-/// a section of `BENCH_engine.json` without clobbering the other's.
-pub fn json_with_object(doc: &str, key: &str, object: &str) -> String {
-    match json_object_span(doc, key) {
-        Some((s, e)) => format!("{}{}{}", &doc[..s], object, &doc[e..]),
-        None => {
-            let close = doc.rfind('}').expect("JSON document closing brace");
-            let head = doc[..close].trim_end();
-            format!("{head},\n  \"{key}\": {object}\n}}\n")
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -144,43 +82,5 @@ mod tests {
     fn formatting() {
         assert_eq!(ms(0.0123456), "12.3456");
         assert_eq!(pct(38.129), "38.13");
-    }
-
-    const DOC: &str = "{\n  \"generated_by\": \"x {y}\",\n  \
-                       \"decision\": {\n    \"ns\": 58.1,\n    \
-                       \"inner\": { \"a\": 1 }\n  },\n  \
-                       \"ping\": { \"b\": 2 }\n}\n";
-
-    #[test]
-    fn extract_handles_nesting_and_braces_in_strings() {
-        let d = json_extract_object(DOC, "decision").unwrap();
-        assert!(d.starts_with('{') && d.ends_with('}'));
-        assert!(d.contains("\"inner\": { \"a\": 1 }"));
-        assert_eq!(json_extract_object(DOC, "hotpath"), None);
-        assert_eq!(json_extract_object(DOC, "ping").unwrap(), "{ \"b\": 2 }");
-    }
-
-    #[test]
-    fn with_object_replaces_in_place() {
-        let out = json_with_object(DOC, "ping", "{ \"b\": 3 }");
-        assert!(out.contains("\"ping\": { \"b\": 3 }"));
-        assert!(!out.contains("\"b\": 2"));
-        assert!(out.contains("\"decision\""), "other sections survive");
-    }
-
-    #[test]
-    fn with_object_appends_when_missing() {
-        let out = json_with_object(DOC, "hotpath", "{ \"ns\": 1.0 }");
-        assert!(out.trim_end().ends_with("\"hotpath\": { \"ns\": 1.0 }\n}"));
-        // Round-trips: the appended section extracts and replaces cleanly.
-        assert_eq!(
-            json_extract_object(&out, "hotpath").unwrap(),
-            "{ \"ns\": 1.0 }"
-        );
-        let again = json_with_object(&out, "hotpath", "{ \"ns\": 2.0 }");
-        assert_eq!(
-            json_extract_object(&again, "hotpath").unwrap(),
-            "{ \"ns\": 2.0 }"
-        );
     }
 }

@@ -9,11 +9,11 @@
 //!
 //! * **Executors** — [`sync_exec`] races closures on threads (one per
 //!   copy, losers cancelled cooperatively via [`cancel::CancelToken`]);
-//!   with the `tokio-exec` feature, `tokio_exec` races futures
-//!   (`select!`-style: first completion wins, siblings are dropped). The
-//!   async executors are runtime-agnostic plain futures — they run on any
-//!   executor, tokio included, and ship a built-in `block_on` for callers
-//!   without one. Both layers also provide *hedged* variants — the Dean &
+//!   [`tokio_exec`] races futures (`select!`-style: first completion
+//!   wins, siblings are dropped). The async executors are
+//!   runtime-agnostic plain futures — they run on any executor, tokio
+//!   included, and ship a built-in `block_on` for callers without one.
+//!   Both layers also provide *hedged* variants — the Dean &
 //!   Barroso refinement where the second copy is sent only after a delay,
 //!   paying the duplication cost only in the slow tail.
 //! * **Policies** — [`policy::Policy`] captures the paper's design space:
@@ -71,7 +71,6 @@ pub mod estimator;
 pub mod planner;
 pub mod policy;
 pub mod sync_exec;
-#[cfg(feature = "tokio-exec")]
 pub mod tokio_exec;
 
 /// One-stop imports.
@@ -83,6 +82,5 @@ pub mod prelude {
     };
     pub use crate::policy::Policy;
     pub use crate::sync_exec::{hedged, race, replica, RaceOutcome};
-    #[cfg(feature = "tokio-exec")]
     pub use crate::tokio_exec::{hedged_async, race_async};
 }

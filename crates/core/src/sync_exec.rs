@@ -86,12 +86,15 @@ pub fn hedged<T: Send + 'static>(ops: Vec<Replica<T>>, delay: Duration) -> Optio
     let token = CancelToken::new();
     let (tx, rx) = mpsc::channel::<(usize, T)>();
     let mut launched = 0usize;
-    let mut pending = ops.into_iter().enumerate();
+    // Each copy takes a sender at launch, the last one the original, so
+    // once every launched copy has panicked `rx` disconnects instead of
+    // waiting forever.
+    let n = ops.len();
+    let mut pending = ops.into_iter().zip(std::iter::repeat_n(tx, n)).enumerate();
 
     let mut launch_next = |launched: &mut usize| -> bool {
         match pending.next() {
-            Some((i, op)) => {
-                let tx = tx.clone();
+            Some((i, (op, tx))) => {
                 let token = token.clone();
                 thread::spawn(move || {
                     let out = op(&token);
@@ -224,6 +227,21 @@ mod tests {
         let out = hedged(vec![sleeper(50, "only")], Duration::from_millis(5)).unwrap();
         assert_eq!(out.value, "only");
         assert_eq!(out.launched, 1);
+    }
+
+    #[test]
+    fn hedge_with_every_replica_panicking_is_none() {
+        // A watchdog thread, so a hang fails the test instead of the suite.
+        let (done_tx, done_rx) = mpsc::channel();
+        thread::spawn(move || {
+            let panics = |_t: &CancelToken| -> u32 { panic!("replica failed") };
+            let out = hedged(
+                vec![replica(panics), replica(panics)],
+                Duration::from_millis(1),
+            );
+            let _ = done_tx.send(out.is_none());
+        });
+        assert_eq!(done_rx.recv_timeout(Duration::from_secs(5)), Ok(true));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Async race-to-first-response (the `tokio-exec` feature).
+//! Async race-to-first-response, named for the tokio-style API it provides.
 //!
 //! The API mirrors what a `tokio::select!`/`JoinSet` implementation would
 //! expose — race k futures, first completion wins, stragglers are

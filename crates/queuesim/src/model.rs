@@ -114,13 +114,6 @@ impl<D: Distribution> Config<D> {
         self.replication_overhead = overhead;
         self
     }
-
-    /// Sets the base load.
-    pub fn with_load(mut self, load: f64) -> Self {
-        assert!((0.0..1.0).contains(&load), "load must be in [0,1): {load}");
-        self.load = load;
-        self
-    }
 }
 
 /// Everything a run measures.

@@ -8,7 +8,7 @@
 //! per-point randomness derived from the point's index, so results are
 //! bit-identical at any thread count.
 
-use crate::model::{run, Config, RunResult};
+use crate::model::{run, Config};
 use crate::threshold::{threshold_load_on, ThresholdOptions};
 use simcore::dist::{Distribution, Pareto, TwoPoint, Weibull};
 use simcore::rng::Rng;
@@ -79,23 +79,6 @@ pub fn ccdf_at_load<D: Distribution + Clone>(
         || run(&base.clone().with_copies(2), seed),
     );
     (single.response.ccdf(points), double.response.ccdf(points))
-}
-
-/// Runs the model once and returns the full result (for callers needing
-/// custom statistics).
-pub fn run_once<D: Distribution + Clone>(
-    dist: &D,
-    load: f64,
-    copies: usize,
-    requests: usize,
-    seed: u64,
-) -> RunResult {
-    run(
-        &Config::new(dist.clone(), load)
-            .with_copies(copies)
-            .with_requests(requests, requests / 10),
-        seed,
-    )
 }
 
 /// Fig 2(a): threshold load vs Weibull inverse shape γ.

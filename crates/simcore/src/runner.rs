@@ -18,9 +18,8 @@
 //!   2, or 64 threads returns byte-identical results. The workspace's
 //!   property tests pin this for the threshold search and the load sweeps.
 //! * A process-wide default thread count, settable once from a CLI flag
-//!   (`repro --threads N`) or the `LLR_THREADS` environment variable, read
-//!   by [`Runner::global`]. The default is the machine's available
-//!   parallelism.
+//!   (`repro --threads N`), read by [`Runner::global`]. The default is the
+//!   machine's available parallelism.
 //!
 //! Nested use is permitted (a parallel family sweep whose per-point
 //! threshold search is itself parallel): scoped threads compose without
@@ -38,30 +37,23 @@ static GLOBAL_THREADS: AtomicUsize = AtomicUsize::new(0);
 /// Sets the process-wide default thread count used by [`Runner::global`].
 ///
 /// Call this once at startup (e.g. from a `--threads N` flag). Passing 0
-/// resets to the automatic default (env override, then available
-/// parallelism).
+/// resets to the automatic default (available parallelism).
 pub fn set_global_threads(threads: usize) {
     GLOBAL_THREADS.store(threads, Ordering::Relaxed);
 }
 
 /// Resolves the process-wide default thread count: an explicit
-/// [`set_global_threads`] wins, then the `LLR_THREADS` environment
-/// variable, then [`std::thread::available_parallelism`]. The resolved
-/// value is cached, so steady-state calls are one atomic load.
+/// [`set_global_threads`] wins, else
+/// [`std::thread::available_parallelism`]. The resolved value is cached,
+/// so steady-state calls are one atomic load.
 pub fn global_threads() -> usize {
     let set = GLOBAL_THREADS.load(Ordering::Relaxed);
     if set > 0 {
         return set;
     }
-    let resolved = std::env::var("LLR_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        });
+    let resolved = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
     // Cache for next time unless a concurrent set_global_threads won.
     let _ = GLOBAL_THREADS.compare_exchange(0, resolved, Ordering::Relaxed, Ordering::Relaxed);
     resolved
@@ -172,7 +164,7 @@ impl Drop for ThreadLease<'_> {
 }
 
 /// The process-wide budget (capacity = [`global_threads`], i.e. `repro
-/// --threads` / `LLR_THREADS` / available parallelism).
+/// --threads` or available parallelism).
 pub fn thread_budget() -> &'static ThreadBudget {
     static GLOBAL_BUDGET: ThreadBudget = ThreadBudget::new(0);
     &GLOBAL_BUDGET

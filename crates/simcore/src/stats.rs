@@ -9,8 +9,6 @@
 //! the paper's claims live — the extreme tail); [`Ccdf`] renders the
 //! tail-fraction curves.
 
-use crate::time::SimTime;
-
 /// Numerically stable streaming mean/variance (Welford's algorithm) with
 /// min/max tracking.
 #[derive(Clone, Debug, Default)]
@@ -62,11 +60,6 @@ impl Welford {
         } else {
             self.m2 / self.n as f64
         }
-    }
-
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
     }
 
     /// Smallest observation (`+inf` if empty).
@@ -132,12 +125,6 @@ impl SampleSet {
         debug_assert!(!x.is_nan());
         self.xs.push(x);
         self.sorted = false;
-    }
-
-    /// Convenience for recording simulated latencies.
-    #[inline]
-    pub fn push_time(&mut self, t: SimTime) {
-        self.push(t.as_secs());
     }
 
     /// Number of observations.

@@ -88,12 +88,6 @@ impl SimTime {
         if self <= other { self } else { other }
     }
 
-    /// `true` for exactly zero.
-    #[inline]
-    pub fn is_zero(self) -> bool {
-        self.0 == 0.0
-    }
-
     /// `true` if this time is a finite number (not `SimTime::MAX`-ish
     /// sentinel arithmetic overflow).
     #[inline]

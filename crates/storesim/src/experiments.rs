@@ -168,19 +168,6 @@ impl ExperimentSpec {
         }
     }
 
-    /// All §2.2 figures in order.
-    pub fn all_disk_figures() -> Vec<ExperimentSpec> {
-        vec![
-            Self::fig5_base(),
-            Self::fig6_tiny_files(),
-            Self::fig7_pareto_files(),
-            Self::fig8_cold_cache(),
-            Self::fig9_ec2(),
-            Self::fig10_large_files(),
-            Self::fig11_all_in_ram(),
-        ]
-    }
-
     /// Materializes a [`ClusterConfig`] at a given replication factor and
     /// baseline load.
     pub fn to_config(

@@ -8,7 +8,7 @@
 //! runtime-agnostic; here they run on the crate's built-in `block_on`.
 //!
 //! ```text
-//! cargo run --release --features tokio-exec --example dns_race
+//! cargo run --release --example dns_race
 //! ```
 
 use low_latency_redundancy::redundancy::tokio_exec::{block_on, race_async, sleep};
