@@ -165,6 +165,7 @@ pub fn run<D: Distribution>(cfg: &Config<D>, seed: u64) -> RunResult {
 
     let overhead = if k > 1 { cfg.replication_overhead } else { 0.0 };
 
+    let mut placements = vec![0usize; k];
     let mut now = 0.0f64;
     let mut warmup_end_time = 0.0f64;
     for i in 0..total_requests {
@@ -181,11 +182,7 @@ pub fn run<D: Distribution>(cfg: &Config<D>, seed: u64) -> RunResult {
         for s in services.iter_mut().take(kk) {
             *s = cfg.service.sample(&mut req_rng);
         }
-        let placements = if k == 1 {
-            vec![req_rng.index(n)]
-        } else {
-            req_rng.distinct_indices(n, k)
-        };
+        req_rng.distinct_indices(n, &mut placements);
         // (server, start, svc) per copy, so cancellation can refund copies
         // that had not started when the winner finished.
         let mut copies_state: [(usize, f64, f64); 16] = [(0, 0.0, 0.0); 16];

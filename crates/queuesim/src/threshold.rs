@@ -289,7 +289,8 @@ impl<'a, D: Distribution + ?Sized> DrawGen<'a, D> {
         let mut single_rng = req_rng.clone();
         let place_single = single_rng.index(self.servers) as u16;
         let svc1 = self.dist.sample(&mut req_rng);
-        let pair = req_rng.distinct_indices(self.servers, 2);
+        let mut pair = [0usize; 2];
+        req_rng.distinct_indices(self.servers, &mut pair);
         Draw {
             arrival,
             svc: [svc0, svc1],

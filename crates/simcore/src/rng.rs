@@ -205,29 +205,24 @@ impl Rng {
         }
     }
 
-    /// Chooses `k` *distinct* indices from `[0, n)` by partial Fisher–Yates
-    /// over a scratch vector — O(k) after O(k) setup with a map for large
-    /// `n`, but since every caller in this workspace has small `k` (the
-    /// replication factor, ≤ 10) we use Floyd's algorithm: O(k²) worst case
-    /// with no allocation beyond the output.
+    /// Fills `out` with `out.len()` *distinct* indices from `[0, n)`.
+    /// Every caller in this workspace draws a small `k` (the replication
+    /// factor, ≤ 10), so this is Floyd's algorithm: O(k²) worst case and
+    /// no allocation, the caller's slice being the only storage. A single
+    /// index consumes exactly the draw of [`Rng::index`]`(n)`.
     ///
     /// # Panics
-    /// Panics if `k > n`.
-    pub fn distinct_indices(&mut self, n: usize, k: usize) -> Vec<usize> {
+    /// Panics if `out.len() > n`.
+    pub fn distinct_indices(&mut self, n: usize, out: &mut [usize]) {
+        let k = out.len();
         assert!(k <= n, "cannot draw {k} distinct from {n}");
-        let mut out: Vec<usize> = Vec::with_capacity(k);
-        for j in (n - k)..n {
+        for (filled, j) in ((n - k)..n).enumerate() {
             let t = self.index(j + 1);
-            if out.contains(&t) {
-                out.push(j);
-            } else {
-                out.push(t);
-            }
+            out[filled] = if out[..filled].contains(&t) { j } else { t };
         }
         // Floyd's algorithm yields a uniform *set*; shuffle for a uniform
         // sequence so callers may treat position 0 as "primary".
-        self.shuffle(&mut out);
-        out
+        self.shuffle(out);
     }
 }
 
@@ -337,14 +332,29 @@ mod tests {
         for _ in 0..1000 {
             let n = 2 + r.index(20);
             let k = 1 + r.index(n.min(5));
-            let picks = r.distinct_indices(n, k);
-            assert_eq!(picks.len(), k);
-            let mut sorted = picks.clone();
+            let mut picks = [0usize; 5];
+            let picks = &mut picks[..k];
+            r.distinct_indices(n, picks);
+            let mut sorted = picks.to_vec();
             sorted.sort_unstable();
             sorted.dedup();
             assert_eq!(sorted.len(), k, "duplicates in {picks:?}");
             assert!(picks.iter().all(|&i| i < n));
         }
+    }
+
+    #[test]
+    fn one_distinct_index_is_one_index_draw() {
+        // `queuesim::model` places a k = 1 request with this call; it must
+        // stay the stream `index(n)` draws.
+        let mut a = Rng::seed_from(37);
+        let mut b = a.clone();
+        for n in 1..50 {
+            let mut one = [usize::MAX];
+            a.distinct_indices(n, &mut one);
+            assert_eq!(one[0], b.index(n));
+        }
+        assert_eq!(a.next_u64(), b.next_u64());
     }
 
     #[test]
@@ -356,7 +366,8 @@ mod tests {
         let mut counts = std::collections::BTreeMap::new();
         let n = 60_000;
         for _ in 0..n {
-            let mut p = r.distinct_indices(4, 2);
+            let mut p = [0usize; 2];
+            r.distinct_indices(4, &mut p);
             p.sort_unstable();
             *counts.entry((p[0], p[1])).or_insert(0usize) += 1;
         }

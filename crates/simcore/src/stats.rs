@@ -190,10 +190,15 @@ impl SampleSet {
         (self.xs.len() - idx) as f64 / self.xs.len() as f64
     }
 
-    /// Merges all samples from `other`.
-    pub fn merge(&mut self, other: &SampleSet) {
-        self.xs.extend_from_slice(&other.xs);
-        self.sorted = false;
+    /// Appends all samples from `other`, consuming it: merging into an
+    /// empty set moves `other`'s storage instead of copying it.
+    pub fn merge(&mut self, other: SampleSet) {
+        if self.xs.is_empty() {
+            *self = other;
+        } else {
+            self.xs.extend_from_slice(&other.xs);
+            self.sorted = false;
+        }
     }
 
     /// Summarizes into the fixed set of statistics the paper reports.
@@ -430,9 +435,13 @@ mod tests {
     fn merge_sampleset() {
         let mut a: SampleSet = [1.0, 2.0].into_iter().collect();
         let b: SampleSet = [3.0, 4.0].into_iter().collect();
-        a.merge(&b);
+        a.merge(b);
         assert_eq!(a.len(), 4);
         assert_eq!(a.quantile(1.0), 4.0);
+        // Merging into an empty set takes the other set whole.
+        let mut c = SampleSet::new();
+        c.merge(a.clone());
+        assert_eq!(c.sorted_slice(), [1.0, 2.0, 3.0, 4.0]);
     }
 
     #[test]

@@ -19,8 +19,11 @@
 //! **decision trace** can be a pure function of the workload. The split:
 //!
 //! * the **request script** (arrival times, per-copy service demands,
-//!   server placements) is generated upfront from the seed, exactly like
-//!   the CRN draw streams in `queuesim::threshold`;
+//!   server placements) is drawn from the seed one request at a time, in
+//!   request order, as the frontend dispatches. Arrival gaps and the
+//!   per-request draws come from two separate streams, so no completion
+//!   can reorder them: request `i`'s script is a pure function of the
+//!   seed and `i`, like the CRN draw streams in `queuesim::threshold`;
 //! * the planner is the simulator's [`LivePlanner`], one index per
 //!   logical server, and it ingests **script time and scripted demands
 //!   only**: each request's arrival reaches both stored replicas at its
@@ -44,7 +47,11 @@
 //! tri-state accounting the simulated service keeps. The frontend records
 //! a response exactly once per request: a late winner (a copy that
 //! completed before observing the cancel) increments a counter instead of
-//! double-completing.
+//! double-completing. The frontend keeps per-request state only for the
+//! window from the oldest request with an unaccounted copy to the newest
+//! dispatched one, so its memory follows the in-flight load, not the
+//! script length; the latency samples are the one per-request record kept
+//! for the whole run.
 //!
 //! This file is the *only* storesim module exempt from the workspace's
 //! `clippy::disallowed_types` wall-clock ban (the `expect` below):
@@ -63,6 +70,7 @@ use redundancy::planner::{LivePlanner, Planner, WorkloadProfile};
 use simcore::dist::{DynDist, Exponential};
 use simcore::rng::Rng;
 use simcore::stats::SampleSet;
+use std::collections::VecDeque;
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -151,6 +159,15 @@ impl RtConfig {
         self.warmup + self.requests
     }
 
+    /// The ramp bucket of request `i` (`None` during warm-up). With `M`
+    /// measured requests (at least 1) and `B` buckets, bucket `b` holds
+    /// measured requests `⌊b·M/B⌋..⌊(b+1)·M/B⌋`, so measured request `m`
+    /// lies in bucket `⌈(m+1)·B/M⌉ − 1`.
+    fn bucket_of(&self, i: usize) -> Option<usize> {
+        let m = i.checked_sub(self.warmup)?;
+        Some(((m + 1) * self.buckets).checked_sub(1)? / self.requests.max(1))
+    }
+
     /// Offered baseline load of request `i`: the simulated service's
     /// ramp ([`ramp_load`]).
     fn offered(&self, i: usize) -> f64 {
@@ -161,56 +178,6 @@ impl RtConfig {
             self.load_start,
             self.load_end,
         )
-    }
-}
-
-/// The deterministic request script: every random draw the run needs,
-/// materialized upfront from the seed (the rt analogue of the CRN draw
-/// streams). Arrival timestamps follow the offered-load ramp at the
-/// script clock; demands and placements are load-independent.
-struct Script {
-    /// Scripted arrival time of each request, seconds, nondecreasing.
-    arrivals: Vec<f64>,
-    /// Per-copy service demands (copy 0 is the k = 1 copy).
-    demands: Vec<[f64; 2]>,
-    /// The two stored-replica servers of each request.
-    pairs: Vec<[u16; 2]>,
-    /// Which pair member a k = 1 dispatch uses (load-balanced pick).
-    single_pick: Vec<u8>,
-}
-
-impl Script {
-    fn build(cfg: &RtConfig) -> Script {
-        assert!(cfg.servers >= 2, "need at least 2 servers to replicate");
-        assert!(cfg.servers <= u16::MAX as usize, "too many servers");
-        let total = cfg.total();
-        let mean = cfg.service.mean();
-        let mut root = Rng::seed_from(cfg.seed);
-        let mut arrival_rng = root.fork(0);
-        let mut req_rng = root.fork(1);
-        let mut arrivals = Vec::with_capacity(total);
-        let mut demands = Vec::with_capacity(total);
-        let mut pairs = Vec::with_capacity(total);
-        let mut single_pick = Vec::with_capacity(total);
-        let mut now = 0.0f64;
-        for i in 0..total {
-            let rho = cfg.offered(i);
-            let lambda = cfg.servers as f64 * rho / mean;
-            now += -arrival_rng.f64_open().ln() / lambda;
-            arrivals.push(now);
-            let d0 = cfg.service.sample(&mut req_rng);
-            let d1 = cfg.service.sample(&mut req_rng);
-            let pair = req_rng.distinct_indices(cfg.servers, 2);
-            demands.push([d0, d1]);
-            pairs.push([pair[0] as u16, pair[1] as u16]);
-            single_pick.push(req_rng.index(2) as u8);
-        }
-        Script {
-            arrivals,
-            demands,
-            pairs,
-            single_pick,
-        }
     }
 }
 
@@ -238,12 +205,24 @@ struct CopyDone {
     latency: Duration,
 }
 
+/// The frontend's state for one dispatched request.
+struct InFlight {
+    token: CancelToken,
+    /// Copies not yet accounted.
+    pending: u8,
+    /// Whether the first completion was recorded.
+    recorded: bool,
+}
+
 /// Frontend-side completion bookkeeping (split out of [`run`] so the
 /// drain sites share one handler without a self-borrowing closure).
 struct FrontState {
-    tokens: Vec<Option<CancelToken>>,
-    pending_copies: Vec<u8>,
-    recorded: Vec<bool>,
+    /// Requests `front..`, from the oldest with a copy still unaccounted
+    /// to the newest dispatched; fully accounted requests retire from the
+    /// front.
+    window: VecDeque<InFlight>,
+    /// Request index of `window[0]`.
+    front: usize,
     latencies: SampleSet,
     responses: usize,
     late: usize,
@@ -256,9 +235,8 @@ struct FrontState {
 impl FrontState {
     fn new(total: usize) -> Self {
         FrontState {
-            tokens: vec![None; total],
-            pending_copies: vec![0; total],
-            recorded: vec![false; total],
+            window: VecDeque::new(),
+            front: 0,
             latencies: SampleSet::with_capacity(total),
             responses: 0,
             late: 0,
@@ -270,31 +248,34 @@ impl FrontState {
     }
 
     fn handle_done(&mut self, done: CopyDone) {
-        let r = done.req as usize;
+        // A copy is accounted only once, so its request is still pending
+        // and inside the window.
+        let req = &mut self.window[done.req as usize - self.front];
         match done.outcome {
             CopyOutcome::Completed => {
-                if self.recorded[r] {
+                if req.recorded {
                     // A late winner: its sibling already completed. It must
                     // never double-complete the request — counted, dropped.
                     self.late += 1;
                 } else {
-                    self.recorded[r] = true;
+                    req.recorded = true;
                     self.responses += 1;
                     self.latencies.push(done.latency.as_secs_f64());
-                    if let Some(token) = &self.tokens[r] {
-                        token.cancel();
-                    }
+                    req.token.cancel();
                 }
             }
             CopyOutcome::Purged => self.purged += 1,
             CopyOutcome::Aborted => self.aborted += 1,
         }
-        self.pending_copies[r] -= 1;
-        if self.pending_copies[r] == 0 {
-            self.tokens[r] = None;
+        req.pending -= 1;
+        if req.pending == 0 {
             self.inflight -= 1;
         }
         self.accounted += 1;
+        while self.window.front().is_some_and(|r| r.pending == 0) {
+            self.window.pop_front();
+            self.front += 1;
+        }
     }
 }
 
@@ -375,12 +356,13 @@ fn execute(demand_secs: f64, token: &CancelToken) -> bool {
 /// `[2, moment_window]`.
 pub fn run(cfg: &RtConfig) -> RtResult {
     assert!(cfg.workers >= 1, "need at least one worker");
+    assert!(cfg.servers >= 2, "need at least 2 servers to replicate");
+    assert!(cfg.servers <= u16::MAX as usize, "too many servers");
     assert!(
         cfg.load_start > 0.0 && cfg.load_end > 0.0 && cfg.load_start < 1.0 && cfg.load_end < 1.0,
         "loads must sit in (0, 1)"
     );
     assert!(cfg.inflight >= 1, "need a positive in-flight window");
-    let script = Script::build(cfg);
     let total = cfg.total();
 
     // Worker pool: one job channel per worker, one shared completion
@@ -439,14 +421,22 @@ pub fn run(cfg: &RtConfig) -> RtResult {
     )
     .with_moments(cfg.moment_window, cfg.min_samples, cfg.recalibrate);
 
-    // Per-request bookkeeping.
+    // The request script's two streams: arrival gaps, and each request's
+    // demands and placement.
+    let mut root = Rng::seed_from(cfg.seed);
+    let mut arrival_rng = root.fork(0);
+    let mut req_rng = root.fork(1);
+    let mean = cfg.service.mean();
+    let mut script_now = 0.0f64;
+
     let mut st = FrontState::new(total);
-    let mut trace_k: Vec<u8> = vec![0; total];
+    let mut decisions_k2 = 0usize;
+    let mut bucket_k2 = vec![0usize; cfg.buckets];
     let mut fingerprint = 0xCBF2_9CE4_8422_2325u64;
     let mut issued = 0usize;
 
     let t_run = Instant::now();
-    for (i, trace_slot) in trace_k.iter_mut().enumerate() {
+    for i in 0..total {
         // Drain whatever has finished; block only when the window is full.
         while let Ok(done) = done_rx.try_recv() {
             st.handle_done(done);
@@ -456,30 +446,50 @@ pub fn run(cfg: &RtConfig) -> RtResult {
             st.handle_done(done);
         }
 
+        // --- request i's script: its arrival gap, then its two demands,
+        // its stored pair and the k = 1 pick, in that draw order ---
+        let lambda = cfg.servers as f64 * cfg.offered(i) / mean;
+        script_now += -arrival_rng.f64_open().ln() / lambda;
+        let demands = [
+            cfg.service.sample(&mut req_rng),
+            cfg.service.sample(&mut req_rng),
+        ];
+        let mut drawn = [0usize; 2];
+        req_rng.distinct_indices(cfg.servers, &mut drawn);
+        let pair = drawn.map(|s| s as u16);
+        let pick = req_rng.index(2) as u8;
+
         // --- the deterministic decision hot path (script inputs only) ---
-        let pair = script.pairs[i];
-        let k = 1 + u8::from(planner.decide(script.arrivals[i], &pair, 2.0));
-        *trace_slot = k;
-        fingerprint_entry(&mut fingerprint, k, pair, script.single_pick[i]);
+        let k = 1 + u8::from(planner.decide(script_now, &pair, 2.0));
+        if k == 2 {
+            decisions_k2 += 1;
+            if let Some(b) = cfg.bucket_of(i) {
+                bucket_k2[b] += 1;
+            }
+        }
+        fingerprint_entry(&mut fingerprint, k, pair, pick);
 
         // Dispatch-time demand reporting (mirrors DemandReport::Dispatch):
         // every *issued* copy's scripted demand, observed exactly once.
         for c in 0..k as usize {
-            planner.observe_demand(script.demands[i][copy_index(k, script.single_pick[i], c)]);
+            planner.observe_demand(demands[copy_index(k, pick, c)]);
         }
 
         // --- real dispatch ---
         let token = CancelToken::new();
-        st.tokens[i] = Some(token.clone());
-        st.pending_copies[i] = k;
+        st.window.push_back(InFlight {
+            token: token.clone(),
+            pending: k,
+            recorded: false,
+        });
         st.inflight += 1;
         let enqueued = Instant::now();
         for c in 0..k as usize {
-            let idx = copy_index(k, script.single_pick[i], c);
+            let idx = copy_index(k, pick, c);
             let server = pair[idx] as usize;
             let job = Job {
                 req: i as u32,
-                demand_secs: script.demands[i][idx],
+                demand_secs: demands[idx],
                 token: token.clone(),
                 enqueued,
             };
@@ -500,14 +510,12 @@ pub fn run(cfg: &RtConfig) -> RtResult {
     }
 
     // Deterministic derived stats.
-    let decisions_k2 = trace_k.iter().filter(|&&k| k == 2).count();
     let mut k2_fraction_by_bucket = Vec::with_capacity(cfg.buckets);
     let measured = cfg.requests.max(1);
-    for b in 0..cfg.buckets {
+    for (b, &k2) in bucket_k2.iter().enumerate() {
         let lo = cfg.warmup + b * measured / cfg.buckets;
         let hi = cfg.warmup + (b + 1) * measured / cfg.buckets;
         let n = (hi - lo).max(1);
-        let k2 = trace_k[lo..hi].iter().filter(|&&k| k == 2).count();
         let mid = 0.5 * (cfg.offered(lo) + cfg.offered(hi.saturating_sub(1)));
         k2_fraction_by_bucket.push((mid, k2 as f64 / n as f64));
     }
@@ -579,6 +587,33 @@ mod tests {
         // ~1 µs demands keep the scripted run fast even in debug builds.
         cfg.service = Arc::new(Exponential::with_mean(1.0e-6));
         cfg
+    }
+
+    #[test]
+    fn small_script_trace_is_pinned() {
+        // Values recorded when the script was still generated upfront:
+        // drawing it request by request must keep every draw, decision and
+        // bucket count (7 buckets over 3 001 measured requests, so the
+        // bucket edges fall between requests).
+        let mut cfg = tiny(3_001, 2);
+        cfg.window = 128;
+        cfg.buckets = 7;
+        let out = run(&cfg);
+        assert_eq!(out.trace_fingerprint, 0xf792_8ce8_2579_ea2a);
+        assert_eq!(out.decisions_k2, 1_477);
+        let mut curve = 0xCBF2_9CE4_8422_2325u64;
+        for &(mid, frac) in &out.k2_fraction_by_bucket {
+            fnv1a(&mut curve, &mid.to_bits().to_le_bytes());
+            fnv1a(&mut curve, &frac.to_bits().to_le_bytes());
+        }
+        assert_eq!(curve, 0xd39a_8214_17ac_860f);
+        assert_eq!(out.switch_off_load.to_bits(), 0x3fd9_2a72_032e_5d35);
+        assert_eq!(out.issued_copies, 4_778);
+        assert_eq!(
+            out.issued_copies,
+            out.responses + out.late + out.purged + out.aborted,
+            "{out:?}"
+        );
     }
 
     #[test]

@@ -437,6 +437,23 @@ pub fn stored_load_shares(cfg: &ServiceConfig) -> Vec<f64> {
         cfg.stored_replicas,
         cfg.servers
     );
+    let ring = HashRing::new(cfg.servers, cfg.vnodes);
+    load_shares_of(cfg, &stored_table(cfg, &ring))
+}
+
+/// The flat `[shard][replica]` stored-placement table of `ring` (stride
+/// `stored_replicas`): shard `sh`'s replicas in ring-walk order.
+pub(crate) fn stored_table(cfg: &ServiceConfig, ring: &HashRing) -> Vec<u16> {
+    let k = cfg.stored_replicas;
+    let mut tab = vec![0u16; cfg.shards * k];
+    for (sh, stored) in tab.chunks_exact_mut(k).enumerate() {
+        ring.replicas_into(sh as u64, stored);
+    }
+    tab
+}
+
+/// [`stored_load_shares`] over an already built [`stored_table`].
+pub(crate) fn load_shares_of(cfg: &ServiceConfig, stored_tab: &[u16]) -> Vec<f64> {
     // Per-shard weights, attributed exactly as dispatch maps popularity
     // samples to shards: by *value* (floored and clamped), never by the
     // distribution's construction order.
@@ -447,30 +464,14 @@ pub fn stored_load_shares(cfg: &ServiceConfig) -> Vec<f64> {
             weights[shard_of(v, cfg.shards)] += p;
         }
     }
-    let ring = HashRing::new(cfg.servers, cfg.vnodes);
     let mut shares = vec![0.0f64; cfg.servers];
-    for (shard, &w) in weights.iter().enumerate() {
-        let stored = ring.replicas(shard as u64, cfg.stored_replicas);
-        for &s in &stored {
-            shares[s] += w / stored.len() as f64;
+    let stored_sets = stored_tab.chunks_exact(cfg.stored_replicas);
+    for (&w, stored) in weights.iter().zip(stored_sets) {
+        for &s in stored {
+            shares[s as usize] += w / stored.len() as f64;
         }
     }
     shares
-}
-
-/// The server carrying the largest expected k = 1 dispatch share under
-/// this config's popularity mix (ties resolve to the lowest index) — the
-/// "hot server" every skew experiment's accounting pivots on. With uniform
-/// popularity this is just the ring's most-loaded server.
-pub fn hottest_stored_server(cfg: &ServiceConfig) -> usize {
-    let shares = stored_load_shares(cfg);
-    let mut hot = 0;
-    for (s, &w) in shares.iter().enumerate() {
-        if w > shares[hot] {
-            hot = s;
-        }
-    }
-    hot
 }
 
 /// One bucket of the load ramp.
@@ -496,8 +497,9 @@ pub struct RampBucket {
     /// saturated stretch can legitimately read slightly above 1.
     pub peak_utilization: f64,
     /// Of this bucket's measured requests, how many were **hot-pair**
-    /// requests — their shard's stored replicas include the config's
-    /// [`hottest_stored_server`].
+    /// requests — their shard's stored replicas include the config's hot
+    /// server: the first server with the largest [`stored_load_shares`]
+    /// entry.
     pub hot_requests: usize,
     /// Of the hot-pair requests, how many actually dispatched 2 copies.
     pub hot_k2_requests: usize,
@@ -1365,7 +1367,8 @@ mod tests {
             let expect = if pair.contains(&s) { 0.5 } else { 0.0 };
             assert!((w - expect).abs() < 1e-12, "server {s}: {shares:?}");
         }
-        assert!(pair.contains(&hottest_stored_server(&one)));
+        let hot = (0..shares.len()).fold(0, |h, s| if shares[s] > shares[h] { s } else { h });
+        assert!(pair.contains(&hot));
 
         // A popularity vector shorter than the shard count: unnamed
         // shards carry zero weight, the named ones keep theirs, and the

@@ -39,6 +39,17 @@
 //! count costs in summaries, events and wall-clock is what the
 //! `fig-service-frontier` lane sweep and the engine bench measure.
 //!
+//! A lane holds a request's slot only while the request is in flight:
+//! its slots form a window from its oldest unanswered request to its
+//! newest arrival, and answered requests retire from the front, so lane
+//! memory follows the load, not the run length
+//! ([`ShardedOutcome::peak_window`] reports the largest window). A
+//! response or hedge timer for a request below the front is a late
+//! duplicate and is dropped, as one for an answered request in the window
+//! is. The exact latency samples (8 B per measured request run-wide, 8 B
+//! more in its ramp bucket) are the only per-request record kept for the
+//! whole run; at the end they move, not copy, into the result.
+//!
 //! Every shard is deterministic in isolation because all randomness lives
 //! on the frontend lanes and servers hold no shared state:
 //!
@@ -83,8 +94,8 @@
 
 use crate::hashring::HashRing;
 use crate::service::{
-    hottest_stored_server, shard_of, switch_off_load, validate_config, DemandReport, Discipline,
-    Frontend, LoadModel, MomentSource, RampBucket, ServiceConfig, ServiceResult,
+    load_shares_of, shard_of, stored_table, switch_off_load, validate_config, DemandReport,
+    Discipline, Frontend, LoadModel, MomentSource, RampBucket, ServiceConfig, ServiceResult,
 };
 use redundancy::estimator::{LoadSummary, MomentSnapshot};
 use redundancy::planner::LivePlanner;
@@ -159,7 +170,8 @@ pub struct ScaleEvent {
     pub rho: f64,
 }
 
-/// Per-request bookkeeping on the owning lane.
+/// Per-request bookkeeping on the owning lane, held from the request's
+/// arrival until it and every older request of the lane are answered.
 struct ReqSlot {
     arrival: f64,
     offered: f64,
@@ -211,8 +223,15 @@ struct Lane {
     svc_rng: Rng,
     /// The replication decision loop (never consulted by a fixed policy).
     planner: LivePlanner,
-    /// Indexed by the lane-local request index `req / lanes`.
-    reqs: Vec<ReqSlot>,
+    /// The request window: slots of lane-local requests `front..`, from
+    /// the oldest unanswered one to the newest arrival (lane-local index
+    /// `req / lanes`). Answered requests retire from the front, so the
+    /// window grows with the requests in flight, not with the run.
+    reqs: VecDeque<ReqSlot>,
+    /// Lane-local index of `reqs[0]`; every request below it is answered.
+    front: usize,
+    /// Most slots the window has held at once.
+    peak_window: usize,
     response: SampleSet,
     bucket_samples: Vec<SampleSet>,
     bucket_reqs: Vec<usize>,
@@ -289,10 +308,15 @@ impl Lane {
         offered * self.st.cfg.servers as f64 / self.st.mean_service / self.st.lanes as f64
     }
 
+    /// Window position of `req`'s slot, or `None` once it has retired.
+    fn slot_of(&self, req: u32) -> Option<usize> {
+        ((req as usize) / self.st.lanes).checked_sub(self.front)
+    }
+
     /// Dispatches copies `from..to` of `req`'s target list: demand sampled
     /// here (lane RNG), `CopyArrive` sent to the owning server shard.
     fn dispatch(&mut self, req: u32, from: usize, to: usize, ctx: &mut ShardCtx<'_, SEv>) {
-        let slot = (req as usize) / self.st.lanes;
+        let slot = self.slot_of(req).expect("dispatch of a retired request");
         for idx in from..to {
             let server = self.reqs[slot].targets[idx];
             let demand = self.st.cfg.service.sample(&mut self.svc_rng);
@@ -422,7 +446,7 @@ impl Lane {
             }
         }
 
-        self.reqs.push(ReqSlot {
+        self.reqs.push_back(ReqSlot {
             arrival: t,
             offered,
             targets,
@@ -432,7 +456,8 @@ impl Lane {
             hot,
             done: false,
         });
-        debug_assert_eq!(self.reqs.len() - 1, i / self.st.lanes);
+        debug_assert_eq!(self.front + self.reqs.len() - 1, i / self.st.lanes);
+        self.peak_window = self.peak_window.max(self.reqs.len());
 
         if i >= self.st.cfg.warmup {
             let b = self.bucket_of(offered);
@@ -469,10 +494,10 @@ impl Lane {
             self.planner.observe_demand(demand);
         }
         let i = req as usize;
-        let slot = i / self.st.lanes;
-        if self.reqs[slot].done {
+        // A late duplicate: its request is answered, retired or not.
+        let Some(slot) = self.slot_of(req).filter(|&s| !self.reqs[s].done) else {
             return;
-        }
+        };
         self.reqs[slot].done = true;
         self.finished += 1;
         let state = &self.reqs[slot];
@@ -493,6 +518,19 @@ impl Lane {
                     self.send(dest, SEv::Cancel { req, server: other }, ctx);
                 }
             }
+        }
+        while self.reqs.front().is_some_and(|r| r.done) {
+            self.reqs.pop_front();
+            self.front += 1;
+        }
+    }
+
+    /// A hedged request's delay elapsed: dispatch the rest of its targets
+    /// unless it was answered first (retired or not).
+    fn hedge_fire(&mut self, req: u32, ctx: &mut ShardCtx<'_, SEv>) {
+        if let Some(r) = self.slot_of(req).map(|s| &self.reqs[s]).filter(|r| !r.done) {
+            let (from, to) = (r.sent as usize, r.tlen as usize);
+            self.dispatch(req, from, to, ctx);
         }
     }
 
@@ -900,13 +938,7 @@ impl ShardLogic for Node {
         let t = now.as_secs();
         match (self, ev) {
             (Node::Lane(lane), SEv::Arrive { req }) => lane.arrive(t, req, ctx),
-            (Node::Lane(lane), SEv::HedgeFire { req }) => {
-                let slot = (req as usize) / lane.st.lanes;
-                if !lane.reqs[slot].done {
-                    let (from, to) = (lane.reqs[slot].sent as usize, lane.reqs[slot].tlen as usize);
-                    lane.dispatch(req, from, to, ctx);
-                }
-            }
+            (Node::Lane(lane), SEv::HedgeFire { req }) => lane.hedge_fire(req, ctx),
             (
                 Node::Lane(lane),
                 SEv::Response {
@@ -964,6 +996,11 @@ pub struct ShardedOutcome {
     pub peak_live: usize,
     /// Live servers when the run ended (`cfg.servers` when static).
     pub final_live: usize,
+    /// Most request slots any lane held at once: its window from the
+    /// oldest unanswered request to the newest arrival. Deterministic, and
+    /// left out of [`fingerprint`](Self::fingerprint) so the pinned
+    /// fingerprint hashes keep their recorded values.
+    pub peak_window: usize,
 }
 
 impl ShardedOutcome {
@@ -1035,16 +1072,15 @@ pub fn run_sharded(cfg: &ServiceConfig, groups: usize, threads: usize) -> Sharde
     let threshold = planner.threshold_load();
 
     // Placement is precomputed into a flat table: the hot path then never
-    // touches the ring (HashRing::replicas allocates per call).
+    // touches the ring.
     let k_stored = cfg.stored_replicas;
     let ring = HashRing::new(cfg.servers, cfg.vnodes);
-    let mut stored_tab = vec![0u16; cfg.shards * k_stored];
-    for sh in 0..cfg.shards {
-        for (j, &s) in ring.replicas(sh as u64, k_stored).iter().enumerate() {
-            stored_tab[sh * k_stored + j] = s as u16;
-        }
-    }
-    let hot_server = hottest_stored_server(cfg) as u16;
+    let stored_tab = stored_table(cfg, &ring);
+    // The hot server every skew experiment's accounting pivots on: the
+    // first one with the largest expected k = 1 share.
+    let shares = load_shares_of(cfg, &stored_tab);
+    let hot_server =
+        (0..cfg.servers).fold(0, |h, s| if shares[s] > shares[h] { s } else { h }) as u16;
     let hot_shard: Vec<bool> = (0..cfg.shards)
         .map(|sh| stored_tab[sh * k_stored..(sh + 1) * k_stored].contains(&hot_server))
         .collect();
@@ -1152,7 +1188,9 @@ pub fn run_sharded(cfg: &ServiceConfig, groups: usize, threads: usize) -> Sharde
             place_rng,
             svc_rng,
             planner: live,
-            reqs: Vec::with_capacity(owned),
+            reqs: VecDeque::new(),
+            front: 0,
+            peak_window: 0,
             response: SampleSet::with_capacity(cfg.requests / lanes + 1),
             bucket_samples: (0..cfg.buckets).map(|_| SampleSet::new()).collect(),
             bucket_reqs: vec![0; cfg.buckets],
@@ -1268,13 +1306,17 @@ pub fn run_sharded(cfg: &ServiceConfig, groups: usize, threads: usize) -> Sharde
         )
     };
 
-    let mut response = SampleSet::with_capacity(cfg.requests);
+    // The lanes' samples move into the merged sets (a single lane's
+    // vectors are taken whole, never copied).
+    let mut response = SampleSet::new();
     let mut completed = 0usize;
     let mut copies_issued = 0u64;
     let mut recalibrations = 0u64;
     let mut summaries = 0u64;
-    for lane in &lanes_out {
-        response.merge(&lane.response);
+    let mut peak_window = 0usize;
+    for lane in &mut lanes_out {
+        response.merge(std::mem::take(&mut lane.response));
+        peak_window = peak_window.max(lane.peak_window);
         completed += lane.completed;
         copies_issued += lane.copies_issued;
         recalibrations += lane.planner.recalibrations();
@@ -1295,8 +1337,8 @@ pub fn run_sharded(cfg: &ServiceConfig, groups: usize, threads: usize) -> Sharde
             let mut k2_requests = 0usize;
             let mut hot_requests = 0usize;
             let mut hot_k2_requests = 0usize;
-            for lane in &lanes_out {
-                samples.merge(&lane.bucket_samples[b]);
+            for lane in &mut lanes_out {
+                samples.merge(std::mem::take(&mut lane.bucket_samples[b]));
                 requests += lane.bucket_reqs[b];
                 k2_requests += lane.bucket_k2[b];
                 hot_requests += lane.bucket_hot[b];
@@ -1366,6 +1408,7 @@ pub fn run_sharded(cfg: &ServiceConfig, groups: usize, threads: usize) -> Sharde
         scale_log,
         peak_live,
         final_live,
+        peak_window,
     }
 }
 
@@ -1449,6 +1492,83 @@ mod tests {
         );
         let (ma, mb) = (a.result.response.mean(), b.result.response.mean());
         assert!((ma - mb).abs() / ma < 0.05, "mean {ma} vs {mb}");
+    }
+
+    /// A 2-lane ramp on 12 servers under `policy`, no cancellation.
+    fn retire_ramp(policy: Policy, load_end: f64) -> ServiceConfig {
+        let service: DynDist = Arc::new(Exponential::with_mean(1.0e-3));
+        let mut cfg = ServiceConfig::ramp(service, 0.05, load_end);
+        cfg.servers = 12;
+        cfg.frontend = Frontend::Fixed(policy);
+        cfg.frontend_lanes = 2;
+        cfg.requests = 20_000;
+        cfg.warmup = 2_000;
+        cfg
+    }
+
+    #[test]
+    fn losing_copies_answer_after_their_request_retired() {
+        // Without cancellation both copies of every request run, so every
+        // loser answers after its request was answered, most of them after
+        // it retired from its lane's window. Each one must be dropped: one
+        // completion per request, two copies each, and the same bits at
+        // every worker count and as recorded before the window existed.
+        let cfg = retire_ramp(Policy::Always { copies: 2 }, 0.45);
+        let out = run_sharded(&cfg, 3, 1);
+        assert_eq!(out.result.completed, cfg.requests);
+        let total = (cfg.requests + cfg.warmup) as u64;
+        assert_eq!(out.result.copies_issued, 2 * total);
+        assert_eq!(out.result.copies_cancelled, 0);
+        let reference = out.fingerprint();
+        assert_eq!(
+            fnv1a64(&reference),
+            0xd4d7_d56f_0cff_1781,
+            "always-2 pin drifted"
+        );
+        assert_eq!(reference, run_sharded(&cfg, 3, 3).fingerprint());
+    }
+
+    #[test]
+    fn hedges_landing_on_retired_requests_fire_nothing() {
+        // A 2 ms hedge on a 1 ms-mean service: over half the primaries
+        // answer first, so their hedge timers find the request answered,
+        // most of them after it retired. Only the rest dispatch a copy.
+        let after = std::time::Duration::from_millis(2);
+        let cfg = retire_ramp(Policy::Hedged { copies: 2, after }, 0.6);
+        let out = run_sharded(&cfg, 3, 1);
+        assert_eq!(out.result.completed, cfg.requests);
+        let total = (cfg.requests + cfg.warmup) as u64;
+        let fired = out.result.copies_issued - total;
+        assert!(
+            fired > 0 && fired < total / 2,
+            "{fired} of {total} hedges fired"
+        );
+        let measured_k2: usize = out.result.buckets.iter().map(|b| b.k2_requests).sum();
+        assert!(measured_k2 as u64 <= fired);
+        let reference = out.fingerprint();
+        assert_eq!(
+            fnv1a64(&reference),
+            0xffd2_00b5_93ad_fe8f,
+            "hedged pin drifted"
+        );
+        assert_eq!(reference, run_sharded(&cfg, 3, 3).fingerprint());
+    }
+
+    #[test]
+    fn request_window_follows_the_load_not_the_run() {
+        // Each lane holds slots only from its oldest unanswered request to
+        // its newest arrival: a few per cent of the run at most, and the
+        // same count at every worker count.
+        let cfg = small_ramp();
+        let peak = run_sharded(&cfg, 5, 1).peak_window;
+        assert!(peak > 0 && peak * 20 < cfg.requests, "peak window {peak}");
+        for threads in [2, 3] {
+            assert_eq!(
+                run_sharded(&cfg, 5, threads).peak_window,
+                peak,
+                "threads={threads}"
+            );
+        }
     }
 
     #[test]
