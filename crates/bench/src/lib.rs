@@ -23,6 +23,7 @@ pub mod wan;
 
 pub use ablations::ABLATION_IDS;
 pub use rt_report::WALL_CLOCK_IDS;
+use storesim::experiments::ExperimentSpec;
 
 /// How much compute to spend.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -106,13 +107,13 @@ pub fn run_experiment(id: &str, effort: Effort) -> String {
         "fig2c" => queueing::fig2c(effort),
         "fig3" => queueing::fig3(effort),
         "fig4" => queueing::fig4(effort),
-        "fig5" => store::disk_figure(store::DiskFigure::Fig5, effort),
-        "fig6" => store::disk_figure(store::DiskFigure::Fig6, effort),
-        "fig7" => store::disk_figure(store::DiskFigure::Fig7, effort),
-        "fig8" => store::disk_figure(store::DiskFigure::Fig8, effort),
-        "fig9" => store::disk_figure(store::DiskFigure::Fig9, effort),
-        "fig10" => store::disk_figure(store::DiskFigure::Fig10, effort),
-        "fig11" => store::disk_figure(store::DiskFigure::Fig11, effort),
+        "fig5" => store::disk_figure(&ExperimentSpec::fig5_base(), effort),
+        "fig6" => store::disk_figure(&ExperimentSpec::fig6_tiny_files(), effort),
+        "fig7" => store::disk_figure(&ExperimentSpec::fig7_pareto_files(), effort),
+        "fig8" => store::disk_figure(&ExperimentSpec::fig8_cold_cache(), effort),
+        "fig9" => store::disk_figure(&ExperimentSpec::fig9_ec2(), effort),
+        "fig10" => store::disk_figure(&ExperimentSpec::fig10_large_files(), effort),
+        "fig11" => store::disk_figure(&ExperimentSpec::fig11_all_in_ram(), effort),
         "fig12" => store::fig12(effort),
         "fig13" => store::fig13(effort),
         "fig-service" => store::fig_service(effort),

@@ -7,67 +7,19 @@ use simcore::dist::{Distribution, DynDist, Exponential};
 use simcore::runner::{global_threads, Runner};
 use std::sync::Arc;
 use std::time::Duration;
-use storesim::experiments::{
-    ccdf_at_load, run_load_sweep, run_service_ramp, ExperimentSpec, ServiceRampOutcome,
-};
+use storesim::experiments::{ccdf_at_load, run_load_sweep, run_service_ramp, ExperimentSpec};
 use storesim::memcached::{run as run_memcached, MemcachedConfig, MemcachedProfile};
 use storesim::service::{
     bounded_pareto_with_mean, stored_load_shares, weibull_with_mean, zipf_popularity, Autoscale,
-    DemandReport, Discipline, Frontend, LoadModel, MomentSource, ServiceConfig,
+    Discipline, Frontend, LoadModel, MomentSource, ServiceConfig, ServiceResult,
 };
 use storesim::sharded::run_sharded;
 
-/// Which §2.2 figure.
-#[derive(Clone, Copy, Debug)]
-pub enum DiskFigure {
-    /// Base configuration.
-    Fig5,
-    /// 0.04 KB files.
-    Fig6,
-    /// Pareto file sizes.
-    Fig7,
-    /// cache:disk = 0.01.
-    Fig8,
-    /// EC2-like interference.
-    Fig9,
-    /// 400 KB files.
-    Fig10,
-    /// cache:disk = 2 (all in RAM).
-    Fig11,
-}
-
-impl DiskFigure {
-    fn spec(&self) -> ExperimentSpec {
-        match self {
-            DiskFigure::Fig5 => ExperimentSpec::fig5_base(),
-            DiskFigure::Fig6 => ExperimentSpec::fig6_tiny_files(),
-            DiskFigure::Fig7 => ExperimentSpec::fig7_pareto_files(),
-            DiskFigure::Fig8 => ExperimentSpec::fig8_cold_cache(),
-            DiskFigure::Fig9 => ExperimentSpec::fig9_ec2(),
-            DiskFigure::Fig10 => ExperimentSpec::fig10_large_files(),
-            DiskFigure::Fig11 => ExperimentSpec::fig11_all_in_ram(),
-        }
-    }
-
-    fn paper_ref(&self) -> &'static str {
-        match self {
-            DiskFigure::Fig5 => "Figure 5 (base: 4 KB files, cache:disk 0.1)",
-            DiskFigure::Fig6 => "Figure 6 (0.04 KB files)",
-            DiskFigure::Fig7 => "Figure 7 (Pareto file sizes)",
-            DiskFigure::Fig8 => "Figure 8 (cache:disk 0.01)",
-            DiskFigure::Fig9 => "Figure 9 (EC2)",
-            DiskFigure::Fig10 => "Figure 10 (400 KB files)",
-            DiskFigure::Fig11 => "Figure 11 (cache:disk 2)",
-        }
-    }
-}
-
 /// Runs one §2.2 figure: mean + 99.9th vs load, and the CCDF at 20 % load.
-pub fn disk_figure(fig: DiskFigure, effort: Effort) -> String {
-    let spec = fig.spec();
+pub fn disk_figure(spec: &ExperimentSpec, effort: Effort) -> String {
     let mut r = Report::new(
         &format!("{}: disk-backed store, 1 vs 2 copies", spec.name),
-        fig.paper_ref(),
+        spec.paper_ref,
     );
     let requests = effort.scale(150_000, 25_000);
     let loads: Vec<f64> = match effort {
@@ -81,7 +33,7 @@ pub fn disk_figure(fig: DiskFigure, effort: Effort) -> String {
         "p999_1copy_ms",
         "p999_2copies_ms",
     ]);
-    for row in run_load_sweep(&spec, &loads, requests, 0xD15C) {
+    for row in run_load_sweep(spec, &loads, requests, 0xD15C) {
         r.row(&[
             num(row.load),
             ms(row.mean_single),
@@ -92,7 +44,7 @@ pub fn disk_figure(fig: DiskFigure, effort: Effort) -> String {
     }
     r.blank();
     let ccdf_requests = effort.scale(600_000, 50_000);
-    let (single, double) = ccdf_at_load(&spec, 0.2, ccdf_requests, 60, 0xCCDF);
+    let (single, double) = ccdf_at_load(spec, 0.2, ccdf_requests, 60, 0xCCDF);
     r.ccdf("load 0.2, 1 copy", &single);
     r.ccdf("load 0.2, 2 copies", &double);
     r.finish()
@@ -177,23 +129,35 @@ pub fn fig_service(effort: Effort) -> String {
         "{} servers, {} shards stored {}-way, FIFO service, exponential 1 ms workload, {} reps",
         cfg.servers, cfg.shards, cfg.stored_replicas, reps
     ));
-    r.header(&["load", "frac_k2", "mean_ms", "p99_ms"]);
-    for row in &out.rows {
+    ramp_table(&mut r, "load", &out);
+    switch_off_notes(&mut r, &out, "+-0.05");
+    r.finish()
+}
+
+/// The per-bucket `load, frac_k2, mean_ms, p99_ms` table of one ramp, its
+/// first column headed `load`.
+fn ramp_table(r: &mut Report, load: &str, res: &ServiceResult) {
+    r.header(&[load, "frac_k2", "mean_ms", "p99_ms"]);
+    for b in &res.buckets {
         r.row(&[
-            num(row.load),
-            num(row.frac_k2),
-            ms(row.mean_response),
-            ms(row.p99),
+            num(b.load),
+            num(b.frac_k2()),
+            ms(b.mean_response),
+            ms(b.p99),
         ]);
     }
     r.blank();
-    r.note(&format!("planner switch-off load: {:.5}", out.switch_off));
-    r.note(&format!("offline threshold: {:.5}", out.offline_threshold));
+}
+
+/// The switch-off headline notes: the planner's switch-off load, the
+/// offline threshold, and their difference with its `band`.
+fn switch_off_notes(r: &mut Report, res: &ServiceResult, band: &str) {
+    r.note(&format!("planner switch-off load: {:.5}", res.switch_off));
+    r.note(&format!("offline threshold: {:.5}", res.planner_threshold));
     r.note(&format!(
-        "switch-off minus threshold: {:+.5} (band: +-0.05)",
-        out.switch_off - out.offline_threshold
+        "switch-off minus threshold: {:+.5} (band: {band})",
+        res.switch_off - res.planner_threshold
     ));
-    r.finish()
 }
 
 /// `fig-service-est`: the self-calibration experiment. The same adaptive
@@ -231,11 +195,11 @@ pub fn fig_service_est(effort: Effort) -> String {
         "mean_ms_estimated",
         "p99_ms_estimated",
     ]);
-    for (c, e) in clair.rows.iter().zip(&est.rows) {
+    for (c, e) in clair.buckets.iter().zip(&est.buckets) {
         r.row(&[
             num(c.load),
-            num(c.frac_k2),
-            num(e.frac_k2),
+            num(c.frac_k2()),
+            num(e.frac_k2()),
             ms(e.mean_response),
             ms(e.p99),
         ]);
@@ -246,7 +210,10 @@ pub fn fig_service_est(effort: Effort) -> String {
         clair.switch_off
     ));
     r.note(&format!("estimated switch-off load: {:.5}", est.switch_off));
-    r.note(&format!("offline threshold: {:.5}", clair.offline_threshold));
+    r.note(&format!(
+        "offline threshold: {:.5}",
+        clair.planner_threshold
+    ));
     r.note(&format!(
         "estimated final mean service: {:.6} s (config 0.001000 s)",
         est.est_mean_service
@@ -265,13 +232,13 @@ pub fn fig_service_est(effort: Effort) -> String {
     ));
     r.note(&format!(
         "estimated minus offline threshold: {:+.5} (band: +-0.08)",
-        est.switch_off - clair.offline_threshold
+        est.switch_off - clair.planner_threshold
     ));
     r.finish()
 }
 
 /// One self-calibrating ramp for `fig-service-tail`.
-fn tail_ramp(service: DynDist, requests: usize, reps: usize) -> ServiceRampOutcome {
+fn tail_ramp(service: DynDist, requests: usize, reps: usize) -> ServiceResult {
     let mut cfg = ServiceConfig::ramp(service, 0.05, 0.55);
     cfg.requests = requests;
     cfg.warmup = requests / 10;
@@ -326,10 +293,10 @@ pub fn fig_service_tail(effort: Effort) -> String {
             (*name).to_string(),
             num(scv_true),
             num(out.est_scv),
-            num(out.offline_threshold),
+            num(out.planner_threshold),
             num(out.live_threshold),
             num(out.switch_off),
-            format!("{:+.5}", out.switch_off - out.offline_threshold),
+            format!("{:+.5}", out.switch_off - out.planner_threshold),
         ]);
         measured.push(out);
     }
@@ -408,18 +375,18 @@ pub fn fig_service_skew(effort: Effort) -> String {
         "p99_ms_hedged",
         "frac_hedge_fired",
     ]);
-    for i in 0..uniform.rows.len() {
+    for i in 0..uniform.buckets.len() {
         r.row(&[
-            num(uniform.rows[i].load),
-            num(uniform.rows[i].frac_k2),
-            num(skewed.rows[i].frac_k2),
-            ms(single.rows[i].p99),
-            ms(hedged.rows[i].p99),
-            num(hedged.rows[i].frac_k2),
+            num(uniform.buckets[i].load),
+            num(uniform.buckets[i].frac_k2()),
+            num(skewed.buckets[i].frac_k2()),
+            ms(single.buckets[i].p99),
+            ms(hedged.buckets[i].p99),
+            num(hedged.buckets[i].frac_k2()),
         ]);
     }
     r.blank();
-    let last = uniform.rows.len() - 1;
+    let last = uniform.buckets.len() - 1;
     r.note(&format!(
         "uniform switch-off load: {:.5}",
         uniform.switch_off
@@ -427,7 +394,7 @@ pub fn fig_service_skew(effort: Effort) -> String {
     r.note(&format!("skewed switch-off load: {:.5}", skewed.switch_off));
     r.note(&format!(
         "offline threshold: {:.5}",
-        skewed.offline_threshold
+        skewed.planner_threshold
     ));
     r.note(&format!(
         "hottest-server load share: {:.4} (fair share {:.4})",
@@ -436,14 +403,14 @@ pub fn fig_service_skew(effort: Effort) -> String {
     ));
     r.note(&format!(
         "skewed single p99 at ramp end: {} ms (uniform-mix planner p99 {} ms)",
-        ms(single.rows[last].p99),
-        ms(uniform.rows[last].p99)
+        ms(single.buckets[last].p99),
+        ms(uniform.buckets[last].p99)
     ));
     r.note(&format!(
         "hedged p99 at ramp end: {} ms vs single {} ms (ratio {:.3})",
-        ms(hedged.rows[last].p99),
-        ms(single.rows[last].p99),
-        hedged.rows[last].p99 / single.rows[last].p99
+        ms(hedged.buckets[last].p99),
+        ms(single.buckets[last].p99),
+        hedged.buckets[last].p99 / single.buckets[last].p99
     ));
     r.note(&format!(
         "hedge fired fraction: {:.5}",
@@ -451,7 +418,7 @@ pub fn fig_service_skew(effort: Effort) -> String {
     ));
     r.note(&format!(
         "hedge cancel fraction: {:.5}",
-        hedged.cancel_fraction
+        hedged.cancel_fraction()
     ));
     r.finish()
 }
@@ -504,13 +471,13 @@ pub fn fig_service_skew_aware(effort: Effort) -> String {
         "p99_ms_global",
         "p99_ms_perserver",
     ]);
-    for (g, p) in global.rows.iter().zip(&per.rows) {
+    for (g, p) in global.buckets.iter().zip(&per.buckets) {
         r.row(&[
             num(g.load),
-            num(g.frac_k2),
-            num(p.frac_k2),
-            num(p.frac_k2_hot),
-            num(p.frac_k2_cold),
+            num(g.frac_k2()),
+            num(p.frac_k2()),
+            num(p.frac_k2_hot()),
+            num(p.frac_k2_cold()),
             num(g.peak_utilization),
             num(p.peak_utilization),
             ms(g.p99),
@@ -518,45 +485,45 @@ pub fn fig_service_skew_aware(effort: Effort) -> String {
         ]);
     }
     r.blank();
-    let hump = |o: &ServiceRampOutcome| o.rows.iter().map(|x| x.p99).fold(f64::NAN, f64::max);
+    let hump = |o: &ServiceResult| o.buckets.iter().map(|b| b.p99).fold(f64::NAN, f64::max);
     r.note(&format!(
         "hottest-server load share: {:.4} (fair share {:.4})",
         hot_share,
         1.0 / cfg.servers as f64
     ));
-    r.note(&format!("offline threshold: {:.5}", per.offline_threshold));
+    r.note(&format!("offline threshold: {:.5}", per.planner_threshold));
     r.note(&format!("global switch-off load: {:.5}", global.switch_off));
     r.note(&format!("per-server switch-off load: {:.5}", per.switch_off));
     r.note(&format!(
         "per-server hot-pair switch-off load: {:.5}",
-        per.switch_off_hot
+        per.switch_off_hot()
     ));
     r.note(&format!(
         "per-server cold-pair switch-off load: {:.5} (band: exceeds the hot-pair \
          switch-off by > 0.10 — cold keys keep replicating after hot keys \
          switched off; NaN = never crosses inside the ramp)",
-        per.switch_off_cold
+        per.switch_off_cold()
     ));
-    let last = per.rows.last().expect("ramp has buckets");
+    let last = per.buckets.last().expect("ramp has buckets");
     r.note(&format!(
         "hot-pair k2 fraction at ramp end: {:.5}",
-        last.frac_k2_hot
+        last.frac_k2_hot()
     ));
     r.note(&format!(
         "cold-pair k2 fraction at ramp end: {:.5}",
-        last.frac_k2_cold
+        last.frac_k2_cold()
     ));
     r.note(&format!(
         "global hot-server peak utilization: {:.5}",
-        global.peak_utilization
+        global.peak_utilization()
     ));
     r.note(&format!(
         "per-server hot-server peak utilization: {:.5}",
-        per.peak_utilization
+        per.peak_utilization()
     ));
     r.note(&format!(
         "peak utilization reduction: {:+.5} (band: per-server below global by > 0.05)",
-        global.peak_utilization - per.peak_utilization
+        global.peak_utilization() - per.peak_utilization()
     ));
     r.note(&format!("global p99 hump: {} ms", ms(hump(&global))));
     r.note(&format!("per-server p99 hump: {} ms", ms(hump(&per))));
@@ -587,7 +554,6 @@ pub fn fig_service_ps_est(effort: Effort) -> String {
     cfg.warmup = cfg.requests / 10;
     cfg.discipline = Discipline::Ps;
     cfg.cancellation = true;
-    cfg.demand_report = DemandReport::Dispatch;
     cfg.frontend = Frontend::Adaptive {
         window: 2048,
         moments: MomentSource::estimated(),
@@ -600,22 +566,8 @@ pub fn fig_service_ps_est(effort: Effort) -> String {
          estimated moments reported at dispatch, {} reps",
         cfg.servers, cfg.shards, reps
     ));
-    r.header(&["load", "frac_k2", "mean_ms", "p99_ms"]);
-    for row in &out.rows {
-        r.row(&[
-            num(row.load),
-            num(row.frac_k2),
-            ms(row.mean_response),
-            ms(row.p99),
-        ]);
-    }
-    r.blank();
-    r.note(&format!("planner switch-off load: {:.5}", out.switch_off));
-    r.note(&format!("offline threshold: {:.5}", out.offline_threshold));
-    r.note(&format!(
-        "switch-off minus threshold: {:+.5} (band: +-0.08)",
-        out.switch_off - out.offline_threshold
-    ));
+    ramp_table(&mut r, "load", &out);
+    switch_off_notes(&mut r, &out, "+-0.08");
     r.note(&format!(
         "estimated final mean service: {:.6} s (config 0.001000 s; completion \
          reporting would have censored this toward ~0.0005)",
@@ -629,7 +581,7 @@ pub fn fig_service_ps_est(effort: Effort) -> String {
         "estimated live threshold: {:.5}",
         out.live_threshold
     ));
-    r.note(&format!("cancel fraction: {:.5}", out.cancel_fraction));
+    r.note(&format!("cancel fraction: {:.5}", out.cancel_fraction()));
     r.finish()
 }
 
@@ -685,21 +637,7 @@ pub fn fig_service_scale(effort: Effort) -> String {
         "fig-service-scale: large-cluster adaptive ramp on the sharded parallel engine",
         "Section 2.1 threshold at scale; engine-scaling headline (no direct paper figure)",
     );
-    let service: DynDist = Arc::new(Exponential::with_mean(1.0e-3));
-    let mut cfg = ServiceConfig::ramp(service, 0.05, 0.6);
-    cfg.servers = effort.scale(512, 256);
-    cfg.shards = effort.scale(131_072, 65_536);
-    cfg.vnodes = 16;
-    cfg.cancellation = true;
-    // Wide-area propagation doubles as the engine's lookahead window:
-    // 200 µs keeps synchronization rounds fat (hundreds of events each).
-    cfg.propagation = 200.0e-6;
-    cfg.requests = effort.scale(4_000_000, 1_000_000);
-    cfg.warmup = effort.scale(200_000, 50_000);
-    if let Frontend::Adaptive { window, .. } = &mut cfg.frontend {
-        *window = 8192;
-    }
-    let groups = effort.scale(16, 8);
+    let (cfg, groups) = scale_ramp(effort);
     let out = run_sharded(&cfg, groups, global_threads());
     let res = &out.result;
     r.note(&format!(
@@ -707,17 +645,8 @@ pub fn fig_service_scale(effort: Effort) -> String {
          cancellation on, exponential 1 ms workload, {} requests (+{} warmup), single ramp",
         cfg.servers, out.groups, cfg.shards, cfg.stored_replicas, cfg.requests, cfg.warmup
     ));
-    r.header(&["load", "frac_k2", "mean_ms", "p99_ms"]);
-    for b in &res.buckets {
-        r.row(&[num(b.load), num(b.frac_k2()), ms(b.mean_response), ms(b.p99)]);
-    }
-    r.blank();
-    r.note(&format!("planner switch-off load: {:.5}", res.switch_off));
-    r.note(&format!("offline threshold: {:.5}", res.planner_threshold));
-    r.note(&format!(
-        "switch-off minus threshold: {:+.5} (band: +-0.05)",
-        res.switch_off - res.planner_threshold
-    ));
+    ramp_table(&mut r, "load", res);
+    switch_off_notes(&mut r, res, "+-0.05");
     r.note(&format!(
         "engine: {} events in {} rounds ({:.1} events/round), lookahead {} us",
         out.engine.events,
@@ -736,6 +665,27 @@ pub fn fig_service_scale(effort: Effort) -> String {
     r.finish()
 }
 
+/// The cluster-scale adaptive ramp `fig-service-scale` runs and
+/// `fig-service-frontier` reruns per lane count, with its server-group
+/// count.
+fn scale_ramp(effort: Effort) -> (ServiceConfig, usize) {
+    let service: DynDist = Arc::new(Exponential::with_mean(1.0e-3));
+    let mut cfg = ServiceConfig::ramp(service, 0.05, 0.6);
+    cfg.servers = effort.scale(512, 256);
+    cfg.shards = effort.scale(131_072, 65_536);
+    cfg.vnodes = 16;
+    cfg.cancellation = true;
+    // Wide-area propagation doubles as the engine's lookahead window:
+    // 200 µs keeps synchronization rounds fat (hundreds of events each).
+    cfg.propagation = 200.0e-6;
+    cfg.requests = effort.scale(4_000_000, 1_000_000);
+    cfg.warmup = effort.scale(200_000, 50_000);
+    if let Frontend::Adaptive { window, .. } = &mut cfg.frontend {
+        *window = 8192;
+    }
+    (cfg, effort.scale(16, 8))
+}
+
 /// `fig-service-frontier`: the lane sweep of the sharded engine. The
 /// `fig-service-scale` ramp is rerun with its frontend decomposed into
 /// L ∈ {1, 2, 4, 8} lanes, each lane its own engine shard. Every row must
@@ -751,19 +701,7 @@ pub fn fig_service_frontier(effort: Effort) -> String {
         "Section 2.1 threshold under a decomposed frontend; lane-tax headline \
          (no direct paper figure)",
     );
-    let service: DynDist = Arc::new(Exponential::with_mean(1.0e-3));
-    let mut cfg = ServiceConfig::ramp(service, 0.05, 0.6);
-    cfg.servers = effort.scale(512, 256);
-    cfg.shards = effort.scale(131_072, 65_536);
-    cfg.vnodes = 16;
-    cfg.cancellation = true;
-    cfg.propagation = 200.0e-6;
-    cfg.requests = effort.scale(4_000_000, 1_000_000);
-    cfg.warmup = effort.scale(200_000, 50_000);
-    if let Frontend::Adaptive { window, .. } = &mut cfg.frontend {
-        *window = 8192;
-    }
-    let groups = effort.scale(16, 8);
+    let (mut cfg, groups) = scale_ramp(effort);
     r.note(&format!(
         "{} servers in {} groups, {} shards stored {}-way, FIFO, cancellation on, \
          exponential 1 ms workload, {} requests (+{} warmup), single ramp repeated \
@@ -874,11 +812,7 @@ pub fn fig_service_elastic(effort: Effort) -> String {
         cfg.requests,
         cfg.warmup
     ));
-    r.header(&["rho_live", "frac_k2", "mean_ms", "p99_ms"]);
-    for b in &res.buckets {
-        r.row(&[num(b.load), num(b.frac_k2()), ms(b.mean_response), ms(b.p99)]);
-    }
-    r.blank();
+    ramp_table(&mut r, "rho_live", res);
     r.header(&["t_s", "servers", "rho_at_decision"]);
     for e in &out.scale_log {
         r.row(&[format!("{:.4}", e.at), format!("{}", e.servers), num(e.rho)]);
@@ -950,7 +884,7 @@ mod tests {
 
     #[test]
     fn fig11_report_shows_no_win() {
-        let out = disk_figure(DiskFigure::Fig11, Effort::Quick);
+        let out = disk_figure(&ExperimentSpec::fig11_all_in_ram(), Effort::Quick);
         crate::bands::assert_holds("fig11", &out);
     }
 }

@@ -231,7 +231,7 @@ impl RateEstimator {
 /// requests whose candidate servers are cold keep replicating after
 /// requests landing on hot servers have switched off.
 ///
-/// Every observation is O(1) (the shared [`WindowedWelford`] core), state
+/// Every observation is O(1) (the shared `WindowedWelford` core), state
 /// is O(servers × window), and each index can be [`reset`](Self::reset)
 /// independently (a server that failed over should not poison its
 /// successor's window with the discontinuity gap).

@@ -14,61 +14,16 @@
 //! Fig 14(c): the small-flow FCT CDF at 40 % load.
 
 use crate::sim::{run, FctStats, SimConfig};
-use crate::tcp::TcpConfig;
 use simcore::runner::Runner;
 use simcore::stats::Ccdf;
 
-/// User-facing knobs for one Figure 14 data point.
-#[derive(Clone, Debug)]
-pub struct NetConfig {
-    /// Link rate, bytes/second.
-    pub link_rate_bytes_per_sec: f64,
-    /// Per-hop delay, seconds.
-    pub per_hop_delay: f64,
-    /// Offered load fraction.
-    pub load: f64,
-    /// Flows to simulate.
-    pub flows: usize,
-    /// Packets of each flow to replicate when replication is on.
-    pub replicate_first: u32,
-}
-
-impl Default for NetConfig {
-    fn default() -> Self {
-        NetConfig {
-            link_rate_bytes_per_sec: 625.0e6, // 5 Gbps
-            per_hop_delay: 2.0e-6,
-            load: 0.4,
-            flows: 20_000,
-            replicate_first: 8,
-        }
-    }
-}
-
-impl NetConfig {
-    /// The paper's three delay/bandwidth combinations for Fig 14(a).
-    pub fn paper_combos() -> Vec<(&'static str, f64, f64)> {
-        vec![
-            ("5 Gbps, 2 us per hop", 625.0e6, 2.0e-6),
-            ("10 Gbps, 2 us per hop", 1250.0e6, 2.0e-6),
-            ("10 Gbps, 6 us per hop", 1250.0e6, 6.0e-6),
-        ]
-    }
-
-    fn to_sim(&self, replicate: bool, seed: u64) -> SimConfig {
-        SimConfig {
-            k: 6,
-            link_rate_bytes_per_sec: self.link_rate_bytes_per_sec,
-            per_hop_delay: self.per_hop_delay,
-            buffer_bytes: crate::port::DEFAULT_BUFFER_BYTES,
-            replicate_first: if replicate { self.replicate_first } else { 0 },
-            tcp: TcpConfig::default(),
-            load: self.load,
-            flows: self.flows,
-            seed,
-        }
-    }
-}
+/// The paper's three (name, link rate in bytes/second, per-hop delay in
+/// seconds) combinations for Fig 14(a).
+pub const PAPER_COMBOS: [(&str, f64, f64); 3] = [
+    ("5 Gbps, 2 us per hop", 625.0e6, 2.0e-6),
+    ("10 Gbps, 2 us per hop", 1250.0e6, 2.0e-6),
+    ("10 Gbps, 6 us per hop", 1250.0e6, 6.0e-6),
+];
 
 /// A paired (baseline, replicated) run over identical flows.
 #[derive(Debug)]
@@ -99,13 +54,15 @@ impl PairOutput {
     }
 }
 
-/// Runs the baseline and the replicated fabric on identical flows. The two
-/// packet-level runs execute in parallel on the global [`Runner`].
-pub fn run_pair(cfg: &NetConfig, seed: u64) -> PairOutput {
-    let (baseline, replicated) = Runner::global().pair(
-        || run(&cfg.to_sim(false, seed)),
-        || run(&cfg.to_sim(true, seed)),
-    );
+/// Runs `cfg` as the replicated fabric and, on identical flows, a copy of
+/// it with `replicate_first = 0` as the baseline. The two packet-level
+/// runs execute in parallel on the global [`Runner`].
+pub fn run_pair(cfg: &SimConfig) -> PairOutput {
+    let baseline = SimConfig {
+        replicate_first: 0,
+        ..cfg.clone()
+    };
+    let (baseline, replicated) = Runner::global().pair(|| run(&baseline), || run(cfg));
     PairOutput {
         baseline,
         replicated,
@@ -132,22 +89,19 @@ pub struct Fig14aRow {
 /// parallel, with per-task configuration derived from the task index, so
 /// rows are bit-identical at any thread count.
 pub fn fig14a(loads: &[f64], flows: usize, seed: u64) -> Vec<Fig14aRow> {
-    let combos = NetConfig::paper_combos();
-    let points: Vec<(&'static str, f64, f64, f64)> = combos
+    let points: Vec<(&'static str, f64, f64, f64)> = PAPER_COMBOS
         .iter()
-        .flat_map(|&(combo, rate, delay)| {
-            loads.iter().map(move |&load| (combo, rate, delay, load))
-        })
+        .flat_map(|&(combo, rate, delay)| loads.iter().map(move |&load| (combo, rate, delay, load)))
         .collect();
     Runner::global().map(&points, |_i, &(combo, rate, delay, load)| {
-        let cfg = NetConfig {
+        let mut pair = run_pair(&SimConfig {
             link_rate_bytes_per_sec: rate,
             per_hop_delay: delay,
             load,
             flows,
-            ..NetConfig::default()
-        };
-        let mut pair = run_pair(&cfg, seed);
+            seed,
+            ..SimConfig::default()
+        });
         Fig14aRow {
             combo,
             load,
@@ -176,12 +130,12 @@ pub struct Fig14bRow {
 /// parallel on the global [`Runner`].
 pub fn fig14b(loads: &[f64], flows: usize, seed: u64) -> Vec<Fig14bRow> {
     Runner::global().map(loads, |_i, &load| {
-        let cfg = NetConfig {
+        let mut pair = run_pair(&SimConfig {
             load,
             flows,
-            ..NetConfig::default()
-        };
-        let mut pair = run_pair(&cfg, seed);
+            seed,
+            ..SimConfig::default()
+        });
         Fig14bRow {
             load,
             p99_baseline: pair.baseline.small_p99(),
@@ -193,12 +147,12 @@ pub fn fig14b(loads: &[f64], flows: usize, seed: u64) -> Vec<Fig14bRow> {
 
 /// Fig 14(c): small-flow FCT CCDFs at one load (baseline, replicated).
 pub fn fig14c(load: f64, flows: usize, points: usize, seed: u64) -> (Ccdf, Ccdf) {
-    let cfg = NetConfig {
+    let mut pair = run_pair(&SimConfig {
         load,
         flows,
-        ..NetConfig::default()
-    };
-    let mut pair = run_pair(&cfg, seed);
+        seed,
+        ..SimConfig::default()
+    });
     (
         pair.baseline.small.ccdf(points),
         pair.replicated.small.ccdf(points),
@@ -213,18 +167,18 @@ mod tests {
     fn improvement_peaks_at_intermediate_load() {
         // Fig 14(a) shape: low < mid (the falling right edge needs
         // near-saturation runs that belong in the full harness).
-        let cfg_low = NetConfig {
+        let cfg_low = SimConfig {
             load: 0.1,
             flows: 4_000,
-            ..NetConfig::default()
+            seed: 3,
+            ..SimConfig::default()
         };
-        let cfg_mid = NetConfig {
+        let cfg_mid = SimConfig {
             load: 0.4,
-            flows: 4_000,
-            ..NetConfig::default()
+            ..cfg_low.clone()
         };
-        let mut low = run_pair(&cfg_low, 3);
-        let mut mid = run_pair(&cfg_mid, 3);
+        let mut low = run_pair(&cfg_low);
+        let mut mid = run_pair(&cfg_mid);
         assert!(
             mid.median_improvement_pct() > low.median_improvement_pct(),
             "low {:.1}% vs mid {:.1}%",
@@ -239,12 +193,12 @@ mod tests {
         // over 1 MB. With test-sized runs (~100 elephants) the mean is
         // dominated by a handful of timeout-bearing giants, so compare the
         // median, which is stable at this sample size.
-        let cfg = NetConfig {
+        let mut pair = run_pair(&SimConfig {
             load: 0.25,
             flows: 6_000,
-            ..NetConfig::default()
-        };
-        let mut pair = run_pair(&cfg, 7);
+            seed: 7,
+            ..SimConfig::default()
+        });
         let b = pair.baseline.large.median();
         let r = pair.replicated.large.median();
         let change = (1.0 - r / b).abs() * 100.0;
@@ -258,18 +212,19 @@ mod tests {
     fn higher_delay_bandwidth_product_shrinks_gain() {
         // Fig 14(a): the 10 Gbps / 6 us combo should gain less than
         // 5 Gbps / 2 us at the same load.
-        let base = NetConfig {
+        let base = SimConfig {
             load: 0.4,
             flows: 5_000,
-            ..NetConfig::default()
+            seed: 11,
+            ..SimConfig::default()
         };
-        let big_dbp = NetConfig {
+        let big_dbp = SimConfig {
             link_rate_bytes_per_sec: 1250.0e6,
             per_hop_delay: 6.0e-6,
             ..base.clone()
         };
-        let mut small = run_pair(&base, 11);
-        let mut large = run_pair(&big_dbp, 11);
+        let mut small = run_pair(&base);
+        let mut large = run_pair(&big_dbp);
         assert!(
             small.median_improvement_pct() > large.median_improvement_pct() - 3.0,
             "5G/2us {:.1}% should beat 10G/6us {:.1}%",

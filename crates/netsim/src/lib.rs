@@ -28,10 +28,12 @@
 //! ## Quick example
 //!
 //! ```
-//! use netsim::experiments::{run_pair, NetConfig};
+//! use netsim::experiments::run_pair;
+//! use netsim::sim::SimConfig;
 //!
-//! let cfg = NetConfig { flows: 2_000, load: 0.4, ..NetConfig::default() };
-//! let mut out = run_pair(&cfg, 1);
+//! // The paper's fabric, replicating the first 8 packets of every flow.
+//! let cfg = SimConfig { flows: 2_000, load: 0.4, seed: 1, ..SimConfig::default() };
+//! let mut out = run_pair(&cfg);
 //! // Short flows should complete faster with replication at moderate load.
 //! assert!(out.replicated.small_median() <= out.baseline.small_median() * 1.05);
 //! ```
@@ -46,5 +48,5 @@ pub mod tcp;
 pub mod topology;
 pub mod workload;
 
-pub use experiments::{run_pair, NetConfig};
-pub use sim::{FctStats, SimOutput};
+pub use experiments::run_pair;
+pub use sim::{FctStats, SimConfig};

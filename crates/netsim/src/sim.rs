@@ -41,7 +41,8 @@ pub struct SimConfig {
     pub per_hop_delay: f64,
     /// Per-class port buffer, bytes (the paper's 225 KB).
     pub buffer_bytes: u32,
-    /// Replicate the first J packets of each flow (0 disables).
+    /// Replicate the first J packets of each flow (0 disables; the
+    /// default is the paper's J = 8).
     pub replicate_first: u32,
     /// Transport constants.
     pub tcp: TcpConfig,
@@ -61,7 +62,7 @@ impl Default for SimConfig {
             link_rate_bytes_per_sec: 625.0e6, // 5 Gbps
             per_hop_delay: 2.0e-6,
             buffer_bytes: crate::port::DEFAULT_BUFFER_BYTES,
-            replicate_first: 0,
+            replicate_first: 8,
             tcp: TcpConfig::default(),
             load: 0.4,
             flows: 20_000,
@@ -100,9 +101,6 @@ impl FctStats {
         self.small.quantile(0.99)
     }
 }
-
-/// Output alias used by the experiments layer.
-pub type SimOutput = FctStats;
 
 #[derive(Clone, Copy, Debug)]
 enum Ev {

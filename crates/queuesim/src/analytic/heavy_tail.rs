@@ -1,8 +1,8 @@
 //! Regularly-varying (heavy-tail) response approximation — our stand-in for
-//! the paper's use of Olvera-Cravioto, Blanchet & Glynn [24].
+//! the paper's use of Olvera-Cravioto, Blanchet & Glynn \[24\].
 //!
 //! For M/G/1 with a regularly varying service tail `F̄(x) = (xm/x)^α` the
-//! classical subexponential asymptotic (Pakes' theorem, which [24] refines)
+//! classical subexponential asymptotic (Pakes' theorem, which \[24\] refines)
 //! gives the stationary waiting-time tail
 //!
 //! ```text

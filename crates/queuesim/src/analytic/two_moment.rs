@@ -1,5 +1,5 @@
 //! Two-moment response-time approximation — our stand-in for the paper's
-//! use of Myers & Vernon [23].
+//! use of Myers & Vernon \[23\].
 //!
 //! The paper evaluates its Conjecture 1 ("deterministic service minimizes
 //! the threshold load") inside an approximation of the M/G/1 response-time

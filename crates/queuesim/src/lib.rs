@@ -17,9 +17,9 @@
 //!   numbers between the k=1 and k=2 runs).
 //! * [`analytic`] — closed forms and approximations: the M/M/1 result of
 //!   Theorem 1 (threshold exactly 1/3), Pollaczek–Khinchine, a two-moment
-//!   Gamma response approximation standing in for Myers–Vernon [23], and a
+//!   Gamma response approximation standing in for Myers–Vernon \[23\], and a
 //!   regularly-varying tail approximation standing in for
-//!   Olvera-Cravioto et al. [24].
+//!   Olvera-Cravioto et al. \[24\].
 //! * [`sweeps`] — the parameter sweeps behind Figures 1–4 (distribution
 //!   families, random distributions, client-side overhead).
 //!

@@ -43,7 +43,7 @@ pub struct Config<D> {
     /// Base per-server utilization ρ ∈ [0, 1) **without** replication; with
     /// k copies each server's actual utilization is `k·ρ`.
     pub load: f64,
-    /// Service-time distribution `S` (the paper normalizes E[S] = 1; any
+    /// Service-time distribution `S` (the paper normalizes `E[S] = 1`; any
     /// positive mean works here).
     pub service: D,
     /// Client-side latency penalty added to every request when `copies > 1`

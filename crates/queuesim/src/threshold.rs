@@ -15,7 +15,7 @@
 //! ## Common random numbers across bisection midpoints
 //!
 //! Every midpoint evaluation re-uses the *same* per-replication random
-//! draws ([`CrnCache`]): arrival increments are stored at unit rate and
+//! draws (`CrnCache`): arrival increments are stored at unit rate and
 //! rescaled by the load under test, and service times / server placements
 //! do not depend on load at all. Two consequences:
 //!
@@ -34,11 +34,11 @@
 //! ## Draw precision tiers
 //!
 //! Short searches cache draws at full precision. Past
-//! [`CRN_CACHE_MAX_DRAWS`] (the variance-scaled full-effort heavy-tail
+//! `CRN_CACHE_MAX_DRAWS` (the variance-scaled full-effort heavy-tail
 //! points — millions of draws per replication) the search switches to a
 //! **compressed encoding**: arrival increments and service times are
 //! rounded through `f32` and stored structure-of-arrays at 18 B/draw
-//! ([`PackedDraws`]), cutting the heaviest Fig 2(b)/2(c) points from
+//! (`PackedDraws`), cutting the heaviest Fig 2(b)/2(c) points from
 //! ~500 MB to well inside the process budget instead of silently
 //! regenerating every draw at every bisection midpoint. Two invariants
 //! keep this deterministic:

@@ -151,7 +151,7 @@ fn run_window_traced<S: ShardLogic>(
 
 /// Drains `engine` under `sched`, returning per-shard traces plus the
 /// event, round and wire counts (`threads` is the schedule's worker count).
-/// The round protocol mirrors [`super::ShardEngine::run_parallel`]: the
+/// The round protocol mirrors `ShardEngine::run_parallel`: the
 /// round minimum covers the queues and the wires in flight, the window is
 /// `[T, T + lookahead)`, a worker merges the batches published to it when
 /// it starts a round (or, under early delivery, they were merged as soon as

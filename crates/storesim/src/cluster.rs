@@ -262,17 +262,19 @@ pub fn run(cfg: &ClusterConfig) -> ClusterResult {
     // random resident subset of the data this server will actually be asked
     // for (its primaries, plus secondaries when copies = 2). Insert every
     // such file in random order; LRU keeps a random full-cache subset.
+    // Each file's owners are placed once, and every cache still receives
+    // its files in the shuffled order.
     {
         let mut warm_rng = root.fork(4);
         let mut ids: Vec<u32> = (0..cfg.files.len() as u32).collect();
         warm_rng.shuffle(&mut ids);
-        for (s, cache) in caches.iter_mut().enumerate() {
-            for &f in &ids {
-                // Two copies are stored regardless of the query-time k.
-                let owners = ring.replicas(f as u64, stored_copies);
-                if owners.contains(&s) {
-                    cache.insert(f as u64, cfg.files.size(f as usize));
-                }
+        let mut owners = [0u16; 2];
+        // Two copies are stored regardless of the query-time k.
+        let owners = &mut owners[..stored_copies];
+        for &f in &ids {
+            ring.replicas_into(f as u64, owners);
+            for &s in owners.iter() {
+                caches[s as usize].insert(f as u64, cfg.files.size(f as usize));
             }
         }
     }
@@ -314,23 +316,20 @@ pub fn run(cfg: &ClusterConfig) -> ClusterResult {
 
                 // Two replicas are stored; a 1-copy GET load-balances
                 // across them, a 2-copy GET races both.
-                let stored = ring.replicas(file as u64, stored_copies);
-                let targets: Vec<usize> = if cfg.copies >= stored.len() {
+                let mut stored = [0u16; 2];
+                let stored = &mut stored[..stored_copies];
+                ring.replicas_into(file as u64, stored);
+                let targets: &[u16] = if cfg.copies >= stored.len() {
                     stored
                 } else {
-                    vec![stored[placement_rng.index(stored.len())]]
+                    let pick = placement_rng.index(stored.len());
+                    &stored[pick..=pick]
                 };
                 for (copy, &server) in targets.iter().enumerate() {
                     // Each extra copy costs client CPU to send, serially.
                     let send_at =
                         t + cfg.net.client_send_cost * (copy as f64 + 1.0) + cfg.net.propagation;
-                    q.push(
-                        SimTime::from_secs(send_at),
-                        Ev::ServerRecv {
-                            req,
-                            server: server as u16,
-                        },
-                    );
+                    q.push(SimTime::from_secs(send_at), Ev::ServerRecv { req, server });
                 }
                 // Open loop: schedule the next arrival regardless.
                 if (req as usize) + 1 < total {

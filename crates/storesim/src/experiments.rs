@@ -13,12 +13,12 @@
 
 use crate::cluster::{self, ClusterConfig, FilePopulation, NetProfile};
 use crate::disk::DiskProfile;
-use crate::service::{self, ServiceConfig};
+use crate::service::{self, RampBucket, ServiceConfig, ServiceResult};
 use crate::sharded::run_sharded;
 use simcore::dist::{BoundedPareto, Deterministic, DynDist, Exponential, Mixture};
 use simcore::rng::Rng;
 use simcore::runner::Runner;
-use simcore::stats::Ccdf;
+use simcore::stats::{Ccdf, SampleSet};
 use std::sync::Arc;
 
 /// A named §2.2 experiment: everything that distinguishes one figure from
@@ -27,6 +27,8 @@ use std::sync::Arc;
 pub struct ExperimentSpec {
     /// Figure-style name, e.g. `"fig5-base"`.
     pub name: &'static str,
+    /// The paper figure it reproduces, as reports cite it.
+    pub paper_ref: &'static str,
     /// File-size distribution (bytes).
     pub file_size: DynDist,
     /// Total bytes stored across the cluster (before 2× replication).
@@ -82,6 +84,7 @@ impl ExperimentSpec {
     pub fn fig5_base() -> Self {
         ExperimentSpec {
             name: "fig5-base",
+            paper_ref: "Figure 5 (base: 4 KB files, cache:disk 0.1)",
             file_size: Arc::new(Deterministic::new(4096.0)),
             total_bytes: 320 * MB,
             cache_bytes: 16 * MB,
@@ -96,6 +99,7 @@ impl ExperimentSpec {
     pub fn fig6_tiny_files() -> Self {
         ExperimentSpec {
             name: "fig6-tiny-files",
+            paper_ref: "Figure 6 (0.04 KB files)",
             file_size: Arc::new(Deterministic::new(41.0)),
             total_bytes: 4 * MB,
             cache_bytes: 204 * 1024,
@@ -111,6 +115,7 @@ impl ExperimentSpec {
         let dist = BoundedPareto::new(1.2, 256.0, 4.0 * MB as f64);
         ExperimentSpec {
             name: "fig7-pareto-files",
+            paper_ref: "Figure 7 (Pareto file sizes)",
             file_size: Arc::new(dist),
             total_bytes: 320 * MB,
             cache_bytes: 16 * MB,
@@ -124,6 +129,7 @@ impl ExperimentSpec {
     pub fn fig8_cold_cache() -> Self {
         ExperimentSpec {
             name: "fig8-cold-cache",
+            paper_ref: "Figure 8 (cache:disk 0.01)",
             file_size: Arc::new(Deterministic::new(4096.0)),
             total_bytes: 800 * MB,
             cache_bytes: 4 * MB, // 4 MB / (2*800/4 = 400 MB) = 0.01
@@ -137,6 +143,7 @@ impl ExperimentSpec {
     pub fn fig9_ec2() -> Self {
         ExperimentSpec {
             name: "fig9-ec2",
+            paper_ref: "Figure 9 (EC2)",
             op_noise: Some(ec2_op_noise()),
             ..Self::fig5_base()
         }
@@ -147,6 +154,7 @@ impl ExperimentSpec {
     pub fn fig10_large_files() -> Self {
         ExperimentSpec {
             name: "fig10-large-files",
+            paper_ref: "Figure 10 (400 KB files)",
             file_size: Arc::new(Deterministic::new(400.0 * 1024.0)),
             total_bytes: 640 * MB,
             cache_bytes: 32 * MB,
@@ -160,6 +168,7 @@ impl ExperimentSpec {
     pub fn fig11_all_in_ram() -> Self {
         ExperimentSpec {
             name: "fig11-all-in-ram",
+            paper_ref: "Figure 11 (cache:disk 2)",
             file_size: Arc::new(Deterministic::new(4096.0)),
             total_bytes: 64 * MB, // per-server 32 MB, cache 64 MB => ratio 2
             cache_bytes: 64 * MB,
@@ -274,82 +283,6 @@ pub fn ccdf_at_load(
     )
 }
 
-/// One row of the service-layer load-ramp experiment: the planner's
-/// decision curve and the latency it bought, averaged over replications.
-#[derive(Clone, Copy, Debug)]
-pub struct ServiceRampRow {
-    /// Bucket-center offered baseline load.
-    pub load: f64,
-    /// Fraction of requests the front-end duplicated (k = 2).
-    pub frac_k2: f64,
-    /// Mean response time, seconds.
-    pub mean_response: f64,
-    /// 99th-percentile response time, seconds (mean over replications).
-    pub p99: f64,
-    /// Hottest-server busy fraction in this bucket's time slice (mean
-    /// over the replications that measured one; NaN when none did).
-    pub peak_utilization: f64,
-    /// k = 2 fraction of the hot-pair requests — those whose stored
-    /// replica set includes the hottest server (NaN when none).
-    pub frac_k2_hot: f64,
-    /// k = 2 fraction of the cold-pair requests (NaN when none).
-    pub frac_k2_cold: f64,
-    /// Requests aggregated into this row.
-    pub requests: usize,
-}
-
-/// The service-layer load-ramp experiment's aggregate outcome.
-#[derive(Clone, Debug)]
-pub struct ServiceRampOutcome {
-    /// The decision/latency curve over the ramp.
-    pub rows: Vec<ServiceRampRow>,
-    /// Load at which the aggregated k = 2 fraction crosses ½.
-    pub switch_off: f64,
-    /// The offline §2.1 threshold for the configured workload.
-    pub offline_threshold: f64,
-    /// Copies cancelled per copy issued (0 with cancellation off).
-    pub cancel_fraction: f64,
-    /// Final live threshold, averaged over the replications that report
-    /// one (equals `offline_threshold` in clairvoyant mode, NaN for fixed
-    /// policies).
-    pub live_threshold: f64,
-    /// Final online mean-service estimate averaged over replications (NaN
-    /// unless estimated mode ran warm).
-    pub est_mean_service: f64,
-    /// Final online SCV estimate averaged over replications (NaN unless
-    /// estimated mode ran warm).
-    pub est_scv: f64,
-    /// Hottest-server peak busy fraction over the whole ramp (max over
-    /// rows of [`ServiceRampRow::peak_utilization`]; NaN when nothing was
-    /// measured).
-    pub peak_utilization: f64,
-    /// Load at which the **hot-pair** k = 2 fraction crosses ½ (NaN if it
-    /// never does — e.g. fixed policies).
-    pub switch_off_hot: f64,
-    /// Load at which the **cold-pair** k = 2 fraction crosses ½. Under a
-    /// per-server planner on a skewed mix this sits strictly above
-    /// `switch_off_hot`: cold keys keep replicating longer.
-    pub switch_off_cold: f64,
-}
-
-impl ServiceRampOutcome {
-    /// Fraction of all measured requests that had a second copy
-    /// dispatched — for hedged ramps, the overall fired-hedge fraction.
-    pub fn overall_frac_k2(&self) -> f64 {
-        let total: usize = self.rows.iter().map(|r| r.requests).sum();
-        if total == 0 {
-            return f64::NAN;
-        }
-        let k2: f64 = self
-            .rows
-            .iter()
-            .filter(|r| r.requests > 0)
-            .map(|r| r.frac_k2 * r.requests as f64)
-            .sum();
-        k2 / total as f64
-    }
-}
-
 /// Mean over the finite entries of an iterator (NaN when none are).
 fn finite_mean(xs: impl Iterator<Item = f64>) -> f64 {
     let (mut sum, mut n) = (0.0f64, 0usize);
@@ -368,17 +301,26 @@ fn finite_mean(xs: impl Iterator<Item = f64>) -> f64 {
 
 /// Runs `replications` independent load-ramp simulations of the sharded
 /// service ([`crate::service`]) in parallel on the global [`Runner`] and
-/// aggregates the per-bucket decision and latency curves. Each
-/// replication runs [`run_sharded`] with one server group on one worker:
-/// the replications already fill the runner's threads, and at these
-/// cluster sizes one group (every server on one engine shard) runs faster
-/// than several. Replication seeds are forked from `cfg.seed` by index,
-/// so the outcome is bit-identical at any thread count.
+/// pools them into one [`ServiceResult`]. Each replication runs
+/// [`run_sharded`] with one server group on one worker: the replications
+/// already fill the runner's threads, and at these cluster sizes one group
+/// (every server on one engine shard) runs faster than several.
+/// Replication seeds are forked from `cfg.seed` by index, so the result is
+/// bit-identical at any thread count.
+///
+/// Pooling sums the counts (bucket requests and k = 2 requests, copies,
+/// completions, recalibrations) and merges the response samples. A
+/// bucket's `mean_response` is the request-weighted mean of the
+/// replications' means; its `p99` and `peak_utilization`, and the run's
+/// `live_threshold`, estimates and `mean_utilization`, are means over the
+/// replications that measured one. `switch_off` is read off the pooled
+/// decision curve, and `planner_threshold` is the offline §2.1 threshold
+/// of the configured workload.
 ///
 /// The headline number is `switch_off`: the offered load at which the
 /// planner's live per-request decision flips from k = 2 to k = 1, which
-/// §2.1 predicts lands on `offline_threshold`.
-pub fn run_service_ramp(cfg: &ServiceConfig, replications: usize) -> ServiceRampOutcome {
+/// §2.1 predicts lands on `planner_threshold`.
+pub fn run_service_ramp(cfg: &ServiceConfig, replications: usize) -> ServiceResult {
     run_service_ramp_on(&Runner::global(), cfg, replications)
 }
 
@@ -387,94 +329,61 @@ pub fn run_service_ramp_on(
     runner: &Runner,
     cfg: &ServiceConfig,
     replications: usize,
-) -> ServiceRampOutcome {
+) -> ServiceResult {
     assert!(replications >= 1);
     let mut root = Rng::seed_from(cfg.seed);
     let seeds: Vec<u64> = (0..replications)
         .map(|r| root.fork(r as u64).next_u64())
         .collect();
-    let results = runner.run(replications, |r| {
+    let mut results = runner.run(replications, |r| {
         let mut c = cfg.clone();
         c.seed = seeds[r];
         run_sharded(&c, 1, 1).result
     });
 
-    let buckets = results[0].buckets.len();
-    let mut rows = Vec::with_capacity(buckets);
-    for b in 0..buckets {
-        let mut requests = 0usize;
-        let mut k2 = 0usize;
-        let mut hot = 0usize;
-        let mut hot_k2 = 0usize;
-        let mut weighted_mean = 0.0f64;
-        let mut p99_sum = 0.0f64;
-        let mut p99_n = 0usize;
-        for res in &results {
-            let bk = &res.buckets[b];
-            requests += bk.requests;
-            k2 += bk.k2_requests;
-            hot += bk.hot_requests;
-            hot_k2 += bk.hot_k2_requests;
-            if bk.requests > 0 && bk.mean_response.is_finite() {
+    let buckets: Vec<RampBucket> = (0..results[0].buckets.len())
+        .map(|b| {
+            let reps = || results.iter().map(move |r| &r.buckets[b]);
+            let requests: usize = reps().map(|bk| bk.requests).sum();
+            let mut weighted_mean = 0.0f64;
+            for bk in reps().filter(|bk| bk.mean_response.is_finite()) {
                 weighted_mean += bk.mean_response * bk.requests as f64;
-                p99_sum += bk.p99;
-                p99_n += 1;
             }
-        }
-        let cold = requests - hot;
-        rows.push(ServiceRampRow {
-            load: results[0].buckets[b].load,
-            frac_k2: if requests == 0 {
-                f64::NAN
-            } else {
-                k2 as f64 / requests as f64
-            },
-            mean_response: if requests == 0 {
-                f64::NAN
-            } else {
-                weighted_mean / requests as f64
-            },
-            p99: if p99_n == 0 {
-                f64::NAN
-            } else {
-                p99_sum / p99_n as f64
-            },
-            peak_utilization: finite_mean(
-                results.iter().map(|r| r.buckets[b].peak_utilization),
-            ),
-            frac_k2_hot: if hot == 0 {
-                f64::NAN
-            } else {
-                hot_k2 as f64 / hot as f64
-            },
-            frac_k2_cold: if cold == 0 {
-                f64::NAN
-            } else {
-                (k2 - hot_k2) as f64 / cold as f64
-            },
-            requests,
-        });
-    }
+            RampBucket {
+                load: results[0].buckets[b].load,
+                requests,
+                k2_requests: reps().map(|bk| bk.k2_requests).sum(),
+                mean_response: if requests == 0 {
+                    f64::NAN
+                } else {
+                    weighted_mean / requests as f64
+                },
+                p99: finite_mean(reps().map(|bk| bk.p99)),
+                peak_utilization: finite_mean(reps().map(|bk| bk.peak_utilization)),
+                hot_requests: reps().map(|bk| bk.hot_requests).sum(),
+                hot_k2_requests: reps().map(|bk| bk.hot_k2_requests).sum(),
+            }
+        })
+        .collect();
 
-    let curve: Vec<(f64, f64)> = rows.iter().map(|r| (r.load, r.frac_k2)).collect();
-    let hot_curve: Vec<(f64, f64)> = rows.iter().map(|r| (r.load, r.frac_k2_hot)).collect();
-    let cold_curve: Vec<(f64, f64)> = rows.iter().map(|r| (r.load, r.frac_k2_cold)).collect();
-    let issued: u64 = results.iter().map(|r| r.copies_issued).sum();
-    let cancelled: u64 = results.iter().map(|r| r.copies_cancelled).sum();
-    ServiceRampOutcome {
-        switch_off: service::switch_off_load(&curve),
-        switch_off_hot: service::switch_off_load(&hot_curve),
-        switch_off_cold: service::switch_off_load(&cold_curve),
-        offline_threshold: results[0].planner_threshold,
-        cancel_fraction: cancelled as f64 / issued.max(1) as f64,
-        live_threshold: finite_mean(results.iter().map(|r| r.live_threshold)),
-        est_mean_service: finite_mean(results.iter().map(|r| r.est_mean_service)),
-        est_scv: finite_mean(results.iter().map(|r| r.est_scv)),
-        peak_utilization: rows
-            .iter()
-            .map(|r| r.peak_utilization)
-            .fold(f64::NAN, f64::max),
-        rows,
+    let mut response = SampleSet::new();
+    for r in &mut results {
+        response.merge(std::mem::take(&mut r.response));
+    }
+    let mean_of = |field: fn(&ServiceResult) -> f64| finite_mean(results.iter().map(field));
+    ServiceResult {
+        response,
+        switch_off: service::bucket_switch_off(&buckets, RampBucket::frac_k2),
+        planner_threshold: results[0].planner_threshold,
+        live_threshold: mean_of(|r| r.live_threshold),
+        est_mean_service: mean_of(|r| r.est_mean_service),
+        est_scv: mean_of(|r| r.est_scv),
+        mean_utilization: mean_of(|r| r.mean_utilization),
+        recalibrations: results.iter().map(|r| r.recalibrations).sum(),
+        copies_issued: results.iter().map(|r| r.copies_issued).sum(),
+        copies_cancelled: results.iter().map(|r| r.copies_cancelled).sum(),
+        completed: results.iter().map(|r| r.completed).sum(),
+        buckets,
     }
 }
 
@@ -570,14 +479,15 @@ mod tests {
         let serial = run_service_ramp_on(&Runner::serial(), &cfg, 3);
         let parallel = run_service_ramp_on(&Runner::new(8), &cfg, 3);
         assert!(
-            (serial.switch_off - serial.offline_threshold).abs() < 0.05,
+            (serial.switch_off - serial.planner_threshold).abs() < 0.05,
             "switch-off {} vs threshold {}",
             serial.switch_off,
-            serial.offline_threshold
+            serial.planner_threshold
         );
         assert_eq!(serial.switch_off.to_bits(), parallel.switch_off.to_bits());
-        for (a, b) in serial.rows.iter().zip(&parallel.rows) {
-            assert_eq!(a.frac_k2.to_bits(), b.frac_k2.to_bits());
+        for (a, b) in serial.buckets.iter().zip(&parallel.buckets) {
+            assert_eq!(a.requests, b.requests);
+            assert_eq!(a.k2_requests, b.k2_requests);
             assert_eq!(a.mean_response.to_bits(), b.mean_response.to_bits());
             assert_eq!(a.p99.to_bits(), b.p99.to_bits());
         }
@@ -608,10 +518,10 @@ mod tests {
         );
         assert!((out.est_scv - 1.0).abs() < 0.4, "est scv {}", out.est_scv);
         assert!(
-            (out.live_threshold - out.offline_threshold).abs() < 0.02,
+            (out.live_threshold - out.planner_threshold).abs() < 0.02,
             "live {} vs offline {}",
             out.live_threshold,
-            out.offline_threshold
+            out.planner_threshold
         );
         // Adaptive ramps spend roughly the sub-threshold fraction of the
         // ramp at k = 2; the aggregate fraction must reflect that.
@@ -627,8 +537,80 @@ mod tests {
         assert!(clair.est_mean_service.is_nan() && clair.est_scv.is_nan());
         assert_eq!(
             clair.live_threshold.to_bits(),
-            clair.offline_threshold.to_bits()
+            clair.planner_threshold.to_bits()
         );
+    }
+
+    #[test]
+    fn one_replication_ramp_is_that_replications_run() {
+        // Pooling one replication must hand back that replication's own
+        // run: PS with cancellation on a Zipf mix under the per-server
+        // planner with estimated moments, so cancellation, the hot/cold
+        // split, peak utilization and the estimates are all live.
+        use crate::service::{zipf_popularity, Discipline, Frontend, LoadModel, MomentSource};
+        let mut cfg = ServiceConfig::ramp(Arc::new(Exponential::with_mean(1.0e-3)), 0.05, 0.45);
+        cfg.requests = 12_000;
+        cfg.warmup = 1_200;
+        cfg.buckets = 8;
+        cfg.discipline = Discipline::Ps;
+        cfg.cancellation = true;
+        cfg.popularity = Some(zipf_popularity(cfg.shards, 0.6));
+        cfg.frontend = Frontend::Adaptive {
+            window: 512,
+            moments: MomentSource::Estimated {
+                window: 2048,
+                min_samples: 128,
+                recalibrate: 256,
+            },
+            load_model: LoadModel::PerServer,
+        };
+        let pooled = run_service_ramp_on(&Runner::serial(), &cfg, 1);
+        let mut one = cfg.clone();
+        one.seed = Rng::seed_from(cfg.seed).fork(0).next_u64();
+        let single = run_sharded(&one, 1, 1).result;
+
+        assert!(single.copies_cancelled > 0 && single.est_scv.is_finite());
+        assert_eq!(pooled.completed, single.completed);
+        assert_eq!(pooled.copies_issued, single.copies_issued);
+        assert_eq!(pooled.copies_cancelled, single.copies_cancelled);
+        assert_eq!(pooled.response.len(), single.response.len());
+        assert_eq!(pooled.buckets.len(), single.buckets.len());
+        for (p, s) in pooled.buckets.iter().zip(&single.buckets) {
+            assert_eq!(
+                (p.requests, p.k2_requests, p.hot_requests, p.hot_k2_requests),
+                (s.requests, s.k2_requests, s.hot_requests, s.hot_k2_requests)
+            );
+            for (a, b) in [
+                (p.load, s.load),
+                (p.frac_k2(), s.frac_k2()),
+                (p.p99, s.p99),
+                (p.peak_utilization, s.peak_utilization),
+            ] {
+                assert_eq!(a.to_bits(), b.to_bits(), "{p:?} vs {s:?}");
+            }
+            // Rebuilt as (mean * n) / n.
+            if s.requests > 0 {
+                let rel = (p.mean_response - s.mean_response).abs() / s.mean_response;
+                assert!(rel < 1e-12, "{p:?} vs {s:?}");
+            } else {
+                assert!(p.mean_response.is_nan());
+            }
+        }
+        let headlines = |r: &ServiceResult| {
+            [
+                r.switch_off,
+                r.switch_off_hot(),
+                r.switch_off_cold(),
+                r.planner_threshold,
+                r.live_threshold,
+                r.est_mean_service,
+                r.est_scv,
+                r.cancel_fraction(),
+                r.peak_utilization(),
+            ]
+            .map(f64::to_bits)
+        };
+        assert_eq!(headlines(&pooled), headlines(&single));
     }
 
     #[test]

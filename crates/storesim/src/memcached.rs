@@ -163,6 +163,8 @@ pub fn run_with_profile(cfg: &MemcachedConfig, prof: &MemcachedProfile) -> Memca
     let mut server_busy = vec![0.0f64; cfg.servers];
     let mut arrivals: Vec<(f64, u16)> = Vec::with_capacity(total);
     let mut recorded = vec![false; total];
+    // The Real-mode copy targets, refilled per request.
+    let mut targets = vec![0u16; cfg.copies];
     let mut response = SampleSet::with_capacity(cfg.requests);
     let mut end_time = 0.0f64;
 
@@ -196,19 +198,12 @@ pub fn run_with_profile(cfg: &MemcachedConfig, prof: &MemcachedProfile) -> Memca
                         recorded[req as usize] = true;
                     }
                     StubMode::Real => {
-                        for (i, &server) in
-                            ring.replicas(key, cfg.copies).iter().enumerate()
-                        {
+                        ring.replicas_into(key, &mut targets);
+                        for (i, &server) in targets.iter().enumerate() {
                             let send_at = t
                                 + prof.client_send_cost * (i as f64 + 1.0)
                                 + prof.propagation;
-                            q.push(
-                                SimTime::from_secs(send_at),
-                                Ev::ServerRecv {
-                                    req,
-                                    server: server as u16,
-                                },
-                            );
+                            q.push(SimTime::from_secs(send_at), Ev::ServerRecv { req, server });
                         }
                     }
                 }

@@ -28,10 +28,10 @@
 //!   logical server, and it ingests **script time and scripted demands
 //!   only**: each request's arrival reaches both stored replicas at its
 //!   scripted timestamp, and issued copies report their scripted demand
-//!   at *dispatch* (mirroring `DemandReport::Dispatch`), never a measured
-//!   duration. Loads, the trusted live mean, the cold-server load
-//!   (`load_start`) and the recalibrated threshold follow the simulated
-//!   per-server frontend's rule exactly;
+//!   at *dispatch* (as the simulated frontend does under PS
+//!   cancellation), never a measured duration. Loads, the trusted live
+//!   mean, the cold-server load (`load_start`) and the recalibrated
+//!   threshold follow the simulated per-server frontend's rule exactly;
 //! * therefore each replicate-or-not decision is a pure function of the
 //!   script prefix, and the recorded trace is byte-identical across runs
 //!   and across **any worker count** — the property pinned by the tests
@@ -469,8 +469,9 @@ pub fn run(cfg: &RtConfig) -> RtResult {
         }
         fingerprint_entry(&mut fingerprint, k, pair, pick);
 
-        // Dispatch-time demand reporting (mirrors DemandReport::Dispatch):
-        // every *issued* copy's scripted demand, observed exactly once.
+        // Dispatch-time demand reporting, as the simulated frontend does
+        // under PS cancellation: every *issued* copy's scripted demand,
+        // observed exactly once.
         for c in 0..k as usize {
             planner.observe_demand(demands[copy_index(k, pick, c)]);
         }

@@ -35,12 +35,12 @@
 //!   come from a [`MomentSource`]: **clairvoyant** (config-supplied
 //!   service moments, the partly-omniscient PR 3 mode) or **estimated**,
 //!   where a [`MomentEstimator`] over per-copy service durations —
-//!   reported at completion or, censoring-free, at dispatch
-//!   ([`DemandReport`]) — re-derives mean, SCV, and threshold online: the
-//!   fully self-calibrating loop (cf. Shah et al., whose answer to "when
-//!   do redundant requests reduce latency?" hinges on the service-time
-//!   shape, and Joshi et al.'s insistence that adaptive replication react
-//!   to *measured* state). Both shapes run the same decision loop,
+//!   reported at completion, or at dispatch under PS cancellation, where
+//!   completion reports would be censored — re-derives mean, SCV, and
+//!   threshold online: the fully self-calibrating loop (cf. Shah et al.,
+//!   whose answer to "when do redundant requests reduce latency?" hinges
+//!   on the service-time shape, and Joshi et al.'s insistence that
+//!   adaptive replication react to *measured* state). Both shapes run the same decision loop,
 //!   [`LivePlanner`], which the wall-clock runtime ([`crate::rt`]) runs
 //!   too.
 //! * **Workload mix** — keys are uniform by default, or skewed per-shard
@@ -63,7 +63,8 @@
 //! on the offline §2.1 threshold.
 //!
 //! Everything is bit-reproducible from the seed; replications fan out on
-//! [`simcore::runner`] in [`crate::experiments::run_service_ramp`].
+//! [`simcore::runner`] in [`crate::experiments::run_service_ramp`], which
+//! pools them into one [`ServiceResult`], the type a single run returns.
 //!
 //! [`RateEstimator`]: redundancy::estimator::RateEstimator
 //! [`EstimatorBank`]: redundancy::estimator::EstimatorBank
@@ -97,8 +98,11 @@ pub enum MomentSource {
     Clairvoyant,
     /// Measure: a
     /// [`MomentEstimator`](redundancy::estimator::MomentEstimator) over
-    /// the per-copy service durations the servers report
-    /// ([`DemandReport`]) re-derives mean, SCV, and threshold online.
+    /// the per-copy service durations the servers report re-derives mean,
+    /// SCV, and threshold online. A copy's demand is reported when its
+    /// response reaches the client, or when it is dispatched if the
+    /// servers run PS with cancellation (see
+    /// [`run_sharded`](crate::sharded::run_sharded)).
     /// Until `min_samples` durations have been observed the front-end
     /// falls back to the clairvoyant threshold (the warm-up
     /// fallback: a fresh deployment starts from its capacity-planning
@@ -147,23 +151,6 @@ pub enum LoadModel {
     /// over the stored replicas), so requests whose servers are cold keep
     /// replicating after hot-server requests have switched off.
     PerServer,
-}
-
-/// When servers report per-copy service demands to the moment estimator.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DemandReport {
-    /// At copy completion (the PR 4 behavior, kept as the reference).
-    /// Under PS **cancellation** this channel is value-dependently
-    /// censored — the purged in-flight loser is systematically the
-    /// larger-demand copy, so the estimator would measure min(demands)
-    /// and calibrate a biased threshold — which is why that combination
-    /// is rejected by [`crate::sharded::run_sharded`].
-    Completion,
-    /// At copy dispatch (arrival at the server), before any cancellation
-    /// can intervene: every issued copy's demand is observed exactly
-    /// once, making the moment sample censoring-free under every
-    /// discipline/cancellation combination.
-    Dispatch,
 }
 
 /// How the front-end picks the replication factor of each request.
@@ -257,9 +244,6 @@ pub struct ServiceConfig {
     /// that pays for its summaries in events — and the default 1 is
     /// byte-identical to the pre-lane frontend.
     pub frontend_lanes: usize,
-    /// When servers report per-copy service demands to the moment
-    /// estimator (only consulted in [`MomentSource::Estimated`] mode).
-    pub demand_report: DemandReport,
     /// Cancel losing copies once the first response arrives.
     pub cancellation: bool,
     /// One-way propagation delay between clients and servers, seconds.
@@ -305,7 +289,6 @@ impl ServiceConfig {
                 load_model: LoadModel::Global,
             },
             frontend_lanes: 1,
-            demand_report: DemandReport::Completion,
             cancellation: false,
             propagation: 50.0e-6,
             client_overhead: 0.0,
@@ -474,7 +457,9 @@ pub(crate) fn load_shares_of(cfg: &ServiceConfig, stored_tab: &[u16]) -> Vec<f64
     shares
 }
 
-/// One bucket of the load ramp.
+/// One bucket of the load ramp. In a result pooled over replications
+/// ([`crate::experiments::run_service_ramp`]) the counts are sums over the
+/// replications and the latencies and utilization are means over them.
 #[derive(Clone, Copy, Debug)]
 pub struct RampBucket {
     /// Bucket-center offered baseline load.
@@ -485,16 +470,19 @@ pub struct RampBucket {
     /// hedged policies this counts fired hedges, not the arrival-time
     /// intent).
     pub k2_requests: usize,
-    /// Mean response time, seconds (NaN when empty).
+    /// Mean response time, seconds (NaN when empty). Pooled: the
+    /// request-weighted mean of the replications' means.
     pub mean_response: f64,
-    /// 99th-percentile response time, seconds (NaN when empty).
+    /// 99th-percentile response time, seconds (NaN when empty). Pooled:
+    /// the mean of the replications' p99s.
     pub p99: f64,
     /// Largest per-server busy fraction over this bucket's time slice
     /// (max over servers of busy/elapsed between the first copies of this
     /// and the next bucket reaching the servers, i.e. the bucket's first
     /// arrival shifted by one propagation delay; NaN for a zero-width
     /// slice). FIFO busy is accrued as a lump at service start, so a
-    /// saturated stretch can legitimately read slightly above 1.
+    /// saturated stretch can legitimately read slightly above 1. Pooled:
+    /// the mean over the replications that measured one.
     pub peak_utilization: f64,
     /// Of this bucket's measured requests, how many were **hot-pair**
     /// requests — their shard's stored replicas include the config's hot
@@ -537,7 +525,10 @@ impl RampBucket {
     }
 }
 
-/// Everything one service run measures.
+/// Everything one service run measures, or a replicated ramp pools
+/// ([`crate::experiments::run_service_ramp`]): there counts are summed
+/// over the replications, the response samples merged, and the other
+/// measurements averaged over the replications that report one.
 #[derive(Debug)]
 pub struct ServiceResult {
     /// Per-request response times (first copy wins, plus per-extra-copy
@@ -568,8 +559,62 @@ pub struct ServiceResult {
     pub copies_cancelled: u64,
     /// Mean per-server busy fraction over the whole run.
     pub mean_utilization: f64,
-    /// Measured requests completed (must equal `requests`).
+    /// Measured requests completed (must equal `requests`; pooled, the
+    /// sum over replications).
     pub completed: usize,
+}
+
+impl ServiceResult {
+    /// Load at which the **hot-pair** k = 2 fraction crosses ½ (NaN if it
+    /// never does, e.g. under fixed policies).
+    pub fn switch_off_hot(&self) -> f64 {
+        bucket_switch_off(&self.buckets, RampBucket::frac_k2_hot)
+    }
+
+    /// Load at which the **cold-pair** k = 2 fraction crosses ½. Under a
+    /// per-server planner on a skewed mix this sits strictly above
+    /// [`switch_off_hot`](Self::switch_off_hot): cold keys keep
+    /// replicating longer.
+    pub fn switch_off_cold(&self) -> f64 {
+        bucket_switch_off(&self.buckets, RampBucket::frac_k2_cold)
+    }
+
+    /// Copies cancelled per copy issued (0 with cancellation off).
+    pub fn cancel_fraction(&self) -> f64 {
+        self.copies_cancelled as f64 / self.copies_issued.max(1) as f64
+    }
+
+    /// Hottest-server peak busy fraction over the whole ramp: the max over
+    /// buckets of [`RampBucket::peak_utilization`] (NaN when nothing was
+    /// measured).
+    pub fn peak_utilization(&self) -> f64 {
+        self.buckets
+            .iter()
+            .map(|b| b.peak_utilization)
+            .fold(f64::NAN, f64::max)
+    }
+
+    /// Fraction of all measured requests that had a second copy
+    /// dispatched — for hedged ramps, the overall fired-hedge fraction.
+    pub fn overall_frac_k2(&self) -> f64 {
+        let total: usize = self.buckets.iter().map(|b| b.requests).sum();
+        if total == 0 {
+            return f64::NAN;
+        }
+        let k2: f64 = self
+            .buckets
+            .iter()
+            .filter(|b| b.requests > 0)
+            .map(|b| b.frac_k2() * b.requests as f64)
+            .sum();
+        k2 / total as f64
+    }
+}
+
+/// [`switch_off_load`] of the `(load, frac(bucket))` curve over `buckets`.
+pub(crate) fn bucket_switch_off(buckets: &[RampBucket], frac: fn(&RampBucket) -> f64) -> f64 {
+    let curve: Vec<(f64, f64)> = buckets.iter().map(|b| (b.load, frac(b))).collect();
+    switch_off_load(&curve)
 }
 
 /// Interpolated load at which a `(load, frac_k2)` curve (ascending loads)
@@ -689,22 +734,6 @@ pub(crate) fn validate_config(cfg: &ServiceConfig) {
                     "min_samples must be in [2, window]"
                 );
                 assert!(*recalibrate >= 1, "recalibrate cadence must be >= 1");
-                // Completion reporting samples completed copies. FIFO
-                // cancellation only purges *queued* copies — a
-                // value-independent drop — but PS cancellation kills the
-                // in-flight loser, which is systematically the
-                // larger-demand copy, so the estimator would measure
-                // min(demands) and calibrate a biased threshold. The
-                // unbiased observation channel is dispatch-time reporting
-                // ([`DemandReport::Dispatch`]), which observes every
-                // issued copy's demand before cancellation can censor it.
-                assert!(
-                    !(cfg.cancellation
-                        && cfg.discipline == Discipline::Ps
-                        && cfg.demand_report == DemandReport::Completion),
-                    "completion-reported moments are censored-biased under PS \
-                     cancellation; use DemandReport::Dispatch"
-                );
             }
         }
     }
@@ -1158,29 +1187,16 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "censored-biased")]
-    fn estimated_moments_under_ps_cancellation_rejected() {
-        // Under PS, cancellation purges the in-flight *loser* — the
-        // larger-demand copy — so completion-based moment estimation
-        // would sample min(demands). The completion-reported config is
-        // rejected outright.
-        let mut cfg = estimated_ramp(0.05, 0.4);
-        cfg.discipline = Discipline::Ps;
-        cfg.cancellation = true;
-        let _ = run(&cfg);
-    }
-
-    #[test]
     fn dispatch_reporting_unbiases_ps_cancellation_estimates() {
-        // The same previously rejected combination with dispatch-time
-        // reporting: every issued copy's demand is observed before
-        // cancellation can censor it, so the estimator must land on the
-        // true moments (mean 1 ms, scv 1) even though cancellation is
-        // systematically killing the larger-demand in-flight copies.
+        // Under PS, cancellation purges the in-flight *loser* — the
+        // larger-demand copy — so completion reports would sample
+        // min(demands). PS with cancellation reports at dispatch instead:
+        // every issued copy's demand is observed before cancellation can
+        // censor it, so the estimator must land on the true moments
+        // (mean 1 ms, scv 1).
         let mut cfg = estimated_ramp(0.05, 0.55);
         cfg.discipline = Discipline::Ps;
         cfg.cancellation = true;
-        cfg.demand_report = DemandReport::Dispatch;
         let out = run(&cfg);
         assert_eq!(out.completed, cfg.requests);
         assert!(out.copies_cancelled > 0, "cancellation never fired");
@@ -1253,14 +1269,8 @@ mod tests {
         let mut cfg = per_server_ramp(0.05, 0.45);
         cfg.popularity = Some(zipf_popularity(cfg.shards, 0.6));
         let out = run(&cfg);
-        let hot: Vec<(f64, f64)> = out.buckets.iter().map(|b| (b.load, b.frac_k2_hot())).collect();
-        let cold: Vec<(f64, f64)> = out
-            .buckets
-            .iter()
-            .map(|b| (b.load, b.frac_k2_cold()))
-            .collect();
-        let hot_off = switch_off_load(&hot);
-        let cold_off = switch_off_load(&cold);
+        let hot_off = out.switch_off_hot();
+        let cold_off = out.switch_off_cold();
         assert!(
             hot_off + 0.03 < cold_off,
             "cold pairs must replicate longer: hot {hot_off} vs cold {cold_off}"
@@ -1274,17 +1284,11 @@ mod tests {
             load_model: LoadModel::Global,
         };
         let gout = run(&global);
-        let peak = |r: &ServiceResult| {
-            r.buckets
-                .iter()
-                .map(|b| b.peak_utilization)
-                .fold(f64::NAN, f64::max)
-        };
         assert!(
-            peak(&out) < peak(&gout) - 0.05,
+            out.peak_utilization() < gout.peak_utilization() - 0.05,
             "per-server peak {} vs global peak {}",
-            peak(&out),
-            peak(&gout)
+            out.peak_utilization(),
+            gout.peak_utilization()
         );
     }
 

@@ -94,8 +94,8 @@
 
 use crate::hashring::HashRing;
 use crate::service::{
-    load_shares_of, shard_of, stored_table, switch_off_load, validate_config, DemandReport,
-    Discipline, Frontend, LoadModel, MomentSource, RampBucket, ServiceConfig, ServiceResult,
+    bucket_switch_off, load_shares_of, shard_of, stored_table, validate_config, Discipline,
+    Frontend, LoadModel, MomentSource, RampBucket, ServiceConfig, ServiceResult,
 };
 use redundancy::estimator::{LoadSummary, MomentSnapshot};
 use redundancy::planner::LivePlanner;
@@ -202,6 +202,12 @@ struct Statics {
     elastic: bool,
     /// [`LoadModel::PerServer`]: the planner keeps one index per server.
     per_server: bool,
+    /// Copies report their demand at dispatch, not at completion: exactly
+    /// under PS with cancellation, which kills the in-flight loser (the
+    /// larger demand) and so would censor completion reports. FIFO
+    /// cancellation purges only queued copies, a drop that does not
+    /// depend on their demand.
+    report_at_dispatch: bool,
     /// Resolved controller period: `max(autoscale.period, lookahead)`
     /// (topology broadcasts ride cross-shard wires). 0 when static.
     scale_period: f64,
@@ -320,7 +326,7 @@ impl Lane {
         for idx in from..to {
             let server = self.reqs[slot].targets[idx];
             let demand = self.st.cfg.service.sample(&mut self.svc_rng);
-            if self.st.cfg.demand_report == DemandReport::Dispatch {
+            if self.st.report_at_dispatch {
                 self.planner.observe_demand(demand);
             }
             self.copies_issued += 1;
@@ -490,7 +496,7 @@ impl Lane {
         // Completion-mode reporting happens when the response reaches the
         // client (the server's report rides the response), duplicates
         // included.
-        if self.st.cfg.demand_report == DemandReport::Completion {
+        if !self.st.report_at_dispatch {
             self.planner.observe_demand(demand);
         }
         let i = req as usize;
@@ -1049,12 +1055,13 @@ impl ShardedOutcome {
 /// replicates only below the sub-½ threshold), non-positive propagation
 /// (it is the lookahead), estimated-mode parameters with `min_samples`
 /// outside `[2, window]` (per lane, after both are split across the
-/// lanes), **completion-reported** estimated moments
-/// combined with PS cancellation (the purged in-flight loser censors the
-/// completion-based sample; [`DemandReport::Dispatch`] is the
-/// censoring-free channel that makes the combination legal), or an
-/// inconsistent lane/autoscale setup. Also panics if `groups` is outside
-/// `[1, servers]`.
+/// lanes), or an inconsistent lane/autoscale setup. Also panics if
+/// `groups` is outside `[1, servers]`.
+///
+/// In estimated-moments mode each copy reports its service demand when
+/// its response reaches the client, except under PS with cancellation,
+/// where it reports at dispatch: there the purged in-flight loser would
+/// censor completion reports toward min(demands).
 pub fn run_sharded(cfg: &ServiceConfig, groups: usize, threads: usize) -> ShardedOutcome {
     validate_config(cfg);
     // Elastic runs allocate server slots for the *ceiling* up front;
@@ -1117,6 +1124,7 @@ pub fn run_sharded(cfg: &ServiceConfig, groups: usize, threads: usize) -> Sharde
                 ..
             }
         ),
+        report_at_dispatch: cfg.discipline == Discipline::Ps && cfg.cancellation,
         scale_period: cfg
             .autoscale
             .map_or(0.0, |a| a.period.max(cfg.propagation)),
@@ -1361,7 +1369,6 @@ pub fn run_sharded(cfg: &ServiceConfig, groups: usize, threads: usize) -> Sharde
             }
         })
         .collect();
-    let curve: Vec<(f64, f64)> = buckets.iter().map(|b| (b.load, b.frac_k2())).collect();
 
     // Pooled service moments across the lanes (Chan's combine) — at one
     // lane this is exactly the lane's own windowed estimate.
@@ -1382,7 +1389,7 @@ pub fn run_sharded(cfg: &ServiceConfig, groups: usize, threads: usize) -> Sharde
 
     let result = ServiceResult {
         response,
-        switch_off: switch_off_load(&curve),
+        switch_off: bucket_switch_off(&buckets, RampBucket::frac_k2),
         planner_threshold: threshold,
         live_threshold: match &cfg.frontend {
             Frontend::Fixed(_) => f64::NAN,

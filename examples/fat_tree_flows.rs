@@ -6,7 +6,7 @@
 //! cargo run --release --example fat_tree_flows [load] [flows]
 //! ```
 
-use low_latency_redundancy::netsim::experiments::{run_pair, NetConfig};
+use low_latency_redundancy::netsim::{run_pair, SimConfig};
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -22,12 +22,13 @@ fn main() {
     println!("fat-tree k=6 (54 hosts, 45 switches), 5 Gbps links, 2 us/hop");
     println!("load {load}, {flows} flows, replicating first 8 packets\n");
 
-    let cfg = NetConfig {
+    let cfg = SimConfig {
         load,
         flows,
-        ..NetConfig::default()
+        seed: 1,
+        ..SimConfig::default()
     };
-    let mut pair = run_pair(&cfg, 1);
+    let mut pair = run_pair(&cfg);
 
     println!("flows < 10 KB:");
     println!(

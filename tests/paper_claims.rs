@@ -93,13 +93,14 @@ fn ps_estimated_switch_off_lands_in_band() {
 /// median at moderate load without hurting originals.
 #[test]
 fn network_replication_helps_small_flows() {
-    use low_latency_redundancy::netsim::experiments::{run_pair, NetConfig};
-    let cfg = NetConfig {
+    use low_latency_redundancy::netsim::{run_pair, SimConfig};
+    let cfg = SimConfig {
         flows: 4_000,
         load: 0.4,
-        ..NetConfig::default()
+        seed: 5,
+        ..SimConfig::default()
     };
-    let mut pair = run_pair(&cfg, 5);
+    let mut pair = run_pair(&cfg);
     assert!(
         pair.median_improvement_pct() > 3.0,
         "improvement {:.1}%",

@@ -597,8 +597,8 @@ fn service_scenarios_bit_identical_across_thread_counts() {
     use low_latency_redundancy::simcore::runner::Runner;
     use low_latency_redundancy::storesim::experiments::run_service_ramp_on;
     use low_latency_redundancy::storesim::service::{
-        bounded_pareto_with_mean, zipf_popularity, DemandReport, Discipline, Frontend, LoadModel,
-        MomentSource, ServiceConfig,
+        bounded_pareto_with_mean, zipf_popularity, Discipline, Frontend, LoadModel, MomentSource,
+        ServiceConfig,
     };
     use std::sync::Arc;
     use std::time::Duration;
@@ -653,9 +653,8 @@ fn service_scenarios_bit_identical_across_thread_counts() {
     });
     hedged.cancellation = true;
     scenarios.push(("hedged", hedged));
-    // The PR 5 additions: the per-server planner on a Zipf mix, and the
-    // previously rejected Estimated + PS + cancellation combination made
-    // legal by dispatch-time demand reporting.
+    // The per-server planner on a Zipf mix, and Estimated + PS +
+    // cancellation, which reports demands at dispatch.
     let mut skew_aware = small(ServiceConfig::ramp(
         Arc::new(Exponential::with_mean(1.0e-3)),
         0.05,
@@ -680,7 +679,6 @@ fn service_scenarios_bit_identical_across_thread_counts() {
     ps_est.frontend = estimated;
     ps_est.discipline = Discipline::Ps;
     ps_est.cancellation = true;
-    ps_est.demand_report = DemandReport::Dispatch;
     scenarios.push(("ps-est", ps_est));
 
     for (name, cfg) in &scenarios {
@@ -695,20 +693,35 @@ fn service_scenarios_bit_identical_across_thread_counts() {
             ("live_threshold", serial.live_threshold, parallel.live_threshold),
             ("est_mean", serial.est_mean_service, parallel.est_mean_service),
             ("est_scv", serial.est_scv, parallel.est_scv),
-            ("cancel", serial.cancel_fraction, parallel.cancel_fraction),
-            ("peak_util", serial.peak_utilization, parallel.peak_utilization),
-            ("switch_off_hot", serial.switch_off_hot, parallel.switch_off_hot),
+            (
+                "cancel",
+                serial.cancel_fraction(),
+                parallel.cancel_fraction(),
+            ),
+            (
+                "peak_util",
+                serial.peak_utilization(),
+                parallel.peak_utilization(),
+            ),
+            (
+                "switch_off_hot",
+                serial.switch_off_hot(),
+                parallel.switch_off_hot(),
+            ),
             (
                 "switch_off_cold",
-                serial.switch_off_cold,
-                parallel.switch_off_cold,
+                serial.switch_off_cold(),
+                parallel.switch_off_cold(),
             ),
         ] {
             assert_eq!(a.to_bits(), b.to_bits(), "{name}: {field} diverged");
         }
-        for (i, (a, b)) in serial.rows.iter().zip(&parallel.rows).enumerate() {
-            assert_eq!(a.requests, b.requests, "{name} row {i}");
-            assert_eq!(a.frac_k2.to_bits(), b.frac_k2.to_bits(), "{name} row {i}");
+        for (i, (a, b)) in serial.buckets.iter().zip(&parallel.buckets).enumerate() {
+            assert_eq!(
+                (a.requests, a.k2_requests, a.hot_requests, a.hot_k2_requests),
+                (b.requests, b.k2_requests, b.hot_requests, b.hot_k2_requests),
+                "{name} row {i}"
+            );
             assert_eq!(
                 a.mean_response.to_bits(),
                 b.mean_response.to_bits(),
@@ -718,16 +731,6 @@ fn service_scenarios_bit_identical_across_thread_counts() {
             assert_eq!(
                 a.peak_utilization.to_bits(),
                 b.peak_utilization.to_bits(),
-                "{name} row {i}"
-            );
-            assert_eq!(
-                a.frac_k2_hot.to_bits(),
-                b.frac_k2_hot.to_bits(),
-                "{name} row {i}"
-            );
-            assert_eq!(
-                a.frac_k2_cold.to_bits(),
-                b.frac_k2_cold.to_bits(),
                 "{name} row {i}"
             );
         }
