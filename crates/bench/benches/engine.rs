@@ -299,7 +299,11 @@ fn main() {
     let push_pop_binary_heap_ns = best_ns(|| {
         let mut q: BinaryHeap<Reverse<(SimTime, u64, u32)>> = BinaryHeap::new();
         for i in 0..qlen {
-            q.push(Reverse((SimTime::from_secs((i % 97) as f64), i as u64, i as u32)));
+            q.push(Reverse((
+                SimTime::from_secs((i % 97) as f64),
+                i as u64,
+                i as u32,
+            )));
         }
         while let Some(ev) = q.pop() {
             black_box(ev);
@@ -327,7 +331,9 @@ fn main() {
     println!("event_queue_push_pop_binheap   {push_pop_binary_heap_ns:>10.2} ns/event (pre-swap baseline)");
     println!("event_queue_push_pop_default   {push_pop_default_ns:>10.2} ns/event");
     println!("event_queue_push_pop_presized  {push_pop_presized_ns:>10.2} ns/event");
-    println!("event_queue_heap4_delta        {heap_delta_ns:>10.2} ns/event (negative = 4-ary faster)");
+    println!(
+        "event_queue_heap4_delta        {heap_delta_ns:>10.2} ns/event (negative = 4-ary faster)"
+    );
 
     // --- synthetic ping: one flat queue vs ShardEngine ---
     let (shards, jobs, hops) = if quick { (8, 64, 200) } else { (16, 128, 1000) };
@@ -380,7 +386,9 @@ fn main() {
     let svc_tn_eps = svc_events as f64 / svc_tn_secs;
     let svc_speedup = svc_tn_eps / svc_t1_eps;
     println!("service_sharded_1_worker       {svc_t1_eps:>12.0} events/sec");
-    println!("service_sharded_multi          {svc_tn_eps:>12.0} events/sec ({svc_workers} workers)");
+    println!(
+        "service_sharded_multi          {svc_tn_eps:>12.0} events/sec ({svc_workers} workers)"
+    );
     println!("service_within_run_speedup     {svc_speedup:>12.2} x");
 
     // --- the lane sweep (L lanes, one engine shard each) ---

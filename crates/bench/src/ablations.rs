@@ -96,7 +96,11 @@ fn copies(effort: Effort) -> String {
         "Theorem 1 generalized",
     );
     let requests = effort.scale(200_000, 40_000);
-    r.header(&["k", "threshold_theory_1_over_k_plus_1", "mean_at_10pct_load_sim"]);
+    r.header(&[
+        "k",
+        "threshold_theory_1_over_k_plus_1",
+        "mean_at_10pct_load_sim",
+    ]);
     let ks: Vec<u32> = (2..=6).collect();
     let outs = Runner::global().map(&ks, |_i, &k| {
         let cfg = Config::new(Exponential::unit(), 0.10)
@@ -185,9 +189,18 @@ fn warming(effort: Effort) -> String {
         "abl-warming: the caching side-benefit of replicated DNS queries",
         "Section 3.2 closing remark",
     );
-    let exp = DnsExperiment::rank(DnsPopulation::paper_like(15), effort.scale(20_000, 3_000), 3);
+    let exp = DnsExperiment::rank(
+        DnsPopulation::paper_like(15),
+        effort.scale(20_000, 3_000),
+        3,
+    );
     let queries = effort.scale(400_000, 80_000);
-    r.header(&["copies", "mean_ms", "overall_hit_rate", "secondary_slot_hit_rate"]);
+    r.header(&[
+        "copies",
+        "mean_ms",
+        "overall_hit_rate",
+        "secondary_slot_hit_rate",
+    ]);
     for k in [1usize, 2, 3] {
         let out = run_warming(
             &exp,

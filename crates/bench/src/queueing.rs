@@ -61,7 +61,13 @@ fn mean_vs_load_figure<D: simcore::dist::Distribution + Clone>(
     let loads: Vec<f64> = (1..=19).map(|i| i as f64 * 0.025).collect();
     let requests = effort.scale(400_000, 50_000);
     let pts = sweeps::mean_vs_load(dist, &loads, requests, 0x5161A);
-    r.header(&["load", "mean_1copy_s", "mean_2copies_s", "p999_1copy_s", "p999_2copies_s"]);
+    r.header(&[
+        "load",
+        "mean_1copy_s",
+        "mean_2copies_s",
+        "p999_1copy_s",
+        "p999_2copies_s",
+    ]);
     for p in pts {
         r.row(&[
             num(p.load),
@@ -81,7 +87,8 @@ pub fn fig1c(effort: Effort) -> String {
         "Figure 1(c)",
     );
     let requests = effort.scale(3_000_000, 150_000);
-    let (single, double) = sweeps::ccdf_at_load(&Pareto::unit_mean(2.1), 0.2, requests, 60, 0x5161C);
+    let (single, double) =
+        sweeps::ccdf_at_load(&Pareto::unit_mean(2.1), 0.2, requests, 60, 0x5161C);
     r.ccdf("1 copy", &single);
     r.ccdf("2 copies", &double);
     r.finish()
@@ -190,15 +197,16 @@ pub fn fig3(effort: Effort) -> String {
 
 /// Fig 4: client-side overhead vs threshold load, three service laws.
 pub fn fig4(effort: Effort) -> String {
-    let mut r = Report::new(
-        "Fig 4: threshold load vs client-side overhead",
-        "Figure 4",
-    );
+    let mut r = Report::new("Fig 4: threshold load vs client-side overhead", "Figure 4");
     let overheads: Vec<f64> = match effort {
         Effort::Full => (0..=10).map(|i| i as f64 * 0.1).collect(),
         Effort::Quick => vec![0.0, 0.25, 0.5, 1.0],
     };
-    r.header(&["overhead_frac_of_mean_service", "distribution", "threshold_load"]);
+    r.header(&[
+        "overhead_frac_of_mean_service",
+        "distribution",
+        "threshold_load",
+    ]);
     let o = opts(effort);
     // The three service laws sweep in parallel (each sweep is itself
     // parallel over overhead points).

@@ -59,7 +59,10 @@ pub fn svc_rt(effort: Effort) -> String {
     if base.switch_off_load.is_nan() {
         r.note("planner switch-off load: none (never switched off)");
     } else {
-        r.note(&format!("planner switch-off load: {}", num(base.switch_off_load)));
+        r.note(&format!(
+            "planner switch-off load: {}",
+            num(base.switch_off_load)
+        ));
     }
     r.header(&["offered_load", "k2_fraction"]);
     for &(load, frac) in &base.k2_fraction_by_bucket {

@@ -493,7 +493,10 @@ pub fn fig_service_skew_aware(effort: Effort) -> String {
     ));
     r.note(&format!("offline threshold: {:.5}", per.planner_threshold));
     r.note(&format!("global switch-off load: {:.5}", global.switch_off));
-    r.note(&format!("per-server switch-off load: {:.5}", per.switch_off));
+    r.note(&format!(
+        "per-server switch-off load: {:.5}",
+        per.switch_off
+    ));
     r.note(&format!(
         "per-server hot-pair switch-off load: {:.5}",
         per.switch_off_hot()
@@ -607,10 +610,7 @@ pub fn fig13(effort: Effort) -> String {
             c = c.stubbed();
         }
         let mut out = run_memcached(&c);
-        r.note(&format!(
-            "{label}: mean {} ms",
-            ms(out.response.mean())
-        ));
+        r.note(&format!("{label}: mean {} ms", ms(out.response.mean())));
         sets.push((label, out.response.ccdf(50)));
     }
     for (label, c) in &sets {
@@ -837,8 +837,16 @@ pub fn fig_service_elastic(effort: Effort) -> String {
         res.switch_off,
         res.planner_threshold
     );
-    let ups = out.scale_log.windows(2).filter(|w| w[1].servers > w[0].servers).count()
-        + usize::from(out.scale_log.first().is_some_and(|e| e.servers > cfg.servers));
+    let ups = out
+        .scale_log
+        .windows(2)
+        .filter(|w| w[1].servers > w[0].servers)
+        .count()
+        + usize::from(
+            out.scale_log
+                .first()
+                .is_some_and(|e| e.servers > cfg.servers),
+        );
     let downs = out.scale_log.len() - ups;
     r.note(&format!(
         "planner switch-off load (per live server): {:.5}",

@@ -28,7 +28,11 @@ pub fn tcp_handshake(effort: Effort) -> String {
     ]);
     let mut s1 = single.samples;
     let mut s2 = dup.samples;
-    for (label, q) in [("p99 (ms)", 0.99), ("p99.5 (ms)", 0.995), ("p99.9 (ms)", 0.999)] {
+    for (label, q) in [
+        ("p99 (ms)", 0.99),
+        ("p99.5 (ms)", 0.995),
+        ("p99.9 (ms)", 0.999),
+    ] {
         r.row(&[label.into(), ms(s1.quantile(q)), ms(s2.quantile(q))]);
     }
     r.row(&[
@@ -121,7 +125,11 @@ pub fn fig17(effort: Effort) -> String {
     let p99s: Vec<f64> = sets.iter_mut().map(|s| s.quantile(0.99) * 1e3).collect();
     let mean_rates = incremental_rates(&means, BYTES_PER_COPY);
     let p99_rates = incremental_rates(&p99s, BYTES_PER_COPY);
-    r.header(&["servers", "incremental_mean_ms_per_kb", "incremental_p99_ms_per_kb"]);
+    r.header(&[
+        "servers",
+        "incremental_mean_ms_per_kb",
+        "incremental_p99_ms_per_kb",
+    ]);
     for (i, (m, p)) in mean_rates.iter().zip(&p99_rates).enumerate() {
         r.row(&[(i + 2).to_string(), num(*m), num(*p)]);
     }

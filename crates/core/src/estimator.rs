@@ -157,7 +157,10 @@ impl RateEstimator {
     /// Panics if `now` precedes the previous arrival.
     pub fn observe_arrival(&mut self, now: f64) {
         if let Some(last) = self.last_arrival {
-            assert!(now >= last, "arrivals must be nondecreasing: {now} < {last}");
+            assert!(
+                now >= last,
+                "arrivals must be nondecreasing: {now} < {last}"
+            );
             self.push_gap(now - last);
         }
         self.last_arrival = Some(now);
@@ -933,7 +936,9 @@ mod tests {
         // Two disjoint sample sets: merging their snapshots must agree
         // with one estimator fed the concatenation (windows large enough
         // that nothing slides out).
-        let xs: Vec<f64> = (0..60).map(|i| 0.2 + ((i * 31) % 47) as f64 * 0.03).collect();
+        let xs: Vec<f64> = (0..60)
+            .map(|i| 0.2 + ((i * 31) % 47) as f64 * 0.03)
+            .collect();
         let (a_half, b_half) = xs.split_at(23);
         let mut a = MomentEstimator::new(128);
         let mut b = MomentEstimator::new(128);
@@ -1100,7 +1105,10 @@ mod tests {
         }
         assert_eq!(bank.rate(0).to_bits(), control.rate(0).to_bits());
         assert_eq!(bank.rate(1).to_bits(), control.rate(1).to_bits());
-        assert!((bank.rate(2) - 4.0).abs() < 1e-12, "survivor lost its window");
+        assert!(
+            (bank.rate(2) - 4.0).abs() < 1e-12,
+            "survivor lost its window"
+        );
         // A re-added server starts cold and warms like a fresh one.
         bank.observe_arrival(3, 200.0);
         assert!(bank.get(3).is_empty());

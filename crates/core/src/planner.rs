@@ -55,7 +55,10 @@ impl WorkloadProfile {
     }
 
     fn moments(&self) -> ServiceMoments {
-        ServiceMoments::new(self.mean_service, self.scv * self.mean_service * self.mean_service)
+        ServiceMoments::new(
+            self.mean_service,
+            self.scv * self.mean_service * self.mean_service,
+        )
     }
 }
 
@@ -703,7 +706,10 @@ mod tests {
         assert!((exp - 1.0 / 3.0).abs() < 3e-3);
         assert!(at(0.27) < exp, "light tail must sit below exponential");
         assert!(at(12.0) < exp, "heavy tail must sit below exponential");
-        assert!(at(12.0) > at(0.0), "heavy stays above the deterministic floor");
+        assert!(
+            at(12.0) > at(0.0),
+            "heavy stays above the deterministic floor"
+        );
     }
 
     #[test]
@@ -830,7 +836,10 @@ mod tests {
                 assert_eq!(lp.threshold().to_bits(), want.to_bits(), "after {n}");
             }
         }
-        assert!(lp.threshold() < initial, "light tail must lower the threshold");
+        assert!(
+            lp.threshold() < initial,
+            "light tail must lower the threshold"
+        );
         assert_eq!(lp.moment_snapshot(), Some(me.snapshot()));
     }
 

@@ -155,8 +155,12 @@ mod tests {
 
     #[test]
     fn fastest_replica_wins() {
-        let out = race(vec![sleeper(50, "slow"), sleeper(1, "fast"), sleeper(80, "slower")])
-            .unwrap();
+        let out = race(vec![
+            sleeper(50, "slow"),
+            sleeper(1, "fast"),
+            sleeper(80, "slower"),
+        ])
+        .unwrap();
         assert_eq!(out.value, "fast");
         assert_eq!(out.winner, 1);
         assert!(out.latency < Duration::from_millis(45));

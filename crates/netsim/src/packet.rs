@@ -107,12 +107,18 @@ mod tests {
     fn priorities() {
         let d = Packet {
             flow: 0,
-            kind: PacketKind::Data { seq: 0, replica: false },
+            kind: PacketKind::Data {
+                seq: 0,
+                replica: false,
+            },
             bytes: 1500,
             dst: 1,
         };
         let r = Packet {
-            kind: PacketKind::Data { seq: 0, replica: true },
+            kind: PacketKind::Data {
+                seq: 0,
+                replica: true,
+            },
             ..d
         };
         let a = Packet {

@@ -126,12 +126,8 @@ struct Engine<'a> {
 impl Engine<'_> {
     /// Per-switch, per-flow ECMP choice among `n` candidates.
     fn ecmp_index(&self, flow: u32, is_ack: bool, node: NodeId, n: usize) -> usize {
-        let h = mix64(
-            self.ecmp_salt
-                ^ (flow as u64)
-                ^ ((is_ack as u64) << 40)
-                ^ ((node as u64) << 42),
-        );
+        let h =
+            mix64(self.ecmp_salt ^ (flow as u64) ^ ((is_ack as u64) << 40) ^ ((node as u64) << 42));
         (h % n as u64) as usize
     }
 

@@ -365,7 +365,10 @@ mod tests {
         let act = s.on_start(0.0);
         let epoch = s.timer_epoch;
         let rto0 = s.rto();
-        assert!((rto0 - 0.010).abs() < 1e-12, "initial RTO at the 10 ms floor");
+        assert!(
+            (rto0 - 0.010).abs() < 1e-12,
+            "initial RTO at the 10 ms floor"
+        );
         drop(act);
         let a = s.on_timeout(0.010, epoch);
         assert_eq!(a.send, vec![0], "retransmit from snd_una");
@@ -402,14 +405,21 @@ mod tests {
         let epoch = s.timer_epoch;
         let _ = s.on_timeout(0.010, epoch); // retransmits packet 0
         let _ = s.on_ack(5.0, 1); // absurd RTT that must NOT be sampled
-        assert!(s.srtt().is_none(), "retransmitted packet must not be sampled");
+        assert!(
+            s.srtt().is_none(),
+            "retransmitted packet must not be sampled"
+        );
     }
 
     #[test]
     fn receiver_dedups_replicas_but_acks_duplicate_originals() {
         let mut r = TcpReceiver::new(4);
         assert_eq!(r.on_data(0, false), Some(1));
-        assert_eq!(r.on_data(2, true), Some(1), "replica delivering first counts");
+        assert_eq!(
+            r.on_data(2, true),
+            Some(1),
+            "replica delivering first counts"
+        );
         assert_eq!(r.on_data(2, true), None, "duplicate replica suppressed");
         assert_eq!(
             r.on_data(2, false),

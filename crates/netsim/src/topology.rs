@@ -126,9 +126,11 @@ impl FatTree {
 
         let mut route_index = vec![(0u32, 0u8); n_nodes * hosts];
         let mut route_pool: Vec<LinkId> = Vec::new();
-        let set_route = |node: NodeId, dst: usize, cands: Vec<LinkId>,
-                             route_index: &mut Vec<(u32, u8)>,
-                             route_pool: &mut Vec<LinkId>| {
+        let set_route = |node: NodeId,
+                         dst: usize,
+                         cands: Vec<LinkId>,
+                         route_index: &mut Vec<(u32, u8)>,
+                         route_pool: &mut Vec<LinkId>| {
             let off = route_pool.len() as u32;
             let cnt = cands.len() as u8;
             route_pool.extend(cands);

@@ -43,7 +43,10 @@ impl HeavyTailResponse {
     /// Builds the model at per-server utilization `u` for unit-mean
     /// Pareto service with tail index `alpha > 1`.
     pub fn new(alpha: f64, u: f64) -> Self {
-        assert!(alpha > 1.0, "regularly varying with finite mean needs alpha > 1");
+        assert!(
+            alpha > 1.0,
+            "regularly varying with finite mean needs alpha > 1"
+        );
         assert!((0.0..1.0).contains(&u), "utilization {u} out of range");
         let xm = (alpha - 1.0) / alpha; // unit mean
         let a = xm.powf(alpha);
@@ -148,9 +151,13 @@ mod tests {
     #[test]
     fn divergence_regimes() {
         // k=1 diverges for alpha <= 2; k=2 for alpha <= 1.5.
-        assert!(HeavyTailResponse::new(1.9, 0.2).mean_min_of(1).is_infinite());
+        assert!(HeavyTailResponse::new(1.9, 0.2)
+            .mean_min_of(1)
+            .is_infinite());
         assert!(HeavyTailResponse::new(1.9, 0.2).mean_min_of(2).is_finite());
-        assert!(HeavyTailResponse::new(1.45, 0.2).mean_min_of(2).is_infinite());
+        assert!(HeavyTailResponse::new(1.45, 0.2)
+            .mean_min_of(2)
+            .is_infinite());
         assert!(HeavyTailResponse::new(2.5, 0.2).mean_min_of(1).is_finite());
     }
 

@@ -85,7 +85,10 @@ pub fn ccdf_at_load<D: Distribution + Clone>(
 pub fn weibull_family(gammas: &[f64], opts: &ThresholdOptions) -> Vec<(f64, f64)> {
     let runner = Runner::global();
     runner.map(gammas, |_i, &g| {
-        (g, threshold_load_on(&runner, &Weibull::unit_mean_inverse_shape(g), opts))
+        (
+            g,
+            threshold_load_on(&runner, &Weibull::unit_mean_inverse_shape(g), opts),
+        )
     })
 }
 
@@ -93,14 +96,19 @@ pub fn weibull_family(gammas: &[f64], opts: &ThresholdOptions) -> Vec<(f64, f64)
 pub fn pareto_family(betas: &[f64], opts: &ThresholdOptions) -> Vec<(f64, f64)> {
     let runner = Runner::global();
     runner.map(betas, |_i, &b| {
-        (b, threshold_load_on(&runner, &Pareto::unit_mean_inverse_scale(b), opts))
+        (
+            b,
+            threshold_load_on(&runner, &Pareto::unit_mean_inverse_scale(b), opts),
+        )
     })
 }
 
 /// Fig 2(c): threshold load vs the two-point parameter p.
 pub fn two_point_family(ps: &[f64], opts: &ThresholdOptions) -> Vec<(f64, f64)> {
     let runner = Runner::global();
-    runner.map(ps, |_i, &p| (p, threshold_load_on(&runner, &TwoPoint::new(p), opts)))
+    runner.map(ps, |_i, &p| {
+        (p, threshold_load_on(&runner, &TwoPoint::new(p), opts))
+    })
 }
 
 /// One row of Fig 3: the spread of threshold loads over randomly drawn
@@ -205,12 +213,7 @@ mod tests {
     fn fig1_shape_deterministic() {
         // Fig 1(a): with deterministic service, the k=2 curve crosses the
         // k=1 curve between ~0.2 and ~0.35 load.
-        let pts = mean_vs_load(
-            &Deterministic::unit(),
-            &[0.1, 0.2, 0.3, 0.4],
-            60_000,
-            1,
-        );
+        let pts = mean_vs_load(&Deterministic::unit(), &[0.1, 0.2, 0.3, 0.4], 60_000, 1);
         assert!(pts[0].mean_double <= pts[0].mean_single + 1e-3);
         assert!(pts[3].mean_double > pts[3].mean_single);
     }
@@ -285,8 +288,13 @@ mod tests {
         let loads = [0.1, 0.25, 0.4];
         let base = mean_vs_load_on(&Runner::serial(), &Exponential::unit(), &loads, 10_000, 7);
         for threads in [2, 8] {
-            let pts =
-                mean_vs_load_on(&Runner::new(threads), &Exponential::unit(), &loads, 10_000, 7);
+            let pts = mean_vs_load_on(
+                &Runner::new(threads),
+                &Exponential::unit(),
+                &loads,
+                10_000,
+                7,
+            );
             for (a, b) in base.iter().zip(&pts) {
                 assert_eq!(a.mean_single.to_bits(), b.mean_single.to_bits());
                 assert_eq!(a.mean_double.to_bits(), b.mean_double.to_bits());

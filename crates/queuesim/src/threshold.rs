@@ -267,7 +267,10 @@ struct DrawGen<'a, D: ?Sized> {
 
 impl<'a, D: Distribution + ?Sized> DrawGen<'a, D> {
     fn new(dist: &'a D, servers: usize, seed: u64) -> Self {
-        assert!(servers <= u16::MAX as usize, "too many servers for the CRN cache");
+        assert!(
+            servers <= u16::MAX as usize,
+            "too many servers for the CRN cache"
+        );
         DrawGen {
             arrival_rng: Rng::seed_from(seed).fork(0),
             salt: SplitMix64::new(seed ^ 0x5EED_CAFE).next_u64(),
@@ -339,7 +342,11 @@ impl<'a, D: Distribution + ?Sized> CrnCache<'a, D> {
     fn new(dist: &'a D, opts: &ThresholdOptions) -> Self {
         let factor = if opts.scale_with_variance {
             let scv = dist.scv();
-            if scv.is_finite() { (1.0 + scv / 2.0).clamp(1.0, 8.0) } else { 8.0 }
+            if scv.is_finite() {
+                (1.0 + scv / 2.0).clamp(1.0, 8.0)
+            } else {
+                8.0
+            }
         } else {
             1.0
         };
@@ -928,8 +935,7 @@ mod tests {
             let runner = Runner::new(threads);
             let shared = overhead_thresholds_on(&runner, &dist, &overheads, &opts);
             for (i, &o) in overheads.iter().enumerate() {
-                let per_point =
-                    threshold_load_on(&runner, &dist, &opts.clone().with_overhead(o));
+                let per_point = threshold_load_on(&runner, &dist, &opts.clone().with_overhead(o));
                 assert_eq!(
                     shared[i].to_bits(),
                     per_point.to_bits(),

@@ -338,7 +338,11 @@ impl HyperExponential {
 
 impl Distribution for HyperExponential {
     fn sample(&self, rng: &mut Rng) -> f64 {
-        let rate = if rng.chance(self.p1) { self.r1 } else { self.r2 };
+        let rate = if rng.chance(self.p1) {
+            self.r1
+        } else {
+            self.r2
+        };
         rng.exponential(rate)
     }
     fn mean(&self) -> f64 {
@@ -349,7 +353,10 @@ impl Distribution for HyperExponential {
         self.second_raw() - m * m
     }
     fn label(&self) -> String {
-        format!("H2(p1={:.4}, r1={:.4}, r2={:.4})", self.p1, self.r1, self.r2)
+        format!(
+            "H2(p1={:.4}, r1={:.4}, r2={:.4})",
+            self.p1, self.r1, self.r2
+        )
     }
 }
 
@@ -444,8 +451,14 @@ impl BoundedPareto {
     /// Bounded Pareto with tail index `alpha > 0` on `[lo, hi]`,
     /// `0 < lo < hi`.
     pub fn new(alpha: f64, lo: f64, hi: f64) -> Self {
-        assert!(alpha > 0.0 && alpha.is_finite(), "BoundedPareto alpha {alpha}");
-        assert!(0.0 < lo && lo < hi && hi.is_finite(), "BoundedPareto [{lo}, {hi}]");
+        assert!(
+            alpha > 0.0 && alpha.is_finite(),
+            "BoundedPareto alpha {alpha}"
+        );
+        assert!(
+            0.0 < lo && lo < hi && hi.is_finite(),
+            "BoundedPareto [{lo}, {hi}]"
+        );
         BoundedPareto { alpha, lo, hi }
     }
 
@@ -481,7 +494,10 @@ impl Distribution for BoundedPareto {
         self.raw_moment(2.0) - m * m
     }
     fn label(&self) -> String {
-        format!("BoundedPareto(alpha={}, {}..{})", self.alpha, self.lo, self.hi)
+        format!(
+            "BoundedPareto(alpha={}, {}..{})",
+            self.alpha, self.lo, self.hi
+        )
     }
 }
 
@@ -649,7 +665,10 @@ impl Mixture {
             "mixture weights must be nonnegative with positive sum"
         );
         Mixture {
-            components: components.into_iter().map(|(w, d)| (w / total, d)).collect(),
+            components: components
+                .into_iter()
+                .map(|(w, d)| (w / total, d))
+                .collect(),
         }
     }
 
@@ -659,7 +678,10 @@ impl Mixture {
         A: Distribution + 'static,
         B: Distribution + 'static,
     {
-        Mixture::new(vec![(w1, Arc::new(d1) as DynDist), (w2, Arc::new(d2) as DynDist)])
+        Mixture::new(vec![
+            (w1, Arc::new(d1) as DynDist),
+            (w2, Arc::new(d2) as DynDist),
+        ])
     }
 
     fn second_raw(&self) -> f64 {
@@ -726,7 +748,10 @@ pub struct Shifted {
 impl Shifted {
     /// Shifts `inner` right by `offset ≥ 0`.
     pub fn new<D: Distribution + 'static>(offset: f64, inner: D) -> Self {
-        assert!(offset >= 0.0 && offset.is_finite(), "Shifted offset {offset}");
+        assert!(
+            offset >= 0.0 && offset.is_finite(),
+            "Shifted offset {offset}"
+        );
         Shifted {
             offset,
             inner: Arc::new(inner),
@@ -735,7 +760,10 @@ impl Shifted {
 
     /// Shifts an already-shared distribution.
     pub fn of(offset: f64, inner: DynDist) -> Self {
-        assert!(offset >= 0.0 && offset.is_finite(), "Shifted offset {offset}");
+        assert!(
+            offset >= 0.0 && offset.is_finite(),
+            "Shifted offset {offset}"
+        );
         Shifted { offset, inner }
     }
 }
@@ -861,7 +889,11 @@ impl Distribution for DiscreteEmpirical {
         }
     }
     fn mean(&self) -> f64 {
-        self.values.iter().zip(&self.probs).map(|(v, p)| v * p).sum()
+        self.values
+            .iter()
+            .zip(&self.probs)
+            .map(|(v, p)| v * p)
+            .sum()
     }
     fn variance(&self) -> f64 {
         let m = self.mean();
@@ -939,21 +971,41 @@ mod tests {
             (Box::new(Erlang::unit_mean(2)), 0.01, 0.03),
             (Box::new(Erlang::unit_mean(8)), 0.01, 0.03),
             (Box::new(Erlang::new(3, 0.5)), 0.01, 0.03),
-            (Box::new(HyperExponential::unit_mean_with_scv(1.0)), 0.01, 0.03),
-            (Box::new(HyperExponential::unit_mean_with_scv(4.0)), 0.01, 0.05),
-            (Box::new(HyperExponential::unit_mean_with_scv(16.0)), 0.02, 0.10),
+            (
+                Box::new(HyperExponential::unit_mean_with_scv(1.0)),
+                0.01,
+                0.03,
+            ),
+            (
+                Box::new(HyperExponential::unit_mean_with_scv(4.0)),
+                0.01,
+                0.05,
+            ),
+            (
+                Box::new(HyperExponential::unit_mean_with_scv(16.0)),
+                0.02,
+                0.10,
+            ),
             (Box::new(Pareto::unit_mean(3.0)), 0.01, 0.10),
             (Box::new(Pareto::new(4.0, 2.0)), 0.01, 0.10),
             // The alpha = 1.2 bounded Pareto's second moment is dominated
             // by draws near the 4 MB cap (~2e-5 of the mass), so the
             // sample-variance estimator has ~25% standard error even at
             // 400k draws; the mean is still tight.
-            (Box::new(BoundedPareto::new(1.2, 256.0, 4.0 * 1024.0 * 1024.0)), 0.05, 0.60),
+            (
+                Box::new(BoundedPareto::new(1.2, 256.0, 4.0 * 1024.0 * 1024.0)),
+                0.05,
+                0.60,
+            ),
             (Box::new(BoundedPareto::new(2.0, 1.0, 100.0)), 0.01, 0.10),
             (Box::new(Weibull::unit_mean(2.0)), 0.01, 0.03),
             (Box::new(Weibull::unit_mean_inverse_shape(2.0)), 0.02, 0.15),
             (Box::new(LogNormal::unit_mean(0.5)), 0.01, 0.05),
-            (Box::new(LogNormal::with_mean_sigma(2.0e-3, 1.0)), 0.02, 0.10),
+            (
+                Box::new(LogNormal::with_mean_sigma(2.0e-3, 1.0)),
+                0.02,
+                0.10,
+            ),
             (Box::new(TwoPoint::new(0.0)), 1e-12, 1e-9),
             (Box::new(TwoPoint::new(0.5)), 0.01, 0.03),
             (Box::new(TwoPoint::new(0.9)), 0.01, 0.05),
@@ -969,7 +1021,11 @@ mod tests {
             ),
             (Box::new(Shifted::new(2.0, Exponential::unit())), 0.01, 0.03),
             (
-                Box::new(DiscreteEmpirical::new(&[(1.0, 0.5), (2.0, 0.3), (10.0, 0.2)])),
+                Box::new(DiscreteEmpirical::new(&[
+                    (1.0, 0.5),
+                    (2.0, 0.3),
+                    (10.0, 0.2),
+                ])),
                 0.01,
                 0.03,
             ),
@@ -1004,9 +1060,7 @@ mod tests {
             Box::new(Weibull::unit_mean_inverse_shape(6.0)),
             Box::new(LogNormal::unit_mean(1.3)),
             Box::new(TwoPoint::new(0.77)),
-            Box::new(
-                DiscreteEmpirical::new(&[(3.0, 1.0), (9.0, 2.0)]).scaled_to_unit_mean(),
-            ),
+            Box::new(DiscreteEmpirical::new(&[(3.0, 1.0), (9.0, 2.0)]).scaled_to_unit_mean()),
         ];
         for d in units {
             assert!(
@@ -1052,10 +1106,23 @@ mod tests {
         // for why no other mapping fits the figure's endpoints). Changing
         // the mapping must break this test, re-pin the fig2b headline band
         // in repro-bench's `bands` table, and update EXPERIMENTS.md §2.1.
-        for (beta, alpha) in [(0.1, 11.0), (0.5, 3.0), (0.9, 1.0 + 1.0 / 0.9), (0.98, 1.0 + 1.0 / 0.98)] {
+        for (beta, alpha) in [
+            (0.1, 11.0),
+            (0.5, 3.0),
+            (0.9, 1.0 + 1.0 / 0.9),
+            (0.98, 1.0 + 1.0 / 0.98),
+        ] {
             let d = Pareto::unit_mean_inverse_scale(beta);
-            assert!((d.alpha() - alpha).abs() < 1e-12, "beta={beta}: {}", d.alpha());
-            assert!((d.mean() - 1.0).abs() < 1e-12, "beta={beta} mean {}", d.mean());
+            assert!(
+                (d.alpha() - alpha).abs() < 1e-12,
+                "beta={beta}: {}",
+                d.alpha()
+            );
+            assert!(
+                (d.mean() - 1.0).abs() < 1e-12,
+                "beta={beta} mean {}",
+                d.mean()
+            );
         }
         // β → 0: tail index diverges, variance vanishes (deterministic
         // limit). β → 1: α → 2 from above, variance diverges.
@@ -1146,7 +1213,11 @@ mod tests {
         let m = Mixture::of_two(1.0, Deterministic::new(7.0), 0.0, Deterministic::new(999.0));
         let mut rng = Rng::seed_from(0x317);
         let picked = m.component_for(1.0);
-        assert_eq!(picked.sample(&mut rng), 7.0, "fallback chose a zero-weight component");
+        assert_eq!(
+            picked.sample(&mut rng),
+            7.0,
+            "fallback chose a zero-weight component"
+        );
         // And ordinary sampling never emits the zero-weight value.
         for _ in 0..50_000 {
             assert_eq!(m.sample(&mut rng), 7.0);
@@ -1174,7 +1245,8 @@ mod tests {
     #[test]
     fn discrete_alias_only_emits_support() {
         // Include zero-weight entries: they must never sample.
-        let d = DiscreteEmpirical::new(&[(1.0, 0.2), (2.0, 0.0), (3.0, 0.5), (4.0, 0.0), (5.0, 0.3)]);
+        let d =
+            DiscreteEmpirical::new(&[(1.0, 0.2), (2.0, 0.0), (3.0, 0.5), (4.0, 0.0), (5.0, 0.3)]);
         let mut rng = Rng::seed_from(23);
         // BTreeMap keeps the `{counts:?}` failure message in key order and
         // stays clear of clippy's HashMap-traversal bans.
@@ -1183,7 +1255,10 @@ mod tests {
             let x = d.sample(&mut rng);
             *counts.entry(x as u64).or_insert(0usize) += 1;
         }
-        assert!(!counts.contains_key(&2) && !counts.contains_key(&4), "{counts:?}");
+        assert!(
+            !counts.contains_key(&2) && !counts.contains_key(&4),
+            "{counts:?}"
+        );
         let f1 = counts[&1] as f64 / 100_000.0;
         let f3 = counts[&3] as f64 / 100_000.0;
         let f5 = counts[&5] as f64 / 100_000.0;
@@ -1222,7 +1297,10 @@ mod tests {
         let w_light = Weibull::unit_mean_inverse_shape(0.5).scv();
         let w_exp = Weibull::unit_mean_inverse_shape(1.0).scv();
         let w_heavy = Weibull::unit_mean_inverse_shape(4.0).scv();
-        assert!(w_light < w_exp && w_exp < w_heavy, "{w_light} {w_exp} {w_heavy}");
+        assert!(
+            w_light < w_exp && w_exp < w_heavy,
+            "{w_light} {w_exp} {w_heavy}"
+        );
         assert!((w_exp - 1.0).abs() < 1e-9, "gamma=1 is exponential");
         // Fig 2(b): larger beta = smaller alpha = heavier.
         let p_light = Pareto::unit_mean_inverse_scale(0.1).scv();

@@ -147,7 +147,9 @@ impl<T: Ord> Default for Heap4<T> {
 
 impl<T> std::fmt::Debug for Heap4<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Heap4").field("len", &self.data.len()).finish()
+        f.debug_struct("Heap4")
+            .field("len", &self.data.len())
+            .finish()
     }
 }
 

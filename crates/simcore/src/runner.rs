@@ -280,11 +280,7 @@ impl Runner {
     /// The tuple order is fixed by the argument order — no index
     /// bookkeeping for the ubiquitous paired-run (baseline vs. replicated)
     /// shape.
-    pub fn pair<A, B>(
-        &self,
-        a: impl FnOnce() -> A + Send,
-        b: impl FnOnce() -> B + Send,
-    ) -> (A, B)
+    pub fn pair<A, B>(&self, a: impl FnOnce() -> A + Send, b: impl FnOnce() -> B + Send) -> (A, B)
     where
         A: Send,
         B: Send,

@@ -285,7 +285,11 @@ fn assert_traces_equal(reference: &[Vec<TraceKey>], got: &[Vec<TraceKey>], sched
         if r == g {
             continue;
         }
-        let at = r.iter().zip(g).position(|(a, b)| a != b).unwrap_or(r.len().min(g.len()));
+        let at = r
+            .iter()
+            .zip(g)
+            .position(|(a, b)| a != b)
+            .unwrap_or(r.len().min(g.len()));
         panic!(
             "schedule diverged from the serial engine: shard {shard}, pop #{at}: \
              expected {:?}, got {:?} (lengths {} vs {}) under {sched:?}",
@@ -343,7 +347,10 @@ where
 
     let mut schedules = 0usize;
     for workers in 1..=max_workers {
-        let mut wakes: Vec<Wake> = permutations(workers).into_iter().map(Wake::Static).collect();
+        let mut wakes: Vec<Wake> = permutations(workers)
+            .into_iter()
+            .map(Wake::Static)
+            .collect();
         wakes.extend((0..workers).map(Wake::Rotating));
         for assignment in assignments(shards, workers) {
             for wake in &wakes {
@@ -459,7 +466,12 @@ mod tests {
 
     impl ShardLogic for Grid {
         type Event = (u32, bool);
-        fn handle(&mut self, now: SimTime, (hops, fork): (u32, bool), ctx: &mut ShardCtx<'_, (u32, bool)>) {
+        fn handle(
+            &mut self,
+            now: SimTime,
+            (hops, fork): (u32, bool),
+            ctx: &mut ShardCtx<'_, (u32, bool)>,
+        ) {
             if hops == 0 {
                 return;
             }
@@ -468,7 +480,11 @@ mod tests {
                 // Same-instant cascade: pops later in the same window.
                 ctx.schedule_at(now, (hops - 1, false));
             }
-            let delay = if hops % 2 == 0 { lookahead } else { lookahead * 2.0 };
+            let delay = if hops % 2 == 0 {
+                lookahead
+            } else {
+                lookahead * 2.0
+            };
             ctx.send(1 - ctx.shard(), delay, (hops - 1, true));
         }
     }

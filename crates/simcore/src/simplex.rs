@@ -73,11 +73,7 @@ mod tests {
         let trials = 500;
         let avg_max = |rng: &mut Rng, alpha: f64| -> f64 {
             (0..trials)
-                .map(|_| {
-                    dirichlet(rng, n, alpha)
-                        .into_iter()
-                        .fold(0.0f64, f64::max)
-                })
+                .map(|_| dirichlet(rng, n, alpha).into_iter().fold(0.0f64, f64::max))
                 .sum::<f64>()
                 / trials as f64
         };

@@ -188,7 +188,11 @@ mod tests {
     fn gamma_half_is_sqrt_pi() {
         assert!(close(gamma_fn(0.5), std::f64::consts::PI.sqrt(), 1e-12));
         // Γ(3/2) = √π/2.
-        assert!(close(gamma_fn(1.5), std::f64::consts::PI.sqrt() / 2.0, 1e-12));
+        assert!(close(
+            gamma_fn(1.5),
+            std::f64::consts::PI.sqrt() / 2.0,
+            1e-12
+        ));
     }
 
     #[test]

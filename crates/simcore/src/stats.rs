@@ -50,7 +50,11 @@ impl Welford {
 
     /// Sample mean (0 if empty).
     pub fn mean(&self) -> f64 {
-        if self.n == 0 { 0.0 } else { self.mean }
+        if self.n == 0 {
+            0.0
+        } else {
+            self.mean
+        }
     }
 
     /// Population variance (0 with fewer than 2 observations).
@@ -84,9 +88,7 @@ impl Welford {
         let n = self.n + other.n;
         let delta = other.mean - self.mean;
         let mean = self.mean + delta * other.n as f64 / n as f64;
-        let m2 = self.m2
-            + other.m2
-            + delta * delta * (self.n as f64 * other.n as f64) / n as f64;
+        let m2 = self.m2 + other.m2 + delta * delta * (self.n as f64 * other.n as f64) / n as f64;
         self.n = n;
         self.mean = mean;
         self.m2 = m2;
@@ -234,7 +236,12 @@ impl SampleSet {
             .find(|&x| x > 0.0)
             .unwrap_or(1e-9)
             .max(1e-12);
-        let hi = self.xs.last().copied().unwrap_or(1.0).max(lo * (1.0 + 1e-9));
+        let hi = self
+            .xs
+            .last()
+            .copied()
+            .unwrap_or(1.0)
+            .max(lo * (1.0 + 1e-9));
         let ratio = (hi / lo).powf(1.0 / (points - 1) as f64);
         let mut entries = Vec::with_capacity(points);
         let mut t = lo;

@@ -79,13 +79,21 @@ impl SimTime {
     /// The later of two times.
     #[inline]
     pub fn max(self, other: SimTime) -> SimTime {
-        if self >= other { self } else { other }
+        if self >= other {
+            self
+        } else {
+            other
+        }
     }
 
     /// The earlier of two times.
     #[inline]
     pub fn min(self, other: SimTime) -> SimTime {
-        if self <= other { self } else { other }
+        if self <= other {
+            self
+        } else {
+            other
+        }
     }
 
     /// `true` if this time is a finite number (not `SimTime::MAX`-ish

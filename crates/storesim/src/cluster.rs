@@ -172,8 +172,7 @@ impl ClusterConfig {
         let mean_bytes = self.files.mean_bytes();
         let hit = self.expected_hit_rate();
         let noise = self.disk_noise.as_ref().map_or(0.0, |n| n.mean());
-        let disk_demand =
-            (1.0 - hit) * (self.disk.mean_disk_read(mean_bytes as u64) + noise);
+        let disk_demand = (1.0 - hit) * (self.disk.mean_disk_read(mean_bytes as u64) + noise);
         let cpu_demand = self.disk.cache_read(mean_bytes as u64)
             + mean_bytes / self.net.server_nic_bytes_per_sec;
         disk_demand.max(cpu_demand)
@@ -475,10 +474,7 @@ mod tests {
         let double = run(&small_config(2, 0.1));
         let m1 = single.response.mean();
         let m2 = double.response.mean();
-        assert!(
-            m2 < m1,
-            "replication should win at 10% load: {m1} vs {m2}"
-        );
+        assert!(m2 < m1, "replication should win at 10% load: {m1} vs {m2}");
     }
 
     #[test]

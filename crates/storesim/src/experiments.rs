@@ -179,13 +179,7 @@ impl ExperimentSpec {
 
     /// Materializes a [`ClusterConfig`] at a given replication factor and
     /// baseline load.
-    pub fn to_config(
-        &self,
-        copies: usize,
-        load: f64,
-        requests: usize,
-        seed: u64,
-    ) -> ClusterConfig {
+    pub fn to_config(&self, copies: usize, load: f64, requests: usize, seed: u64) -> ClusterConfig {
         let mut rng = Rng::seed_from(seed ^ 0xF11E5);
         let files = FilePopulation::generate(self.file_size.as_ref(), self.total_bytes, &mut rng);
         ClusterConfig {
@@ -248,7 +242,9 @@ pub fn run_load_sweep(
         .iter()
         .enumerate()
         .map(|(i, &load)| {
-            let mut single = results[2 * i].take().expect("single-copy run always present");
+            let mut single = results[2 * i]
+                .take()
+                .expect("single-copy run always present");
             let (mean_double, p999_double) = match results[2 * i + 1].take() {
                 Some(mut double) => (double.response.mean(), double.response.quantile(0.999)),
                 None => (f64::NAN, f64::NAN),
@@ -277,10 +273,7 @@ pub fn ccdf_at_load(
         || cluster::run(&spec.to_config(1, load, requests, seed)),
         || cluster::run(&spec.to_config(2, load, requests, seed)),
     );
-    (
-        single.response.ccdf(points),
-        double.response.ccdf(points),
-    )
+    (single.response.ccdf(points), double.response.ccdf(points))
 }
 
 /// Mean over the finite entries of an iterator (NaN when none are).

@@ -271,7 +271,11 @@ mod tests {
         for k in 0..n {
             if before.primary(k) != after.primary(k) {
                 moved += 1;
-                assert_eq!(after.primary(k), n_servers, "key {k} moved to an old server");
+                assert_eq!(
+                    after.primary(k),
+                    n_servers,
+                    "key {k} moved to an old server"
+                );
             }
             let old = before.replicas(k, 2);
             let new = after.replicas(k, 2);

@@ -200,9 +200,8 @@ pub fn run_with_profile(cfg: &MemcachedConfig, prof: &MemcachedProfile) -> Memca
                     StubMode::Real => {
                         ring.replicas_into(key, &mut targets);
                         for (i, &server) in targets.iter().enumerate() {
-                            let send_at = t
-                                + prof.client_send_cost * (i as f64 + 1.0)
-                                + prof.propagation;
+                            let send_at =
+                                t + prof.client_send_cost * (i as f64 + 1.0) + prof.propagation;
                             q.push(SimTime::from_secs(send_at), Ev::ServerRecv { req, server });
                         }
                     }
@@ -229,7 +228,8 @@ pub fn run_with_profile(cfg: &MemcachedConfig, prof: &MemcachedProfile) -> Memca
                 let i = req as usize;
                 if !recorded[i] {
                     recorded[i] = true;
-                    let completion = t + prof.client_recv_cost
+                    let completion = t
+                        + prof.client_recv_cost
                         + (cfg.copies as f64 - 1.0) * prof.client_recv_cost;
                     if i >= cfg.warmup {
                         response.push(completion - arrivals[i].0);

@@ -738,15 +738,15 @@ pub(crate) fn validate_config(cfg: &ServiceConfig) {
         }
     }
     if let Some(pop) = &cfg.popularity {
-        assert!(
-            !pop.values().is_empty(),
-            "popularity distribution is empty"
-        );
+        assert!(!pop.values().is_empty(), "popularity distribution is empty");
     }
     assert!(cfg.frontend_lanes >= 1, "need at least one frontend lane");
     if cfg.frontend_lanes > 1 {
         // Lane ids ride in u16 event fields alongside server ids.
-        assert!(cfg.frontend_lanes <= u16::MAX as usize, "too many frontend lanes");
+        assert!(
+            cfg.frontend_lanes <= u16::MAX as usize,
+            "too many frontend lanes"
+        );
         assert!(
             cfg.shards.is_multiple_of(cfg.frontend_lanes),
             "frontend lanes must divide the shard count evenly \
@@ -911,10 +911,14 @@ mod tests {
     #[test]
     fn replication_helps_at_low_load_and_hurts_at_high() {
         let single_low = run(&flat(Policy::Single, 0.15)).response.mean();
-        let double_low = run(&flat(Policy::Always { copies: 2 }, 0.15)).response.mean();
+        let double_low = run(&flat(Policy::Always { copies: 2 }, 0.15))
+            .response
+            .mean();
         assert!(double_low < single_low, "{double_low} vs {single_low}");
         let single_high = run(&flat(Policy::Single, 0.45)).response.mean();
-        let double_high = run(&flat(Policy::Always { copies: 2 }, 0.45)).response.mean();
+        let double_high = run(&flat(Policy::Always { copies: 2 }, 0.45))
+            .response
+            .mean();
         assert!(double_high > single_high, "{double_high} vs {single_high}");
     }
 
@@ -1122,7 +1126,10 @@ mod tests {
         let out = run(&cfg);
         assert!(out.est_mean_service.is_nan() && out.est_scv.is_nan());
         assert_eq!(out.recalibrations, 0);
-        assert_eq!(out.live_threshold.to_bits(), out.planner_threshold.to_bits());
+        assert_eq!(
+            out.live_threshold.to_bits(),
+            out.planner_threshold.to_bits()
+        );
         let fixed = run(&flat(Policy::Single, 0.3));
         assert!(fixed.live_threshold.is_nan());
     }

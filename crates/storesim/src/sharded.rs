@@ -380,8 +380,9 @@ impl Lane {
         if let Some(ring) = &self.ring {
             ring.replicas_into(shard as u64, &mut stored_buf[..k_stored]);
         } else {
-            stored_buf[..k_stored]
-                .copy_from_slice(&self.st.stored_tab[shard * k_stored..shard * k_stored + k_stored]);
+            stored_buf[..k_stored].copy_from_slice(
+                &self.st.stored_tab[shard * k_stored..shard * k_stored + k_stored],
+            );
         }
 
         // Replication decision: the planner's comparison of the live
@@ -492,7 +493,14 @@ impl Lane {
         }
     }
 
-    fn response(&mut self, t: f64, req: u32, server: u16, demand: f64, ctx: &mut ShardCtx<'_, SEv>) {
+    fn response(
+        &mut self,
+        t: f64,
+        req: u32,
+        server: u16,
+        demand: f64,
+        ctx: &mut ShardCtx<'_, SEv>,
+    ) {
         // Completion-mode reporting happens when the response reaches the
         // client (the server's report rides the response), duplicates
         // included.
@@ -1125,9 +1133,7 @@ pub fn run_sharded(cfg: &ServiceConfig, groups: usize, threads: usize) -> Sharde
             }
         ),
         report_at_dispatch: cfg.discipline == Discipline::Ps && cfg.cancellation,
-        scale_period: cfg
-            .autoscale
-            .map_or(0.0, |a| a.period.max(cfg.propagation)),
+        scale_period: cfg.autoscale.map_or(0.0, |a| a.period.max(cfg.propagation)),
         cfg: cfg.clone(),
     });
 
@@ -1223,9 +1229,7 @@ pub fn run_sharded(cfg: &ServiceConfig, groups: usize, threads: usize) -> Sharde
             peak_live: cfg.servers,
         };
         if owned > 0 {
-            let first_gap = lane
-                .arrival_rng
-                .exponential(lane.lambda_of(cfg.offered(l)));
+            let first_gap = lane.arrival_rng.exponential(lane.lambda_of(cfg.offered(l)));
             seeds.push((
                 l,
                 SimTime::from_secs(first_gap),
@@ -1609,7 +1613,12 @@ mod tests {
         let one = run_sharded(&cfg, 1, 1).result;
         let rel = (out.result.copies_cancelled as f64 - one.copies_cancelled as f64).abs()
             / one.copies_cancelled as f64;
-        assert!(rel < 0.05, "cancelled {} vs {}", out.result.copies_cancelled, one.copies_cancelled);
+        assert!(
+            rel < 0.05,
+            "cancelled {} vs {}",
+            out.result.copies_cancelled,
+            one.copies_cancelled
+        );
     }
 
     #[test]
@@ -1625,7 +1634,10 @@ mod tests {
         assert_eq!(out.result.completed, cfg.requests);
         let expect = 1.0e-3 / (1.0 - 0.3) + 2.0 * cfg.propagation;
         let got = out.result.response.mean();
-        assert!((got - expect).abs() / expect < 0.10, "PS mean {got} vs {expect}");
+        assert!(
+            (got - expect).abs() / expect < 0.10,
+            "PS mean {got} vs {expect}"
+        );
     }
 
     #[test]
@@ -1700,10 +1712,18 @@ mod tests {
             .position(|e| e.servers == 16)
             .expect("ceiling decision logged");
         for w in out.scale_log[..=peak_at].windows(2) {
-            assert!(w[0].servers < w[1].servers, "flap on the way up: {:?}", out.scale_log);
+            assert!(
+                w[0].servers < w[1].servers,
+                "flap on the way up: {:?}",
+                out.scale_log
+            );
         }
         for w in out.scale_log[peak_at..].windows(2) {
-            assert!(w[0].servers > w[1].servers, "flap on the way down: {:?}", out.scale_log);
+            assert!(
+                w[0].servers > w[1].servers,
+                "flap on the way down: {:?}",
+                out.scale_log
+            );
         }
         // The switch-off (per-live-server axis) still tracks the offline
         // threshold through all the resizing.

@@ -41,7 +41,9 @@ fn chunked_trials<R: Send>(
 ) -> Vec<R> {
     let chunks = trials.div_ceil(TRIAL_CHUNK);
     let mut root = Rng::seed_from(seed);
-    let chunk_seeds: Vec<u64> = (0..chunks).map(|c| root.fork(c as u64).next_u64()).collect();
+    let chunk_seeds: Vec<u64> = (0..chunks)
+        .map(|c| root.fork(c as u64).next_u64())
+        .collect();
     Runner::global().run(chunks, |c| {
         let mut rng = Rng::seed_from(chunk_seeds[c]);
         let count = TRIAL_CHUNK.min(trials - c * TRIAL_CHUNK);
@@ -195,12 +197,11 @@ impl DnsExperiment {
         let probe_seeds: Vec<u64> = (0..population.servers.len())
             .map(|i| root.fork(i as u64).next_u64())
             .collect();
-        let mut means: Vec<(usize, f64)> =
-            Runner::global().map(&population.servers, |i, s| {
-                let mut rng = Rng::seed_from(probe_seeds[i]);
-                let total: f64 = (0..probes_per_server).map(|_| s.sample(&mut rng)).sum();
-                (i, total / probes_per_server as f64)
-            });
+        let mut means: Vec<(usize, f64)> = Runner::global().map(&population.servers, |i, s| {
+            let mut rng = Rng::seed_from(probe_seeds[i]);
+            let total: f64 = (0..probes_per_server).map(|_| s.sample(&mut rng)).sum();
+            (i, total / probes_per_server as f64)
+        });
         means.sort_by(|a, b| a.1.total_cmp(&b.1));
         DnsExperiment {
             population,
@@ -218,7 +219,11 @@ impl DnsExperiment {
             .iter()
             .map(|&i| {
                 let t = self.population.servers[i].sample(rng);
-                if t >= CAP_SECONDS { t } else { (t + common).min(CAP_SECONDS) }
+                if t >= CAP_SECONDS {
+                    t
+                } else {
+                    (t + common).min(CAP_SECONDS)
+                }
             })
             .fold(CAP_SECONDS, f64::min)
     }

@@ -11,7 +11,11 @@ use low_latency_redundancy::simcore::rng::Rng;
 use std::time::Duration;
 
 /// A fake backend replica: log-normal "service time" slept on a thread.
-fn backend(name: &'static str, mean_ms: f64, seed: u64) -> impl FnOnce(&CancelToken) -> &'static str {
+fn backend(
+    name: &'static str,
+    mean_ms: f64,
+    seed: u64,
+) -> impl FnOnce(&CancelToken) -> &'static str {
     move |token: &CancelToken| {
         let dist = LogNormal::with_mean_sigma(mean_ms, 0.8);
         let mut rng = Rng::seed_from(seed);

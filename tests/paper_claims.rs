@@ -15,7 +15,8 @@ use repro_bench::{bands, run_experiment, Effort};
 fn threshold_band_holds_across_distributions() {
     let opts = ThresholdOptions::fast();
     for dist in [
-        Box::new(Deterministic::unit()) as Box<dyn low_latency_redundancy::simcore::dist::Distribution>,
+        Box::new(Deterministic::unit())
+            as Box<dyn low_latency_redundancy::simcore::dist::Distribution>,
         Box::new(Exponential::unit()),
         Box::new(Pareto::unit_mean(2.5)),
         Box::new(TwoPoint::new(0.5)),

@@ -424,7 +424,8 @@ fn windowed_estimators_match_bruteforce_across_random_streams() {
             if held.len() - lo >= 2 && moments.mean() > 0.0 {
                 let (mean, var) = naive(&held[lo..]);
                 assert!(
-                    (moments.scv() - var / (mean * mean)).abs() < 1e-9 * (var / (mean * mean)).max(1.0),
+                    (moments.scv() - var / (mean * mean)).abs()
+                        < 1e-9 * (var / (mean * mean)).max(1.0),
                     "case {case} step {i}: scv"
                 );
             }
@@ -690,8 +691,16 @@ fn service_scenarios_bit_identical_across_thread_counts() {
             "{name}: switch-off diverged"
         );
         for (field, a, b) in [
-            ("live_threshold", serial.live_threshold, parallel.live_threshold),
-            ("est_mean", serial.est_mean_service, parallel.est_mean_service),
+            (
+                "live_threshold",
+                serial.live_threshold,
+                parallel.live_threshold,
+            ),
+            (
+                "est_mean",
+                serial.est_mean_service,
+                parallel.est_mean_service,
+            ),
             ("est_scv", serial.est_scv, parallel.est_scv),
             (
                 "cancel",
@@ -853,9 +862,18 @@ fn sharded_engine_trace_identical_across_worker_counts() {
         let (base_stats, base_states) = run(1, &seeds);
         for workers in [2usize, 3, 8] {
             let (stats, states) = run(workers, &seeds);
-            assert_eq!(stats.events, base_stats.events, "{shards} shards @ {workers} workers");
-            assert_eq!(stats.rounds, base_stats.rounds, "{shards} shards @ {workers} workers");
-            assert_eq!(stats.wires, base_stats.wires, "{shards} shards @ {workers} workers");
+            assert_eq!(
+                stats.events, base_stats.events,
+                "{shards} shards @ {workers} workers"
+            );
+            assert_eq!(
+                stats.rounds, base_stats.rounds,
+                "{shards} shards @ {workers} workers"
+            );
+            assert_eq!(
+                stats.wires, base_stats.wires,
+                "{shards} shards @ {workers} workers"
+            );
             assert_eq!(stats.end_time, base_stats.end_time);
             for (s, (a, b)) in base_states.iter().zip(&states).enumerate() {
                 assert_eq!(
@@ -905,15 +923,28 @@ fn sharded_service_bit_identical_across_thread_counts() {
             out.result.mean_utilization.to_bits(),
             base.result.mean_utilization.to_bits()
         );
-        for (i, (a, b)) in base.result.buckets.iter().zip(&out.result.buckets).enumerate() {
+        for (i, (a, b)) in base
+            .result
+            .buckets
+            .iter()
+            .zip(&out.result.buckets)
+            .enumerate()
+        {
             assert_eq!(a.requests, b.requests, "bucket {i} @ {threads} threads");
-            assert_eq!(a.k2_requests, b.k2_requests, "bucket {i} @ {threads} threads");
+            assert_eq!(
+                a.k2_requests, b.k2_requests,
+                "bucket {i} @ {threads} threads"
+            );
             assert_eq!(
                 a.mean_response.to_bits(),
                 b.mean_response.to_bits(),
                 "bucket {i} @ {threads} threads"
             );
-            assert_eq!(a.p99.to_bits(), b.p99.to_bits(), "bucket {i} @ {threads} threads");
+            assert_eq!(
+                a.p99.to_bits(),
+                b.p99.to_bits(),
+                "bucket {i} @ {threads} threads"
+            );
         }
     }
 }
@@ -1019,7 +1050,11 @@ fn nested_thread_budget_composes_without_oversubscription() {
     assert_eq!(outer.threads(), 4);
     assert_eq!(budget.in_use(), 3);
     let inner = budget.lease(8);
-    assert_eq!(inner.threads(), 1, "saturated budget must degrade to serial");
+    assert_eq!(
+        inner.threads(),
+        1,
+        "saturated budget must degrade to serial"
+    );
     drop(inner);
     drop(outer);
     assert_eq!(budget.in_use(), 0, "slots must return on drop");
