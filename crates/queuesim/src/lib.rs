@@ -28,7 +28,7 @@
 //! ```text
 //!            ┌────────┐
 //!   Poisson  │ server │◄── copy 1 ──┐         response =
-//!   arrivals │  FIFO  │             ├─ min(T₁, T₂)  (+ client overhead)
+//!   arrivals │  FIFO  │             ├─ min(T₁, T₂)
 //!     λ = Nρ │ server │◄── copy 2 ──┘
 //!            │  ...   │
 //!            └────────┘

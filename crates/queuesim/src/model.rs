@@ -31,12 +31,16 @@ use simcore::dist::Distribution;
 use simcore::rng::{Rng, SplitMix64};
 use simcore::stats::{SampleSet, Welford};
 
+/// Servers `N` in the §2.1 model. The paper notes the independence
+/// approximation behind Theorem 1 is already <0.1 % off at N = 20, so that
+/// is [`Config::new`]'s default and the cluster every threshold search in
+/// [`crate::threshold`] simulates.
+pub const SERVERS: usize = 20;
+
 /// Configuration for one run of the replicated-queue model.
 #[derive(Clone, Debug)]
 pub struct Config<D> {
-    /// Number of servers `N`. The paper notes the independence
-    /// approximation behind Theorem 1 is already <0.1 % off at N = 20, so
-    /// that is the default.
+    /// Number of servers `N` ([`SERVERS`] by default).
     pub servers: usize,
     /// Replication factor `k ≥ 1` (k = 1 means no redundancy).
     pub copies: usize,
@@ -46,9 +50,6 @@ pub struct Config<D> {
     /// Service-time distribution `S` (the paper normalizes `E[S] = 1`; any
     /// positive mean works here).
     pub service: D,
-    /// Client-side latency penalty added to every request when `copies > 1`
-    /// (the x-axis of Fig 4), in the same time unit as `service`.
-    pub replication_overhead: f64,
     /// Tied-request cancellation (the Dean & Barroso capability the paper
     /// notes is "not necessarily available in general"): when the first
     /// copy completes, sibling copies that have **not yet started service**
@@ -70,11 +71,10 @@ impl<D: Distribution> Config<D> {
     pub fn new(service: D, load: f64) -> Self {
         assert!((0.0..1.0).contains(&load), "load must be in [0,1): {load}");
         Config {
-            servers: 20,
+            servers: SERVERS,
             copies: 1,
             load,
             service,
-            replication_overhead: 0.0,
             cancellation: false,
             requests: 200_000,
             warmup: 20_000,
@@ -107,19 +107,12 @@ impl<D: Distribution> Config<D> {
         self.servers = n;
         self
     }
-
-    /// Sets the per-request client-side overhead applied when `copies > 1`.
-    pub fn with_replication_overhead(mut self, overhead: f64) -> Self {
-        assert!(overhead >= 0.0);
-        self.replication_overhead = overhead;
-        self
-    }
 }
 
 /// Everything a run measures.
 #[derive(Debug)]
 pub struct RunResult {
-    /// Per-request response times (min over copies, plus overhead).
+    /// Per-request response times (min over copies).
     pub response: SampleSet,
     /// Response-time moments as a stream (same data as `response`).
     pub moments: Welford,
@@ -162,8 +155,6 @@ pub fn run<D: Distribution>(cfg: &Config<D>, seed: u64) -> RunResult {
     let mut response = SampleSet::with_capacity(cfg.requests);
     let mut moments = Welford::new();
     let mut measured_busy = 0.0f64;
-
-    let overhead = if k > 1 { cfg.replication_overhead } else { 0.0 };
 
     let mut placements = vec![0usize; k];
     let mut now = 0.0f64;
@@ -219,7 +210,7 @@ pub fn run<D: Distribution>(cfg: &Config<D>, seed: u64) -> RunResult {
             }
         }
         if i >= cfg.warmup {
-            let rt = (best_done - now) + overhead;
+            let rt = best_done - now;
             response.push(rt);
             moments.push(rt);
         }
@@ -310,19 +301,6 @@ mod tests {
             p999_1 > 2.0 * p999_2,
             "tail gain too small: {p999_1} vs {p999_2}"
         );
-    }
-
-    #[test]
-    fn overhead_applies_only_when_replicated() {
-        let cfg1 = Config::new(Exponential::unit(), 0.1).with_replication_overhead(0.5);
-        let cfg2 = cfg1.clone().with_copies(2);
-        let r1 = run(&cfg1, 9);
-        let r2 = run(&cfg2, 9);
-        // Overhead 0.5 makes k=2 worse at this load even though min-of-two helps.
-        assert!(r2.moments.mean() > r1.moments.mean());
-        // And the k=1 run must be unaffected by the overhead setting.
-        let r1_no = run(&Config::new(Exponential::unit(), 0.1), 9);
-        assert!((r1.moments.mean() - r1_no.moments.mean()).abs() < 1e-12);
     }
 
     #[test]

@@ -168,9 +168,9 @@ pub fn random_distributions(
 
 /// Fig 4: threshold load vs client-side overhead (as a fraction of the
 /// mean service time), for one service distribution. All points share one
-/// CRN draw cache ([`crate::threshold::overhead_thresholds`]): the draws
-/// depend only on the seed, not the overhead, so they are generated once
-/// instead of per point — bit-identical to the old per-point searches.
+/// CRN draw cache ([`crate::threshold::overhead_thresholds_on`]): the
+/// draws depend only on the seed, not the overhead, so they are generated
+/// once instead of per point — bit-identical to per-point searches.
 /// Replications inside each bisection step run in parallel on the global
 /// runner.
 pub fn overhead_sweep<D: Distribution + Clone>(

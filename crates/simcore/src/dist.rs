@@ -5,8 +5,8 @@
 //! ladder the two-moment analytics are validated on (deterministic →
 //! Erlang → exponential → hyper-exponential), the empirical/discrete
 //! distributions behind Figure 3 and the §2.4 flow-size workload, and the
-//! composition helpers ([`Mixture`], [`Shifted`]) the storage and WAN
-//! models build their noise processes from.
+//! [`Mixture`] the storage and WAN models build their noise processes
+//! from.
 //!
 //! Design rules, enforced throughout:
 //!
@@ -737,52 +737,6 @@ impl Distribution for Mixture {
     }
 }
 
-/// A distribution translated by a constant offset: `offset + X`.
-/// Models a fixed cost (propagation, syscall) in front of a variable one.
-#[derive(Clone, Debug)]
-pub struct Shifted {
-    offset: f64,
-    inner: DynDist,
-}
-
-impl Shifted {
-    /// Shifts `inner` right by `offset ≥ 0`.
-    pub fn new<D: Distribution + 'static>(offset: f64, inner: D) -> Self {
-        assert!(
-            offset >= 0.0 && offset.is_finite(),
-            "Shifted offset {offset}"
-        );
-        Shifted {
-            offset,
-            inner: Arc::new(inner),
-        }
-    }
-
-    /// Shifts an already-shared distribution.
-    pub fn of(offset: f64, inner: DynDist) -> Self {
-        assert!(
-            offset >= 0.0 && offset.is_finite(),
-            "Shifted offset {offset}"
-        );
-        Shifted { offset, inner }
-    }
-}
-
-impl Distribution for Shifted {
-    fn sample(&self, rng: &mut Rng) -> f64 {
-        self.offset + self.inner.sample(rng)
-    }
-    fn mean(&self) -> f64 {
-        self.offset + self.inner.mean()
-    }
-    fn variance(&self) -> f64 {
-        self.inner.variance()
-    }
-    fn label(&self) -> String {
-        format!("Shifted({} + {})", self.offset, self.inner.label())
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Discrete empirical (alias method)
 // ---------------------------------------------------------------------------
@@ -1019,7 +973,6 @@ mod tests {
                 0.02,
                 0.05,
             ),
-            (Box::new(Shifted::new(2.0, Exponential::unit())), 0.01, 0.03),
             (
                 Box::new(DiscreteEmpirical::new(&[
                     (1.0, 0.5),
@@ -1229,17 +1182,6 @@ mod tests {
             (0.5, Arc::new(Deterministic::new(2.0)) as DynDist),
         ]);
         assert_eq!(m.component_for(1.0).sample(&mut rng), 2.0);
-    }
-
-    #[test]
-    fn shifted_translates_mean_only() {
-        let s = Shifted::new(3.0, Exponential::unit());
-        assert!((s.mean() - 4.0).abs() < 1e-12);
-        assert!((s.variance() - 1.0).abs() < 1e-12);
-        let mut rng = Rng::seed_from(19);
-        for _ in 0..10_000 {
-            assert!(s.sample(&mut rng) >= 3.0);
-        }
     }
 
     #[test]

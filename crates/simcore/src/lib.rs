@@ -80,7 +80,7 @@ pub mod time;
 pub mod prelude {
     pub use crate::dist::{
         BoundedPareto, Deterministic, DiscreteEmpirical, Distribution, Erlang, Exponential,
-        HyperExponential, LogNormal, Mixture, Pareto, Shifted, TwoPoint, Uniform, Weibull,
+        HyperExponential, LogNormal, Mixture, Pareto, TwoPoint, Uniform, Weibull,
     };
     pub use crate::rng::Rng;
     pub use crate::runner::Runner;

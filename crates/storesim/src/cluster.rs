@@ -30,6 +30,7 @@ use simcore::rng::Rng;
 use simcore::shard::ShardQueue;
 use simcore::stats::SampleSet;
 use simcore::time::SimTime;
+use std::collections::VecDeque;
 
 /// Network and client-side cost constants.
 #[derive(Clone, Debug)]
@@ -202,22 +203,25 @@ pub struct ClusterResult {
 enum Ev {
     /// A new request is generated.
     Arrive { req: u32 },
-    /// A request copy reaches a server.
-    ServerRecv { req: u32, server: u16 },
+    /// A request copy for `file` reaches a server.
+    ServerRecv {
+        req: u32,
+        server: u16,
+        file: u32,
+        client: u16,
+    },
     /// A response is ready to claim the server's outbound NIC. Claiming at
     /// readiness (not at request arrival) is what keeps the NIC FIFO in
     /// *service order*: a response stalled by interference must not block
     /// responses that became ready before it.
-    ServerSend { req: u32, server: u16, bytes: u64 },
+    ServerSend {
+        req: u32,
+        server: u16,
+        client: u16,
+        bytes: u64,
+    },
     /// A response has fully crossed the fabric to the client's downlink.
     ClientRecv { req: u32, client: u16, bytes: u64 },
-}
-
-struct ReqState {
-    arrival: SimTime,
-    file: u32,
-    client: u16,
-    recorded: bool,
 }
 
 /// Runs the cluster simulation.
@@ -282,8 +286,14 @@ pub fn run(cfg: &ClusterConfig) -> ClusterResult {
     let mut cnic_free = vec![0.0f64; cfg.clients];
 
     // --- request bookkeeping ---
+    // The events carry each copy's file and client, so a request keeps
+    // only its arrival time and whether it has been answered, and only
+    // while it is in flight: `window` runs from the oldest unanswered
+    // request (`front`) to the newest arrival, and answered requests
+    // retire from the front.
     let total = cfg.warmup + cfg.requests;
-    let mut reqs: Vec<ReqState> = Vec::with_capacity(total);
+    let mut window: VecDeque<(f64, bool)> = VecDeque::new();
+    let mut front = 0usize;
     let mut response = SampleSet::with_capacity(cfg.requests);
     let mut hits = 0u64;
     let mut accesses = 0u64;
@@ -304,13 +314,8 @@ pub fn run(cfg: &ClusterConfig) -> ClusterResult {
             Ev::Arrive { req } => {
                 let file = placement_rng.index(cfg.files.len()) as u32;
                 let client = placement_rng.index(cfg.clients) as u16;
-                reqs.push(ReqState {
-                    arrival: now,
-                    file,
-                    client,
-                    recorded: false,
-                });
-                debug_assert_eq!(reqs.len() - 1, req as usize);
+                window.push_back((t, false));
+                debug_assert_eq!(front + window.len() - 1, req as usize);
                 measure_end = t;
 
                 // Two replicas are stored; a 1-copy GET load-balances
@@ -328,7 +333,15 @@ pub fn run(cfg: &ClusterConfig) -> ClusterResult {
                     // Each extra copy costs client CPU to send, serially.
                     let send_at =
                         t + cfg.net.client_send_cost * (copy as f64 + 1.0) + cfg.net.propagation;
-                    q.push(SimTime::from_secs(send_at), Ev::ServerRecv { req, server });
+                    q.push(
+                        SimTime::from_secs(send_at),
+                        Ev::ServerRecv {
+                            req,
+                            server,
+                            file,
+                            client,
+                        },
+                    );
                 }
                 // Open loop: schedule the next arrival regardless.
                 if (req as usize) + 1 < total {
@@ -338,10 +351,13 @@ pub fn run(cfg: &ClusterConfig) -> ClusterResult {
                     );
                 }
             }
-            Ev::ServerRecv { req, server } => {
+            Ev::ServerRecv {
+                req,
+                server,
+                file,
+                client,
+            } => {
                 let s = server as usize;
-                let state = &reqs[req as usize];
-                let file = state.file;
                 let bytes = cfg.files.size(file as usize);
                 accesses += 1;
                 let hit = caches[s].access(file as u64);
@@ -365,10 +381,20 @@ pub fn run(cfg: &ClusterConfig) -> ClusterResult {
                 };
                 q.push(
                     SimTime::from_secs(core_done),
-                    Ev::ServerSend { req, server, bytes },
+                    Ev::ServerSend {
+                        req,
+                        server,
+                        client,
+                        bytes,
+                    },
                 );
             }
-            Ev::ServerSend { req, server, bytes } => {
+            Ev::ServerSend {
+                req,
+                server,
+                client,
+                bytes,
+            } => {
                 // Claim the outbound NIC now that the response is ready;
                 // pop order = readiness order, so the NIC is FIFO in
                 // service order. The client pays the per-hop transfer once
@@ -379,7 +405,6 @@ pub fn run(cfg: &ClusterConfig) -> ClusterResult {
                 let tx = bytes as f64 / cfg.net.server_nic_bytes_per_sec;
                 let nic_start = t.max(snic_free[s]);
                 snic_free[s] = nic_start + tx;
-                let client = reqs[req as usize].client;
                 q.push(
                     SimTime::from_secs(nic_start + tx + cfg.net.propagation),
                     Ev::ClientRecv { req, client, bytes },
@@ -394,16 +419,24 @@ pub fn run(cfg: &ClusterConfig) -> ClusterResult {
                 let done_rx = t.max(cnic_free[c]) + rx;
                 cnic_free[c] = done_rx;
                 let completion = done_rx + cfg.net.client_recv_cost;
-                let state = &mut reqs[req as usize];
-                if !state.recorded {
-                    state.recorded = true;
-                    if (req as usize) >= cfg.warmup {
-                        response.push(completion - state.arrival.as_secs());
-                    }
+                // A late duplicate (its request answered, retired or not)
+                // has still taken its turn on the client NIC above.
+                let i = req as usize;
+                let Some(slot) = i.checked_sub(front).filter(|&s| !window[s].1) else {
+                    continue;
+                };
+                window[slot].1 = true;
+                if i >= cfg.warmup {
+                    response.push(completion - window[slot].0);
+                }
+                while window.front().is_some_and(|&(_, recorded)| recorded) {
+                    window.pop_front();
+                    front += 1;
                 }
             }
         }
     }
+    debug_assert!(window.is_empty(), "a request was never answered");
 
     ClusterResult {
         completed: response.len(),

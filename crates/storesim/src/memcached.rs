@@ -20,6 +20,7 @@ use simcore::rng::Rng;
 use simcore::shard::ShardQueue;
 use simcore::stats::SampleSet;
 use simcore::time::SimTime;
+use std::collections::VecDeque;
 
 /// Whether requests actually visit the servers or are stubbed at the client
 /// (the paper's Fig 13 methodology for measuring client-side cost).
@@ -161,8 +162,13 @@ pub fn run_with_profile(cfg: &MemcachedConfig, prof: &MemcachedProfile) -> Memca
     let total = cfg.warmup + cfg.requests;
     let mut server_free = vec![0.0f64; cfg.servers];
     let mut server_busy = vec![0.0f64; cfg.servers];
-    let mut arrivals: Vec<(f64, u16)> = Vec::with_capacity(total);
-    let mut recorded = vec![false; total];
+    // A Real-mode request keeps its arrival time and whether it has been
+    // answered, and only while it is in flight: `window` runs from the
+    // oldest unanswered request (`front`) to the newest arrival, and
+    // answered requests retire from the front. Stub requests are answered
+    // on arrival and never enter it.
+    let mut window: VecDeque<(f64, bool)> = VecDeque::new();
+    let mut front = 0usize;
     // The Real-mode copy targets, refilled per request.
     let mut targets = vec![0u16; cfg.copies];
     let mut response = SampleSet::with_capacity(cfg.requests);
@@ -181,8 +187,9 @@ pub fn run_with_profile(cfg: &MemcachedConfig, prof: &MemcachedProfile) -> Memca
         match ev {
             Ev::Arrive { req } => {
                 let key = place_rng.index(cfg.keys) as u64;
-                let client = place_rng.index(cfg.clients) as u16;
-                arrivals.push((t, client));
+                // No client resource is modelled, so the client index feeds
+                // nothing; drawing it keeps the placement stream unchanged.
+                let _client = place_rng.index(cfg.clients);
                 end_time = t;
                 match cfg.mode {
                     StubMode::Stub => {
@@ -195,9 +202,10 @@ pub fn run_with_profile(cfg: &MemcachedConfig, prof: &MemcachedProfile) -> Memca
                         if req as usize >= cfg.warmup {
                             response.push(base + extra);
                         }
-                        recorded[req as usize] = true;
                     }
                     StubMode::Real => {
+                        window.push_back((t, false));
+                        debug_assert_eq!(front + window.len() - 1, req as usize);
                         ring.replicas_into(key, &mut targets);
                         for (i, &server) in targets.iter().enumerate() {
                             let send_at =
@@ -225,19 +233,25 @@ pub fn run_with_profile(cfg: &MemcachedConfig, prof: &MemcachedProfile) -> Memca
                 );
             }
             Ev::ClientRecv { req } => {
+                // A late duplicate: its request is answered, retired or not.
                 let i = req as usize;
-                if !recorded[i] {
-                    recorded[i] = true;
-                    let completion = t
-                        + prof.client_recv_cost
-                        + (cfg.copies as f64 - 1.0) * prof.client_recv_cost;
-                    if i >= cfg.warmup {
-                        response.push(completion - arrivals[i].0);
-                    }
+                let Some(slot) = i.checked_sub(front).filter(|&s| !window[s].1) else {
+                    continue;
+                };
+                window[slot].1 = true;
+                let completion =
+                    t + prof.client_recv_cost + (cfg.copies as f64 - 1.0) * prof.client_recv_cost;
+                if i >= cfg.warmup {
+                    response.push(completion - window[slot].0);
+                }
+                while window.front().is_some_and(|&(_, recorded)| recorded) {
+                    window.pop_front();
+                    front += 1;
                 }
             }
         }
     }
+    debug_assert!(window.is_empty(), "a request was never answered");
 
     MemcachedResult {
         response,
@@ -255,6 +269,14 @@ mod tests {
         c.requests = 60_000;
         c.warmup = 6_000;
         c
+    }
+
+    #[test]
+    fn every_request_is_recorded_once() {
+        // Two copies answer each request; the later one is a duplicate,
+        // whether its request is still in the window or already retired.
+        let cfg = quick(2, 0.3);
+        assert_eq!(run(&cfg).response.len(), cfg.requests);
     }
 
     #[test]
