@@ -419,8 +419,9 @@ fn main() {
 
     // Mirror RtConfig::smoke's planner: 8 servers, 512-gap arrival
     // windows, a 4096-demand moment window trusted after 256 and
-    // recalibrated every 512, exponential service (scv 1), and a client
-    // overhead well under the paper's 9 % flip.
+    // recalibrated every 512, exponential service (scv 1). Smoke charges
+    // no client overhead; this bench adds its own, 2 % of the mean
+    // service, well under the paper's 9 % flip.
     let servers = 8u16;
     let mean_service = 5.0e-6;
     let planner = Planner::new(WorkloadProfile {

@@ -8,7 +8,7 @@ use simcore::runner::{global_threads, Runner};
 use std::sync::Arc;
 use std::time::Duration;
 use storesim::experiments::{ccdf_at_load, run_load_sweep, run_service_ramp, ExperimentSpec};
-use storesim::memcached::{run as run_memcached, MemcachedConfig, MemcachedProfile};
+use storesim::memcached::{self, run as run_memcached, MemcachedConfig};
 use storesim::service::{
     bounded_pareto_with_mean, stored_load_shares, weibull_with_mean, zipf_popularity, Autoscale,
     Discipline, Frontend, LoadModel, MomentSource, ServiceConfig, ServiceResult,
@@ -596,7 +596,6 @@ pub fn fig13(effort: Effort) -> String {
         "Figure 13",
     );
     let requests = effort.scale(400_000, 60_000);
-    let prof = MemcachedProfile::default();
     let mut sets = Vec::new();
     for (label, copies, stub) in [
         ("1 copy real", 1, false),
@@ -618,7 +617,7 @@ pub fn fig13(effort: Effort) -> String {
     }
     r.note(&format!(
         "stub overhead of replication should be >= 9% of the {} ms mean service time",
-        ms(prof.mean_service)
+        ms(memcached::mean_service())
     ));
     r.finish()
 }

@@ -21,6 +21,7 @@
 use crate::estimator::{EstimatorBank, LoadSummary, MomentEstimator, MomentSnapshot, PeerLoads};
 use queuesim::analytic::pk::{self, ServiceMoments};
 use queuesim::analytic::two_moment;
+use simcore::dist::Distribution;
 use simcore::stats::Welford;
 use std::collections::HashMap;
 use std::sync::{OnceLock, RwLock};
@@ -122,6 +123,16 @@ impl Planner {
         assert!(profile.mean_service > 0.0 && profile.scv >= 0.0);
         assert!(profile.client_overhead >= 0.0);
         Planner { profile }
+    }
+
+    /// The planner for the service law `service`: its exact mean and SCV,
+    /// and no client-side cost per extra copy. Panics as [`Planner::new`].
+    pub fn for_service(service: &dyn Distribution) -> Self {
+        Planner::new(WorkloadProfile {
+            mean_service: service.mean(),
+            scv: service.scv(),
+            client_overhead: 0.0,
+        })
     }
 
     /// The workload profile this planner was built from.

@@ -21,8 +21,8 @@
 //! "can never delay the original traffic" property.
 
 use crate::packet::{data_packet_bytes, packets_for, Packet, PacketKind, ACK_BYTES};
-use crate::port::Port;
-use crate::tcp::{TcpActions, TcpConfig, TcpReceiver, TcpSender};
+use crate::port::{Port, DEFAULT_BUFFER_BYTES};
+use crate::tcp::{TcpActions, TcpReceiver, TcpSender};
 use crate::topology::{FatTree, LinkId, NodeId};
 use crate::workload::{arrival_rate_for_load, generate_flows, FlowSizeDist, FlowSpec};
 use simcore::rng::Rng;
@@ -30,22 +30,21 @@ use simcore::shard::ShardQueue;
 use simcore::stats::SampleSet;
 use simcore::time::SimTime;
 
-/// Everything one fabric run needs.
+/// Fat-tree arity: the paper's 54-host, 45-switch fabric.
+const K: usize = 6;
+
+/// Everything one fabric run varies. The fabric itself is the paper's
+/// k = 6 fat-tree with 225 KB per-class port buffers
+/// ([`DEFAULT_BUFFER_BYTES`]) and the transport of [`crate::tcp`].
 #[derive(Clone, Debug)]
 pub struct SimConfig {
-    /// Fat-tree arity (6 = the paper's 54-host fabric).
-    pub k: usize,
     /// Link rate in bytes/second (all links; full bisection).
     pub link_rate_bytes_per_sec: f64,
     /// Per-hop propagation delay, seconds.
     pub per_hop_delay: f64,
-    /// Per-class port buffer, bytes (the paper's 225 KB).
-    pub buffer_bytes: u32,
     /// Replicate the first J packets of each flow (0 disables; the
     /// default is the paper's J = 8).
     pub replicate_first: u32,
-    /// Transport constants.
-    pub tcp: TcpConfig,
     /// Offered load as a fraction of aggregate host-link capacity.
     pub load: f64,
     /// Flows to generate.
@@ -58,12 +57,9 @@ pub struct SimConfig {
 impl Default for SimConfig {
     fn default() -> Self {
         SimConfig {
-            k: 6,
             link_rate_bytes_per_sec: 625.0e6, // 5 Gbps
             per_hop_delay: 2.0e-6,
-            buffer_bytes: crate::port::DEFAULT_BUFFER_BYTES,
             replicate_first: 8,
-            tcp: TcpConfig::default(),
             load: 0.4,
             flows: 20_000,
             seed: 0xFA7,
@@ -250,7 +246,7 @@ fn mix64(mut z: u64) -> u64 {
 /// the measured window (the middle 90 % of flows, excluding warm-up and
 /// cool-down edges).
 pub fn run(cfg: &SimConfig) -> FctStats {
-    let topo = FatTree::new(cfg.k);
+    let topo = FatTree::new(K);
     let hosts = topo.hosts();
     let mut rng = Rng::seed_from(cfg.seed);
     let dist = FlowSizeDist::default();
@@ -263,13 +259,13 @@ pub fn run(cfg: &SimConfig) -> FctStats {
             Port::new(
                 cfg.link_rate_bytes_per_sec,
                 cfg.per_hop_delay,
-                cfg.buffer_bytes,
+                DEFAULT_BUFFER_BYTES,
             )
         })
         .collect();
     let senders: Vec<TcpSender> = specs
         .iter()
-        .map(|s| TcpSender::new(packets_for(s.bytes), cfg.tcp))
+        .map(|s| TcpSender::new(packets_for(s.bytes)))
         .collect();
     let receivers: Vec<TcpReceiver> = specs
         .iter()

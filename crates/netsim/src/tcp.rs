@@ -17,29 +17,14 @@
 //! simulator must perform — segments to emit and timer (re)arming — so the
 //! logic is directly unit-testable without an event loop.
 
-/// Transport constants.
-#[derive(Clone, Copy, Debug)]
-pub struct TcpConfig {
-    /// Initial congestion window, packets.
-    pub init_cwnd: f64,
-    /// Initial slow-start threshold, packets.
-    pub init_ssthresh: f64,
-    /// Minimum (and initial) retransmission timeout — the paper's 10 ms.
-    pub min_rto: f64,
-    /// Upper clamp on the backed-off RTO.
-    pub max_rto: f64,
-}
-
-impl Default for TcpConfig {
-    fn default() -> Self {
-        TcpConfig {
-            init_cwnd: 4.0,
-            init_ssthresh: 64.0,
-            min_rto: 10.0e-3,
-            max_rto: 2.0,
-        }
-    }
-}
+/// Initial congestion window, packets.
+const INIT_CWND: f64 = 4.0;
+/// Initial slow-start threshold, packets.
+const INIT_SSTHRESH: f64 = 64.0;
+/// Minimum (and initial) retransmission timeout — the paper's 10 ms.
+const MIN_RTO: f64 = 10.0e-3;
+/// Upper clamp on the backed-off RTO.
+const MAX_RTO: f64 = 2.0;
 
 /// What the simulator must do after feeding the sender an input.
 #[derive(Debug, Default)]
@@ -57,7 +42,6 @@ pub struct TcpActions {
 /// Sender-side state for one flow.
 #[derive(Debug)]
 pub struct TcpSender {
-    cfg: TcpConfig,
     /// Total data packets in the flow.
     pub total_pkts: u32,
     snd_una: u32,
@@ -82,21 +66,20 @@ pub struct TcpSender {
 
 impl TcpSender {
     /// New sender for a flow of `total_pkts` packets.
-    pub fn new(total_pkts: u32, cfg: TcpConfig) -> Self {
+    pub fn new(total_pkts: u32) -> Self {
         assert!(total_pkts >= 1);
         TcpSender {
-            cfg,
             total_pkts,
             snd_una: 0,
             next_seq: 0,
-            cwnd: cfg.init_cwnd,
-            ssthresh: cfg.init_ssthresh,
+            cwnd: INIT_CWND,
+            ssthresh: INIT_SSTHRESH,
             dupacks: 0,
             in_recovery: false,
             recover: 0,
             srtt: None,
             rttvar: 0.0,
-            rto: cfg.min_rto,
+            rto: MIN_RTO,
             timer_epoch: 0,
             send_time: vec![f64::NAN; total_pkts as usize],
             retransmitted: vec![false; total_pkts as usize],
@@ -217,7 +200,7 @@ impl TcpSender {
         self.in_recovery = false;
         self.dupacks = 0;
         // Exponential backoff, clamped.
-        self.rto = (self.rto * 2.0).min(self.cfg.max_rto);
+        self.rto = (self.rto * 2.0).min(MAX_RTO);
         self.retransmit(self.snd_una, now, &mut act.send);
         act.arm_timer = self.arm();
         act
@@ -243,7 +226,7 @@ impl TcpSender {
             }
         }
         let base = self.srtt.unwrap() + (4.0 * self.rttvar).max(1.0e-6);
-        self.rto = base.clamp(self.cfg.min_rto, self.cfg.max_rto);
+        self.rto = base.clamp(MIN_RTO, MAX_RTO);
     }
 }
 
@@ -304,13 +287,9 @@ impl TcpReceiver {
 mod tests {
     use super::*;
 
-    fn cfg() -> TcpConfig {
-        TcpConfig::default()
-    }
-
     #[test]
     fn short_flow_completes_in_order() {
-        let mut s = TcpSender::new(3, cfg());
+        let mut s = TcpSender::new(3);
         let mut r = TcpReceiver::new(3);
         let act = s.on_start(0.0);
         assert_eq!(act.send, vec![0, 1, 2]);
@@ -326,7 +305,7 @@ mod tests {
 
     #[test]
     fn initial_window_respects_cwnd() {
-        let mut s = TcpSender::new(100, cfg());
+        let mut s = TcpSender::new(100);
         let act = s.on_start(0.0);
         assert_eq!(act.send.len(), 4, "IW = 4");
         assert!(act.arm_timer.is_some());
@@ -334,7 +313,7 @@ mod tests {
 
     #[test]
     fn slow_start_doubles_per_rtt() {
-        let mut s = TcpSender::new(1000, cfg());
+        let mut s = TcpSender::new(1000);
         let w0 = s.on_start(0.0).send.len();
         // Ack the whole first window: cwnd should double.
         let a = s.on_ack(0.001, w0 as u32);
@@ -343,7 +322,7 @@ mod tests {
 
     #[test]
     fn three_dupacks_trigger_fast_retransmit() {
-        let mut s = TcpSender::new(100, cfg());
+        let mut s = TcpSender::new(100);
         let _ = s.on_start(0.0);
         // Grow the window a bit.
         let mut acts = s.on_ack(0.001, 2);
@@ -361,7 +340,7 @@ mod tests {
 
     #[test]
     fn timeout_collapses_window_and_backs_off() {
-        let mut s = TcpSender::new(100, cfg());
+        let mut s = TcpSender::new(100);
         let act = s.on_start(0.0);
         let epoch = s.timer_epoch;
         let rto0 = s.rto();
@@ -379,7 +358,7 @@ mod tests {
 
     #[test]
     fn stale_timer_is_ignored() {
-        let mut s = TcpSender::new(10, cfg());
+        let mut s = TcpSender::new(10);
         let _ = s.on_start(0.0);
         let old_epoch = s.timer_epoch;
         let _ = s.on_ack(0.001, 1); // re-arms, bumping the epoch
@@ -390,7 +369,7 @@ mod tests {
 
     #[test]
     fn rtt_sampling_sets_rto_with_floor() {
-        let mut s = TcpSender::new(100, cfg());
+        let mut s = TcpSender::new(100);
         let _ = s.on_start(0.0);
         let _ = s.on_ack(100e-6, 1); // 100 us RTT
         assert!(s.srtt().is_some());
@@ -400,7 +379,7 @@ mod tests {
 
     #[test]
     fn karns_rule_skips_retransmitted_samples() {
-        let mut s = TcpSender::new(10, cfg());
+        let mut s = TcpSender::new(10);
         let _ = s.on_start(0.0);
         let epoch = s.timer_epoch;
         let _ = s.on_timeout(0.010, epoch); // retransmits packet 0
@@ -434,7 +413,7 @@ mod tests {
     #[test]
     fn full_transfer_with_loss_recovers() {
         // Deterministic mini-harness: direct wire with one lost packet.
-        let mut s = TcpSender::new(20, cfg());
+        let mut s = TcpSender::new(20);
         let mut r = TcpReceiver::new(20);
         let mut now = 0.0;
         let mut wire: Vec<u32> = s.on_start(now).send;

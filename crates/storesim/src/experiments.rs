@@ -11,14 +11,13 @@
 //! because they depend only on the ratios and the per-operation service
 //! constants.
 
-use crate::cluster::{self, ClusterConfig, FilePopulation, NetProfile};
-use crate::disk::DiskProfile;
+use crate::cluster::{self, ClusterConfig, FilePopulation};
 use crate::service::{self, RampBucket, ServiceConfig, ServiceResult};
 use crate::sharded::run_sharded;
 use simcore::dist::{BoundedPareto, Deterministic, DynDist, Exponential, Mixture};
 use simcore::rng::Rng;
 use simcore::runner::Runner;
-use simcore::stats::{Ccdf, SampleSet};
+use simcore::stats::Ccdf;
 use std::sync::Arc;
 
 /// A named §2.2 experiment: everything that distinguishes one figure from
@@ -35,8 +34,6 @@ pub struct ExperimentSpec {
     pub total_bytes: u64,
     /// Page-cache bytes per server.
     pub cache_bytes: u64,
-    /// Optional extra stall on disk reads (kernel/controller hiccups).
-    pub disk_noise: Option<DynDist>,
     /// Optional stall on every operation (multi-tenant interference).
     pub op_noise: Option<DynDist>,
 }
@@ -50,22 +47,6 @@ impl std::fmt::Debug for ExperimentSpec {
 }
 
 const MB: u64 = 1024 * 1024;
-
-/// Disk-path "hiccup" noise present even on dedicated hardware: a rare,
-/// exponentially-sized stall on reads that actually reach the spindle
-/// (controller retries, kernel writeback interference). This is what gives
-/// the disk-bound figures their deep 99.9th-percentile tails — the paper's
-/// Emulab nodes show ~150 ms tails at 20 % load that pure seek-time
-/// queueing cannot produce — while leaving the in-memory Fig 11/12 path
-/// untouched.
-fn emulab_disk_noise() -> DynDist {
-    Arc::new(Mixture::of_two(
-        0.988,
-        Deterministic::new(0.0),
-        0.012,
-        Exponential::with_mean(40.0e-3),
-    ))
-}
 
 /// Multi-tenant interference on a public cloud (Fig 9): frequent stalls on
 /// *every* operation, hitting each copy independently — which is exactly
@@ -88,7 +69,6 @@ impl ExperimentSpec {
             file_size: Arc::new(Deterministic::new(4096.0)),
             total_bytes: 320 * MB,
             cache_bytes: 16 * MB,
-            disk_noise: Some(emulab_disk_noise()),
             op_noise: None,
         }
     }
@@ -103,7 +83,6 @@ impl ExperimentSpec {
             file_size: Arc::new(Deterministic::new(41.0)),
             total_bytes: 4 * MB,
             cache_bytes: 204 * 1024,
-            disk_noise: Some(emulab_disk_noise()),
             op_noise: None,
         }
     }
@@ -119,7 +98,6 @@ impl ExperimentSpec {
             file_size: Arc::new(dist),
             total_bytes: 320 * MB,
             cache_bytes: 16 * MB,
-            disk_noise: Some(emulab_disk_noise()),
             op_noise: None,
         }
     }
@@ -133,7 +111,6 @@ impl ExperimentSpec {
             file_size: Arc::new(Deterministic::new(4096.0)),
             total_bytes: 800 * MB,
             cache_bytes: 4 * MB, // 4 MB / (2*800/4 = 400 MB) = 0.01
-            disk_noise: Some(emulab_disk_noise()),
             op_noise: None,
         }
     }
@@ -158,7 +135,6 @@ impl ExperimentSpec {
             file_size: Arc::new(Deterministic::new(400.0 * 1024.0)),
             total_bytes: 640 * MB,
             cache_bytes: 32 * MB,
-            disk_noise: Some(emulab_disk_noise()),
             op_noise: None,
         }
     }
@@ -172,7 +148,6 @@ impl ExperimentSpec {
             file_size: Arc::new(Deterministic::new(4096.0)),
             total_bytes: 64 * MB, // per-server 32 MB, cache 64 MB => ratio 2
             cache_bytes: 64 * MB,
-            disk_noise: Some(emulab_disk_noise()),
             op_noise: None,
         }
     }
@@ -183,14 +158,9 @@ impl ExperimentSpec {
         let mut rng = Rng::seed_from(seed ^ 0xF11E5);
         let files = FilePopulation::generate(self.file_size.as_ref(), self.total_bytes, &mut rng);
         ClusterConfig {
-            servers: 4,
-            clients: 10,
             copies,
             files,
             cache_bytes: self.cache_bytes,
-            disk: DiskProfile::default(),
-            net: NetProfile::default(),
-            disk_noise: self.disk_noise.clone(),
             op_noise: self.op_noise.clone(),
             load,
             requests,
@@ -302,13 +272,13 @@ fn finite_mean(xs: impl Iterator<Item = f64>) -> f64 {
 /// bit-identical at any thread count.
 ///
 /// Pooling sums the counts (bucket requests and k = 2 requests, copies,
-/// completions, recalibrations) and merges the response samples. A
-/// bucket's `mean_response` is the request-weighted mean of the
-/// replications' means; its `p99` and `peak_utilization`, and the run's
-/// `live_threshold`, estimates and `mean_utilization`, are means over the
-/// replications that measured one. `switch_off` is read off the pooled
-/// decision curve, and `planner_threshold` is the offline §2.1 threshold
-/// of the configured workload.
+/// completions, recalibrations). A bucket's `mean_response` is the
+/// request-weighted mean of the replications' means; its `p99` and
+/// `peak_utilization`, and the run's `live_threshold`, estimates and
+/// `mean_utilization`, are means over the replications that measured one.
+/// `switch_off` is read off the pooled decision curve, and
+/// `planner_threshold` is the offline §2.1 threshold of the configured
+/// workload.
 ///
 /// The headline number is `switch_off`: the offered load at which the
 /// planner's live per-request decision flips from k = 2 to k = 1, which
@@ -328,7 +298,7 @@ pub fn run_service_ramp_on(
     let seeds: Vec<u64> = (0..replications)
         .map(|r| root.fork(r as u64).next_u64())
         .collect();
-    let mut results = runner.run(replications, |r| {
+    let results = runner.run(replications, |r| {
         let mut c = cfg.clone();
         c.seed = seeds[r];
         run_sharded(&c, 1, 1).result
@@ -359,13 +329,8 @@ pub fn run_service_ramp_on(
         })
         .collect();
 
-    let mut response = SampleSet::new();
-    for r in &mut results {
-        response.merge(std::mem::take(&mut r.response));
-    }
     let mean_of = |field: fn(&ServiceResult) -> f64| finite_mean(results.iter().map(field));
     ServiceResult {
-        response,
         switch_off: service::bucket_switch_off(&buckets, RampBucket::frac_k2),
         planner_threshold: results[0].planner_threshold,
         live_threshold: mean_of(|r| r.live_threshold),
@@ -566,7 +531,6 @@ mod tests {
         assert_eq!(pooled.completed, single.completed);
         assert_eq!(pooled.copies_issued, single.copies_issued);
         assert_eq!(pooled.copies_cancelled, single.copies_cancelled);
-        assert_eq!(pooled.response.len(), single.response.len());
         assert_eq!(pooled.buckets.len(), single.buckets.len());
         for (p, s) in pooled.buckets.iter().zip(&single.buckets) {
             assert_eq!(

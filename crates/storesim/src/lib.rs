@@ -40,7 +40,10 @@
 //! What carries over from the paper's hardware: the *ratios* that drive
 //! behaviour (cache:disk ratio, file size vs transfer rates, fixed client
 //! cost vs mean service time). What doesn't: absolute 2013 disk constants,
-//! which are configurable in [`disk::DiskProfile`].
+//! which are fixed approximations in [`disk`]. The testbed is one fixed
+//! deployment (4 servers and 10 clients; memcached's 0.18 ms mean service
+//! time and per-copy client costs), so its constants live beside the code
+//! that reads them, and each config holds only what a figure varies.
 
 #![warn(missing_docs)]
 

@@ -8,10 +8,11 @@
 //! Under those constants the §2.1 model predicts a threshold below 10 %,
 //! and Fig 12 indeed shows 2 copies worse at every load from 10–90 %.
 //!
-//! We model each memcached server as a single FIFO service resource (the
-//! event-loop thread), log-normal service times with rare millisecond-scale
-//! outliers, and the same client NIC/CPU cost structure as
-//! [`crate::cluster`]. [`StubMode`] reproduces the paper's
+//! We model the paper's 4 memcached servers, each a single FIFO service
+//! resource (the event-loop thread), with log-normal service times and
+//! rare millisecond-scale outliers, and charge the client a fixed CPU
+//! cost per copy sent and per response received, as [`crate::cluster`]
+//! does (no client NIC is modelled). [`StubMode`] reproduces the paper's
 //! client-side-isolation methodology.
 
 use crate::hashring::HashRing;
@@ -33,17 +34,50 @@ pub enum StubMode {
     Stub,
 }
 
-/// Configuration for one memcached run.
+/// Cache servers (the paper's 4).
+const SERVERS: usize = 4;
+/// Distinct keys (placement via consistent hashing + n/n+1).
+const KEYS: usize = 100_000;
+/// One-way propagation, seconds.
+const PROPAGATION: f64 = 25.0e-6;
+// The paper's stub experiment measured replication adding 9% of the
+// 0.18 ms mean (16 us) at the client and calls that an *underestimate*
+// because the stub never touches the kernel or the NIC; the real per-copy
+// receive path (interrupt, copy, event loop) is modeled at 30 us, sends at
+// 12 us.
+/// Client CPU per issued copy.
+const CLIENT_SEND_COST: f64 = 12.0e-6;
+/// Client CPU per received response.
+const CLIENT_RECV_COST: f64 = 30.0e-6;
+
+/// Server service time distribution (seconds): a 0.18 ms mean with a
+/// tight body (memcached under light load is very consistent; the paper
+/// notes >99.9% of mass within 4x of the mean) plus rare ms-scale
+/// outliers.
+fn service() -> Mixture {
+    let body = LogNormal::with_mean_sigma(0.176e-3, 0.10);
+    let outlier = LogNormal::with_mean_sigma(2.0e-3, 0.5);
+    Mixture::of_two(0.9985, body, 0.0015, outlier)
+}
+
+/// Mean server service time, seconds (the mean of the service law).
+pub fn mean_service() -> f64 {
+    service().mean()
+}
+
+/// Client-side base processing for a stubbed call (the no-op path:
+/// library + event-loop work with no network or server).
+fn stub_base() -> LogNormal {
+    LogNormal::with_mean_sigma(30.0e-6, 0.35)
+}
+
+/// Configuration for one memcached run: what a figure varies. The
+/// deployment (4 servers, 100 000 keys, the 0.18 ms service law and the
+/// per-copy client costs) is fixed.
 #[derive(Clone, Debug)]
 pub struct MemcachedConfig {
-    /// Number of cache servers.
-    pub servers: usize,
-    /// Number of client machines.
-    pub clients: usize,
     /// Copies per GET.
     pub copies: usize,
-    /// Distinct keys (placement via consistent hashing + n/n+1).
-    pub keys: usize,
     /// Baseline (k = 1) per-server utilization.
     pub load: f64,
     /// Real or stub servers.
@@ -60,10 +94,7 @@ impl MemcachedConfig {
     /// The paper's deployment shape at a given replication factor and load.
     pub fn paper_like(copies: usize, load: f64) -> Self {
         MemcachedConfig {
-            servers: 4,
-            clients: 10,
             copies,
-            keys: 100_000,
             load,
             mode: StubMode::Real,
             requests: 200_000,
@@ -76,49 +107,6 @@ impl MemcachedConfig {
     pub fn stubbed(mut self) -> Self {
         self.mode = StubMode::Stub;
         self
-    }
-}
-
-/// Service-time and client-cost constants for the memcached model.
-#[derive(Clone, Debug)]
-pub struct MemcachedProfile {
-    /// Server service time distribution (seconds).
-    pub service: Mixture,
-    /// Mean of `service` (cached).
-    pub mean_service: f64,
-    /// One-way propagation, seconds.
-    pub propagation: f64,
-    /// Client CPU per issued copy.
-    pub client_send_cost: f64,
-    /// Client CPU per received response.
-    pub client_recv_cost: f64,
-    /// Client-side base processing for a stubbed call (the no-op path:
-    /// library + event-loop work with no network or server).
-    pub stub_base: LogNormal,
-}
-
-impl Default for MemcachedProfile {
-    fn default() -> Self {
-        // 0.18 ms mean with a tight body (memcached under light load is
-        // very consistent; the paper notes >99.9% of mass within 4x of the
-        // mean) plus rare ms-scale outliers.
-        let body = LogNormal::with_mean_sigma(0.176e-3, 0.10);
-        let outlier = LogNormal::with_mean_sigma(2.0e-3, 0.5);
-        let service = Mixture::of_two(0.9985, body, 0.0015, outlier);
-        let mean_service = service.mean();
-        MemcachedProfile {
-            service,
-            mean_service,
-            propagation: 25.0e-6,
-            // The paper's stub experiment measured replication adding 9% of
-            // the 0.18 ms mean (16 us) at the client and calls that an
-            // *underestimate* because the stub never touches the kernel or
-            // the NIC; the real per-copy receive path (interrupt, copy,
-            // event loop) is modeled at 30 us, sends at 12 us.
-            client_send_cost: 12.0e-6,
-            client_recv_cost: 30.0e-6,
-            stub_base: LogNormal::with_mean_sigma(30.0e-6, 0.35),
-        }
     }
 }
 
@@ -138,14 +126,9 @@ enum Ev {
     ClientRecv { req: u32 },
 }
 
-/// Runs the memcached model with the default profile.
+/// Runs the memcached model.
 pub fn run(cfg: &MemcachedConfig) -> MemcachedResult {
-    run_with_profile(cfg, &MemcachedProfile::default())
-}
-
-/// Runs the memcached model with explicit constants.
-pub fn run_with_profile(cfg: &MemcachedConfig, prof: &MemcachedProfile) -> MemcachedResult {
-    assert!(cfg.copies >= 1 && cfg.copies <= cfg.servers);
+    assert!(cfg.copies >= 1 && cfg.copies <= SERVERS);
     assert!(
         cfg.copies as f64 * cfg.load < 1.0 || cfg.mode == StubMode::Stub,
         "k*load saturates"
@@ -156,12 +139,14 @@ pub fn run_with_profile(cfg: &MemcachedConfig, prof: &MemcachedProfile) -> Memca
     let mut place_rng = root.fork(2);
     let mut svc_rng = root.fork(3);
 
-    let ring = HashRing::new(cfg.servers, 64);
-    let lambda = cfg.load * cfg.servers as f64 / prof.mean_service;
+    let service = service();
+    let stub_base = stub_base();
+    let ring = HashRing::new(SERVERS, 64);
+    let lambda = cfg.load * SERVERS as f64 / service.mean();
 
     let total = cfg.warmup + cfg.requests;
-    let mut server_free = vec![0.0f64; cfg.servers];
-    let mut server_busy = vec![0.0f64; cfg.servers];
+    let mut server_free = [0.0f64; SERVERS];
+    let mut server_busy = [0.0f64; SERVERS];
     // A Real-mode request keeps its arrival time and whether it has been
     // answered, and only while it is in flight: `window` runs from the
     // oldest unanswered request (`front`) to the newest arrival, and
@@ -176,7 +161,7 @@ pub fn run_with_profile(cfg: &MemcachedConfig, prof: &MemcachedProfile) -> Memca
 
     // Pre-size past the steady-state population (a few events per server)
     // so the heap never reallocates mid-run.
-    let mut q: ShardQueue<Ev> = ShardQueue::with_capacity(0, (8 * cfg.servers).max(1024));
+    let mut q: ShardQueue<Ev> = ShardQueue::with_capacity(0, (8 * SERVERS).max(1024));
     q.push(
         SimTime::from_secs(arrival_rng.exponential(lambda)),
         Ev::Arrive { req: 0 },
@@ -186,19 +171,16 @@ pub fn run_with_profile(cfg: &MemcachedConfig, prof: &MemcachedProfile) -> Memca
         let t = now.as_secs();
         match ev {
             Ev::Arrive { req } => {
-                let key = place_rng.index(cfg.keys) as u64;
-                // No client resource is modelled, so the client index feeds
-                // nothing; drawing it keeps the placement stream unchanged.
-                let _client = place_rng.index(cfg.clients);
+                let key = place_rng.index(KEYS) as u64;
                 end_time = t;
                 match cfg.mode {
                     StubMode::Stub => {
                         // No server, no wire: client-side work only. Each
                         // copy costs send CPU; the response is synthesized
                         // after the base stub processing time.
-                        let base = prof.stub_base.sample(&mut svc_rng);
-                        let extra = (cfg.copies as f64 - 1.0)
-                            * (prof.client_send_cost + prof.client_recv_cost);
+                        let base = stub_base.sample(&mut svc_rng);
+                        let extra =
+                            (cfg.copies as f64 - 1.0) * (CLIENT_SEND_COST + CLIENT_RECV_COST);
                         if req as usize >= cfg.warmup {
                             response.push(base + extra);
                         }
@@ -208,8 +190,7 @@ pub fn run_with_profile(cfg: &MemcachedConfig, prof: &MemcachedProfile) -> Memca
                         debug_assert_eq!(front + window.len() - 1, req as usize);
                         ring.replicas_into(key, &mut targets);
                         for (i, &server) in targets.iter().enumerate() {
-                            let send_at =
-                                t + prof.client_send_cost * (i as f64 + 1.0) + prof.propagation;
+                            let send_at = t + CLIENT_SEND_COST * (i as f64 + 1.0) + PROPAGATION;
                             q.push(SimTime::from_secs(send_at), Ev::ServerRecv { req, server });
                         }
                     }
@@ -223,12 +204,12 @@ pub fn run_with_profile(cfg: &MemcachedConfig, prof: &MemcachedProfile) -> Memca
             }
             Ev::ServerRecv { req, server } => {
                 let s = server as usize;
-                let svc = prof.service.sample(&mut svc_rng);
+                let svc = service.sample(&mut svc_rng);
                 let start = t.max(server_free[s]);
                 server_free[s] = start + svc;
                 server_busy[s] += svc;
                 q.push(
-                    SimTime::from_secs(start + svc + prof.propagation),
+                    SimTime::from_secs(start + svc + PROPAGATION),
                     Ev::ClientRecv { req },
                 );
             }
@@ -240,7 +221,7 @@ pub fn run_with_profile(cfg: &MemcachedConfig, prof: &MemcachedProfile) -> Memca
                 };
                 window[slot].1 = true;
                 let completion =
-                    t + prof.client_recv_cost + (cfg.copies as f64 - 1.0) * prof.client_recv_cost;
+                    t + CLIENT_RECV_COST + (cfg.copies as f64 - 1.0) * CLIENT_RECV_COST;
                 if i >= cfg.warmup {
                     response.push(completion - window[slot].0);
                 }
@@ -256,7 +237,7 @@ pub fn run_with_profile(cfg: &MemcachedConfig, prof: &MemcachedProfile) -> Memca
     MemcachedResult {
         response,
         server_utilization: server_busy.iter().sum::<f64>()
-            / (cfg.servers as f64 * end_time.max(f64::MIN_POSITIVE)),
+            / (SERVERS as f64 * end_time.max(f64::MIN_POSITIVE)),
     }
 }
 
@@ -307,20 +288,19 @@ mod tests {
     fn stub_isolates_client_cost() {
         // Fig 13: stub responses are far below real ones, and stub k=2
         // exceeds stub k=1 by roughly the per-copy client cost.
-        let prof = MemcachedProfile::default();
         let real = run(&quick(1, 0.001)).response.mean();
         let stub1 = run(&quick(1, 0.001).stubbed()).response.mean();
         let stub2 = run(&quick(2, 0.001).stubbed()).response.mean();
         assert!(stub1 < 0.5 * real, "stub {stub1} vs real {real}");
         let added = stub2 - stub1;
-        let expect = prof.client_send_cost + prof.client_recv_cost;
+        let expect = CLIENT_SEND_COST + CLIENT_RECV_COST;
         assert!(
             (added - expect).abs() < 0.5 * expect,
             "stub overhead {added} vs expected {expect}"
         );
         // And that overhead is at least 9% of the mean service time, the
         // paper's headline measurement.
-        assert!(added >= 0.09 * prof.mean_service);
+        assert!(added >= 0.09 * mean_service());
     }
 
     #[test]
@@ -339,11 +319,11 @@ mod tests {
     #[test]
     fn service_distribution_mass_within_4x() {
         // The paper: >99.9% of the service mass within 4x of the mean.
-        let prof = MemcachedProfile::default();
+        let service = service();
         let mut rng = Rng::seed_from(5);
         let n = 200_000;
         let within = (0..n)
-            .filter(|_| prof.service.sample(&mut rng) < 4.0 * prof.mean_service)
+            .filter(|_| service.sample(&mut rng) < 4.0 * mean_service())
             .count();
         let frac = within as f64 / n as f64;
         assert!(frac > 0.996, "only {frac} within 4x of mean");

@@ -66,7 +66,7 @@
 
 use crate::service::{ramp_load, switch_off_load};
 use redundancy::cancel::CancelToken;
-use redundancy::planner::{LivePlanner, Planner, WorkloadProfile};
+use redundancy::planner::{LivePlanner, Planner};
 use simcore::dist::{DynDist, Exponential};
 use simcore::rng::Rng;
 use simcore::stats::SampleSet;
@@ -74,6 +74,13 @@ use std::collections::VecDeque;
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// Scripted demands the moment window must hold before the live moments
+/// are trusted.
+const MIN_SAMPLES: usize = 256;
+
+/// Planner recalibration cadence, in observed demands.
+const RECALIBRATE: usize = 512;
 
 /// Configuration of one wall-clock run.
 ///
@@ -94,15 +101,9 @@ pub struct RtConfig {
     pub service: DynDist,
     /// Arrival-rate estimator window, in inter-arrival gaps per server.
     pub window: usize,
-    /// Moment-estimator window, in observed (scripted) demands.
+    /// Moment-estimator window, in observed (scripted) demands: at least
+    /// the 256 the live moments need before they are trusted.
     pub moment_window: usize,
-    /// Scripted demands the moment window must hold before the live
-    /// moments are trusted (in `[2, moment_window]`).
-    pub min_samples: usize,
-    /// Planner recalibration cadence, in observed demands.
-    pub recalibrate: usize,
-    /// Client-side overhead fed to the planner (§2.3), seconds.
-    pub client_overhead: f64,
     /// Offered baseline per-server utilization at the ramp start (the
     /// warm-up runs entirely at this load). This shapes the *script
     /// clock* — the frontend dispatches as fast as the in-flight window
@@ -141,9 +142,6 @@ impl RtConfig {
             // fraction of the ramp for the switch-off to track it.
             window: 512,
             moment_window: 4096,
-            min_samples: 256,
-            recalibrate: 512,
-            client_overhead: 0.0,
             load_start: 0.05,
             load_end: 0.90,
             requests,
@@ -348,12 +346,13 @@ fn execute(demand_secs: f64, token: &CancelToken) -> bool {
     }
 }
 
-/// Runs the wall-clock service over the scripted workload.
+/// Runs the wall-clock service over the scripted workload. The planner
+/// charges no client-side cost per extra copy.
 ///
 /// # Panics
 /// Panics on a zero worker count, `servers < 2`, loads outside the
-/// replicated system's stable region, or `min_samples` outside
-/// `[2, moment_window]`.
+/// replicated system's stable region, or a `moment_window` below 256
+/// (the demands the live moments need before they are trusted).
 pub fn run(cfg: &RtConfig) -> RtResult {
     assert!(cfg.workers >= 1, "need at least one worker");
     assert!(cfg.servers >= 2, "need at least 2 servers to replicate");
@@ -405,11 +404,7 @@ pub fn run(cfg: &RtConfig) -> RtResult {
     // The live decision loop — the simulated frontend's, crossing no
     // thread boundary (decisions are made inline here; only `Job`s,
     // which are `Send`, cross to workers).
-    let base_planner = Planner::new(WorkloadProfile {
-        mean_service: cfg.service.mean(),
-        scv: cfg.service.scv(),
-        client_overhead: cfg.client_overhead,
-    });
+    let base_planner = Planner::for_service(cfg.service.as_ref());
     let offline_threshold = base_planner.threshold_load();
     let mut planner = LivePlanner::new(
         base_planner,
@@ -419,7 +414,7 @@ pub fn run(cfg: &RtConfig) -> RtResult {
         0,
         cfg.load_start,
     )
-    .with_moments(cfg.moment_window, cfg.min_samples, cfg.recalibrate);
+    .with_moments(cfg.moment_window, MIN_SAMPLES, RECALIBRATE);
 
     // The request script's two streams: arrival gaps, and each request's
     // demands and placement.

@@ -60,7 +60,9 @@
 //! simulation sweeps the whole load axis and the planner's switch-off
 //! point is directly observable: the load at which the fraction of
 //! requests issued with k = 2 crosses ½ ([`switch_off_load`]) should land
-//! on the offline §2.1 threshold.
+//! on the offline §2.1 threshold. Latency is reported along the same axis:
+//! each [`RampBucket`] holds the mean and p99 response of the requests
+//! offered at its load.
 //!
 //! Everything is bit-reproducible from the seed; replications fan out on
 //! [`simcore::runner`] in [`crate::experiments::run_service_ramp`], which
@@ -70,13 +72,12 @@
 //! [`EstimatorBank`]: redundancy::estimator::EstimatorBank
 //! [`MomentEstimator`]: redundancy::estimator::MomentEstimator
 //! [`LivePlanner`]: redundancy::planner::LivePlanner
+//! [`Planner`]: redundancy::planner::Planner
 
 use crate::hashring::HashRing;
 use crate::sharded::MAX_STORED;
-use redundancy::planner::{Planner, WorkloadProfile};
 use redundancy::policy::Policy;
 use simcore::dist::{BoundedPareto, DiscreteEmpirical, Distribution, DynDist, Weibull};
-use simcore::stats::SampleSet;
 use std::sync::Arc;
 
 /// Queueing discipline at each server.
@@ -248,9 +249,6 @@ pub struct ServiceConfig {
     pub cancellation: bool,
     /// One-way propagation delay between clients and servers, seconds.
     pub propagation: f64,
-    /// Client-side latency cost per *extra issued copy* (added to the
-    /// response time, and fed to the planner as its §2.3 overhead).
-    pub client_overhead: f64,
     /// Offered baseline (k = 1) per-server utilization at the start of the
     /// measured window (warm-up runs entirely at this load).
     pub load_start: f64,
@@ -291,7 +289,6 @@ impl ServiceConfig {
             frontend_lanes: 1,
             cancellation: false,
             propagation: 50.0e-6,
-            client_overhead: 0.0,
             load_start,
             load_end,
             buckets: 22,
@@ -300,16 +297,6 @@ impl ServiceConfig {
             autoscale: None,
             seed: 0x5E81CE,
         }
-    }
-
-    /// The planner for this workload (mean/scv from the service
-    /// distribution, overhead from the config).
-    pub fn planner(&self) -> Planner {
-        Planner::new(WorkloadProfile {
-            mean_service: self.service.mean(),
-            scv: self.service.scv(),
-            client_overhead: self.client_overhead,
-        })
     }
 
     /// Offered baseline load of request `i` (see [`ramp_load`]).
@@ -527,13 +514,12 @@ impl RampBucket {
 
 /// Everything one service run measures, or a replicated ramp pools
 /// ([`crate::experiments::run_service_ramp`]): there counts are summed
-/// over the replications, the response samples merged, and the other
-/// measurements averaged over the replications that report one.
+/// over the replications and the other measurements averaged over the
+/// replications that report one. Latency is reported per ramp bucket
+/// only: each measured request's response time (first copy wins) lands
+/// in the bucket of its offered load.
 #[derive(Debug)]
 pub struct ServiceResult {
-    /// Per-request response times (first copy wins, plus per-extra-copy
-    /// client overhead), seconds.
-    pub response: SampleSet,
     /// Decision and latency curves over the offered-load ramp.
     pub buckets: Vec<RampBucket>,
     /// Load at which the k = 2 fraction crosses ½ (NaN if it never does).
@@ -857,7 +843,10 @@ mod tests {
         let cfg = ServiceConfig::ramp(exp_service(), 0.1, 0.5);
         let a = run(&cfg);
         let b = run(&cfg);
-        assert_eq!(a.response.mean().to_bits(), b.response.mean().to_bits());
+        for (x, y) in a.buckets.iter().zip(&b.buckets) {
+            assert_eq!(x.mean_response.to_bits(), y.mean_response.to_bits());
+            assert_eq!(x.p99.to_bits(), y.p99.to_bits());
+        }
         assert_eq!(a.switch_off.to_bits(), b.switch_off.to_bits());
         assert_eq!(a.copies_issued, b.copies_issued);
     }
@@ -886,7 +875,7 @@ mod tests {
         let cfg = flat(Policy::Single, 0.4);
         let out = run(&cfg);
         let expect = 1.0e-3 / (1.0 - 0.4) + 2.0 * cfg.propagation;
-        let got = out.response.mean();
+        let got = out.buckets[0].mean_response;
         assert!(
             (got - expect).abs() / expect < 0.08,
             "mean {got} vs {expect}"
@@ -901,7 +890,7 @@ mod tests {
         let out = run(&cfg);
         assert_eq!(out.completed, cfg.requests);
         let expect = 1.0e-3 / (1.0 - 0.4) + 2.0 * cfg.propagation;
-        let got = out.response.mean();
+        let got = out.buckets[0].mean_response;
         assert!(
             (got - expect).abs() / expect < 0.10,
             "PS mean {got} vs {expect}"
@@ -910,15 +899,12 @@ mod tests {
 
     #[test]
     fn replication_helps_at_low_load_and_hurts_at_high() {
-        let single_low = run(&flat(Policy::Single, 0.15)).response.mean();
-        let double_low = run(&flat(Policy::Always { copies: 2 }, 0.15))
-            .response
-            .mean();
+        let mean = |policy, load| run(&flat(policy, load)).buckets[0].mean_response;
+        let single_low = mean(Policy::Single, 0.15);
+        let double_low = mean(Policy::Always { copies: 2 }, 0.15);
         assert!(double_low < single_low, "{double_low} vs {single_low}");
-        let single_high = run(&flat(Policy::Single, 0.45)).response.mean();
-        let double_high = run(&flat(Policy::Always { copies: 2 }, 0.45))
-            .response
-            .mean();
+        let single_high = mean(Policy::Single, 0.45);
+        let double_high = mean(Policy::Always { copies: 2 }, 0.45);
         assert!(double_high > single_high, "{double_high} vs {single_high}");
     }
 
@@ -940,7 +926,7 @@ mod tests {
             p.mean_utilization
         );
         assert!(
-            t.response.mean() < p.response.mean(),
+            t.buckets[0].mean_response < p.buckets[0].mean_response,
             "cancellation should help latency"
         );
     }
@@ -1159,13 +1145,8 @@ mod tests {
         cfg.popularity = None;
         let unif_out = run(&cfg);
         assert_eq!(skew_out.completed, cfg.requests);
-        let (mut s_resp, mut u_resp) = (skew_out.response, unif_out.response);
-        assert!(
-            s_resp.quantile(0.99) > u_resp.quantile(0.99),
-            "skew p99 {} vs uniform p99 {}",
-            s_resp.quantile(0.99),
-            u_resp.quantile(0.99)
-        );
+        let (s_p99, u_p99) = (skew_out.buckets[0].p99, unif_out.buckets[0].p99);
+        assert!(s_p99 > u_p99, "skew p99 {s_p99} vs uniform p99 {u_p99}");
     }
 
     #[test]

@@ -46,9 +46,10 @@
 //! ([`ShardedOutcome::peak_window`] reports the largest window). A
 //! response or hedge timer for a request below the front is a late
 //! duplicate and is dropped, as one for an answered request in the window
-//! is. The exact latency samples (8 B per measured request run-wide, 8 B
-//! more in its ramp bucket) are the only per-request record kept for the
-//! whole run; at the end they move, not copy, into the result.
+//! is. The exact latency samples (8 B per measured request, in its ramp
+//! bucket) are the only per-request record kept for the whole run; at the
+//! end each bucket's samples from every lane merge into one set, which
+//! yields the bucket's mean and p99.
 //!
 //! Every shard is deterministic in isolation because all randomness lives
 //! on the frontend lanes and servers hold no shared state:
@@ -98,7 +99,7 @@ use crate::service::{
     Frontend, LoadModel, MomentSource, RampBucket, ServiceConfig, ServiceResult,
 };
 use redundancy::estimator::{LoadSummary, MomentSnapshot};
-use redundancy::planner::LivePlanner;
+use redundancy::planner::{LivePlanner, Planner};
 use redundancy::policy::Policy;
 use simcore::dist::Distribution;
 use simcore::rng::Rng;
@@ -238,7 +239,7 @@ struct Lane {
     front: usize,
     /// Most slots the window has held at once.
     peak_window: usize,
-    response: SampleSet,
+    /// Measured latency samples per ramp bucket.
     bucket_samples: Vec<SampleSet>,
     bucket_reqs: Vec<usize>,
     bucket_k2: Vec<usize>,
@@ -515,12 +516,10 @@ impl Lane {
         self.reqs[slot].done = true;
         self.finished += 1;
         let state = &self.reqs[slot];
-        let extra = (state.sent as f64 - 1.0).max(0.0) * self.st.cfg.client_overhead;
-        let rt = (t - state.arrival) + extra;
+        let rt = t - state.arrival;
         let offered = state.offered;
         if i >= self.st.cfg.warmup {
             let b = self.bucket_of(offered);
-            self.response.push(rt);
             self.bucket_samples[b].push(rt);
             self.completed += 1;
         }
@@ -1020,11 +1019,11 @@ pub struct ShardedOutcome {
 impl ShardedOutcome {
     /// Everything the reports print, as bits: two outcomes with equal
     /// fingerprints are the same simulation. Worker-count invariance is
-    /// asserted on this.
+    /// asserted on this. Latency enters through each bucket's mean and
+    /// p99, which together cover every measured request.
     pub fn fingerprint(&self) -> Vec<u64> {
         let res = &self.result;
         let mut v = vec![
-            res.response.mean().to_bits(),
             res.switch_off.to_bits(),
             res.live_threshold.to_bits(),
             res.mean_utilization.to_bits(),
@@ -1083,7 +1082,7 @@ pub fn run_sharded(cfg: &ServiceConfig, groups: usize, threads: usize) -> Sharde
 
     let mean_service = cfg.service.mean();
     assert!(mean_service.is_finite() && mean_service > 0.0);
-    let planner = cfg.planner();
+    let planner = Planner::for_service(cfg.service.as_ref());
     let threshold = planner.threshold_load();
 
     // Placement is precomputed into a flat table: the hot path then never
@@ -1205,7 +1204,6 @@ pub fn run_sharded(cfg: &ServiceConfig, groups: usize, threads: usize) -> Sharde
             reqs: VecDeque::new(),
             front: 0,
             peak_window: 0,
-            response: SampleSet::with_capacity(cfg.requests / lanes + 1),
             bucket_samples: (0..cfg.buckets).map(|_| SampleSet::new()).collect(),
             bucket_reqs: vec![0; cfg.buckets],
             bucket_k2: vec![0; cfg.buckets],
@@ -1318,16 +1316,12 @@ pub fn run_sharded(cfg: &ServiceConfig, groups: usize, threads: usize) -> Sharde
         )
     };
 
-    // The lanes' samples move into the merged sets (a single lane's
-    // vectors are taken whole, never copied).
-    let mut response = SampleSet::new();
     let mut completed = 0usize;
     let mut copies_issued = 0u64;
     let mut recalibrations = 0u64;
     let mut summaries = 0u64;
     let mut peak_window = 0usize;
-    for lane in &mut lanes_out {
-        response.merge(std::mem::take(&mut lane.response));
+    for lane in &lanes_out {
         peak_window = peak_window.max(lane.peak_window);
         completed += lane.completed;
         copies_issued += lane.copies_issued;
@@ -1344,6 +1338,8 @@ pub fn run_sharded(cfg: &ServiceConfig, groups: usize, threads: usize) -> Sharde
                 span / cfg.buckets as f64
             };
             let load = cfg.load_start + width * (b as f64 + 0.5);
+            // The lanes' samples move into the merged set (a single
+            // lane's vector is taken whole, never copied).
             let mut samples = SampleSet::new();
             let mut requests = 0usize;
             let mut k2_requests = 0usize;
@@ -1392,7 +1388,6 @@ pub fn run_sharded(cfg: &ServiceConfig, groups: usize, threads: usize) -> Sharde
     };
 
     let result = ServiceResult {
-        response,
         switch_off: bucket_switch_off(&buckets, RampBucket::frac_k2),
         planner_threshold: threshold,
         live_threshold: match &cfg.frontend {
@@ -1428,6 +1423,7 @@ mod tests {
     use super::*;
     use crate::service;
     use simcore::dist::{DynDist, Exponential, Pareto};
+    use simcore::runner::Runner;
 
     fn small_ramp() -> ServiceConfig {
         let service: DynDist = Arc::new(Exponential::with_mean(1.0e-3));
@@ -1501,7 +1497,13 @@ mod tests {
             a.result.switch_off,
             b.result.switch_off
         );
-        let (ma, mb) = (a.result.response.mean(), b.result.response.mean());
+        // The run's mean response, pooled from the bucket means.
+        let mean = |r: &ServiceResult| {
+            let measured = r.buckets.iter().filter(|b| b.requests > 0);
+            let total: f64 = measured.map(|b| b.mean_response * b.requests as f64).sum();
+            total / r.completed as f64
+        };
+        let (ma, mb) = (mean(&a.result), mean(&b.result));
         assert!((ma - mb).abs() / ma < 0.05, "mean {ma} vs {mb}");
     }
 
@@ -1523,7 +1525,8 @@ mod tests {
         // loser answers after its request was answered, most of them after
         // it retired from its lane's window. Each one must be dropped: one
         // completion per request, two copies each, and the same bits at
-        // every worker count and as recorded before the window existed.
+        // every worker count and as recorded before the window existed
+        // (re-hashed when the run-wide mean left the fingerprint).
         let cfg = retire_ramp(Policy::Always { copies: 2 }, 0.45);
         let out = run_sharded(&cfg, 3, 1);
         assert_eq!(out.result.completed, cfg.requests);
@@ -1533,7 +1536,7 @@ mod tests {
         let reference = out.fingerprint();
         assert_eq!(
             fnv1a64(&reference),
-            0xd4d7_d56f_0cff_1781,
+            0x527b_5292_c8e0_664d,
             "always-2 pin drifted"
         );
         assert_eq!(reference, run_sharded(&cfg, 3, 3).fingerprint());
@@ -1559,7 +1562,7 @@ mod tests {
         let reference = out.fingerprint();
         assert_eq!(
             fnv1a64(&reference),
-            0xffd2_00b5_93ad_fe8f,
+            0xd943_5f89_1319_3131,
             "hedged pin drifted"
         );
         assert_eq!(reference, run_sharded(&cfg, 3, 3).fingerprint());
@@ -1633,7 +1636,7 @@ mod tests {
         let out = run_sharded(&cfg, 3, 1);
         assert_eq!(out.result.completed, cfg.requests);
         let expect = 1.0e-3 / (1.0 - 0.3) + 2.0 * cfg.propagation;
-        let got = out.result.response.mean();
+        let got = out.result.buckets[0].mean_response;
         assert!(
             (got - expect).abs() / expect < 0.10,
             "PS mean {got} vs {expect}"
@@ -1742,7 +1745,8 @@ mod tests {
         // the dual-dispatch window all live on the lane shards, so the
         // full elastic trajectory is reproduced bit-for-bit at every
         // worker count — and matches the value recorded before lanes
-        // became one shard each (the pin below).
+        // became one shard each (the pin below, re-hashed when the
+        // run-wide mean left the fingerprint).
         let mut cfg = elastic_ramp();
         cfg.frontend_lanes = 4;
         cfg.requests = 20_000;
@@ -1751,7 +1755,7 @@ mod tests {
         assert!(reference.len() > 40, "scale log missing from fingerprint");
         assert_eq!(
             fnv1a64(&reference),
-            0x9fd1805ba946a3ba,
+            0xff5c26e543ded7ef,
             "elastic 4-lane pin drifted"
         );
         for threads in [3usize, 8] {
@@ -1792,5 +1796,70 @@ mod tests {
             ..cfg.autoscale.unwrap()
         });
         let _ = run_sharded(&cfg, 4, 1);
+    }
+
+    #[test]
+    fn bucket_record_covers_every_measured_request() {
+        // The ramp buckets are the only latency record: every measured
+        // request must land in exactly one bucket and complete, and a
+        // bucket reports a latency exactly when it holds requests. Checked
+        // for every frontend shape, at 1 and 3 workers, and for a pooled
+        // 3-replication ramp.
+        fn assert_complete(name: &str, res: &ServiceResult, requests: usize) {
+            let bucketed: usize = res.buckets.iter().map(|b| b.requests).sum();
+            assert_eq!(
+                (bucketed, res.completed),
+                (requests, requests),
+                "{name}: bucketed and completed vs measured requests"
+            );
+            for b in &res.buckets {
+                assert_eq!(b.requests > 0, b.mean_response.is_finite(), "{name}: {b:?}");
+                assert_eq!(b.requests > 0, b.p99.is_finite(), "{name}: {b:?}");
+            }
+        }
+        let short = |mut cfg: ServiceConfig| {
+            cfg.requests = 6_000;
+            cfg.warmup = 600;
+            cfg
+        };
+        let fixed = |policy: Policy, load_end: f64| {
+            let service: DynDist = Arc::new(Exponential::with_mean(1.0e-3));
+            let mut cfg = short(ServiceConfig::ramp(service, 0.05, load_end));
+            cfg.frontend = Frontend::Fixed(policy);
+            cfg
+        };
+        let after = std::time::Duration::from_millis(2);
+        let mut hedged = fixed(Policy::Hedged { copies: 2, after }, 0.6);
+        hedged.cancellation = true;
+        let mut per_server = short(small_ramp());
+        per_server.frontend = Frontend::Adaptive {
+            window: 512,
+            moments: MomentSource::Clairvoyant,
+            load_model: LoadModel::PerServer,
+        };
+        per_server.popularity = Some(service::zipf_popularity(per_server.shards, 0.6));
+        let mut lanes = short(small_ramp());
+        lanes.frontend_lanes = 4;
+        let mut elastic = elastic_ramp();
+        elastic.requests = 10_000;
+        elastic.warmup = 1_000;
+        let scenarios = [
+            ("single", fixed(Policy::Single, 0.55)),
+            ("always-2", fixed(Policy::Always { copies: 2 }, 0.45)),
+            ("hedged", hedged),
+            ("adaptive global", short(small_ramp())),
+            ("adaptive per-server zipf", per_server),
+            ("4 lanes", lanes),
+            ("elastic", elastic),
+        ];
+        for (name, cfg) in &scenarios {
+            for workers in [1, 3] {
+                let out = run_sharded(cfg, 3, workers);
+                assert_complete(&format!("{name} @ {workers}"), &out.result, cfg.requests);
+            }
+        }
+        let cfg = short(small_ramp());
+        let pooled = crate::experiments::run_service_ramp_on(&Runner::new(3), &cfg, 3);
+        assert_complete("3 replications", &pooled, 3 * cfg.requests);
     }
 }

@@ -11,7 +11,7 @@
 //! [`Rng`](low_latency_redundancy::simcore::rng::Rng) at fixed seeds (no
 //! external property-testing dependency), so failures replay exactly.
 
-use low_latency_redundancy::netsim::tcp::{TcpConfig, TcpReceiver, TcpSender};
+use low_latency_redundancy::netsim::tcp::{TcpReceiver, TcpSender};
 use low_latency_redundancy::netsim::topology::FatTree;
 use low_latency_redundancy::simcore::dist::{
     DiscreteEmpirical, Distribution, LogNormal, Pareto, TwoPoint, Weibull,
@@ -237,7 +237,7 @@ fn tcp_completes_under_random_loss() {
         let loss_len = rng.index(41);
         let loss_pattern: Vec<bool> = (0..loss_len).map(|_| rng.chance(0.5)).collect();
 
-        let mut s = TcpSender::new(total, TcpConfig::default());
+        let mut s = TcpSender::new(total);
         let mut r = TcpReceiver::new(total);
         let mut now = 0.0f64;
         let mut wire = s.on_start(now).send;
@@ -959,7 +959,8 @@ fn sharded_service_bit_identical_across_thread_counts() {
 /// instant of a later window). Ties and boundary events are where a
 /// schedule-dependent merge would first diverge. The outcome is also
 /// pinned: FNV-1a-64 over the fingerprint's little-endian bytes, recorded
-/// when lanes could still share an engine shard and unchanged since.
+/// when lanes could still share an engine shard and unchanged since but
+/// for one re-hash when the run-wide mean left the fingerprint.
 #[test]
 fn partitioned_frontend_trace_identical_across_workers() {
     use low_latency_redundancy::storesim::service::{
@@ -997,7 +998,7 @@ fn partitioned_frontend_trace_identical_across_workers() {
     let bytes: Vec<u8> = want.iter().flat_map(|w| w.to_le_bytes()).collect();
     assert_eq!(
         fnv1a64(&bytes),
-        0x5b3a8678cb697fbf,
+        0xaffa61856f7879a2,
         "tie-heavy 4-lane pin drifted"
     );
     for workers in [3usize, 8] {
