@@ -303,13 +303,6 @@ impl EstimatorBank {
         self.estimators[idx].reset();
     }
 
-    /// Resets every index to the cold state.
-    pub fn reset_all(&mut self) {
-        for e in &mut self.estimators {
-            e.reset();
-        }
-    }
-
     /// Estimated arrival rate of the stream reported to index `idx`
     /// (0 until that index is warm).
     pub fn rate(&self, idx: usize) -> f64 {
@@ -532,70 +525,6 @@ impl EstimatorBank {
     }
 }
 
-/// A mergeable snapshot of windowed service-time moments — `(count, mean,
-/// M2)` in Welford form, combinable across estimators with Chan et al.'s
-/// parallel update. Lets F sharded frontends each run a private
-/// [`MomentEstimator`] and still observe the *cluster-wide* service law
-/// (for recalibration or reporting) by merging snapshots, without sharing
-/// any mutable state.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct MomentSnapshot {
-    /// Number of samples summarized.
-    pub count: u64,
-    /// Mean of the summarized samples (0 when `count == 0`).
-    pub mean: f64,
-    /// Sum of squared deviations from the mean (Welford's M2).
-    pub m2: f64,
-}
-
-impl MomentSnapshot {
-    /// The zero-sample snapshot: the identity of [`merge`](Self::merge).
-    pub const EMPTY: MomentSnapshot = MomentSnapshot {
-        count: 0,
-        mean: 0.0,
-        m2: 0.0,
-    };
-
-    /// Combines two snapshots as if their sample sets were pooled
-    /// (Chan et al.'s parallel Welford update — exact, not approximate).
-    pub fn merge(self, other: MomentSnapshot) -> MomentSnapshot {
-        if self.count == 0 {
-            return other;
-        }
-        if other.count == 0 {
-            return self;
-        }
-        let na = self.count as f64;
-        let nb = other.count as f64;
-        let n = na + nb;
-        let delta = other.mean - self.mean;
-        MomentSnapshot {
-            count: self.count + other.count,
-            mean: self.mean + delta * nb / n,
-            m2: self.m2 + other.m2 + delta * delta * na * nb / n,
-        }
-    }
-
-    /// Population variance of the pooled samples (0 with < 2).
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
-    /// Squared coefficient of variation of the pooled samples (0 until
-    /// two samples with positive mean).
-    pub fn scv(&self) -> f64 {
-        if self.count < 2 || self.mean <= 0.0 {
-            0.0
-        } else {
-            self.variance() / (self.mean * self.mean)
-        }
-    }
-}
-
 /// Windowed Welford estimator of the first two **service-time moments** —
 /// the other half of the §2.1 threshold's inputs, measured online.
 ///
@@ -686,15 +615,6 @@ impl MomentEstimator {
             0.0
         } else {
             self.samples.variance() / (m * m)
-        }
-    }
-
-    /// A mergeable [`MomentSnapshot`] of the currently held window.
-    pub fn snapshot(&self) -> MomentSnapshot {
-        MomentSnapshot {
-            count: self.samples.len() as u64,
-            mean: self.samples.mean(),
-            m2: self.samples.m2,
         }
     }
 }
@@ -927,41 +847,6 @@ mod tests {
         bank.observe_arrival(0, 1_000.25);
         bank.observe_arrival(0, 1_000.5);
         assert!((bank.rate(0) - 4.0).abs() < 1e-12);
-        bank.reset_all();
-        assert!(bank.get(0).is_empty() && bank.get(1).is_empty());
-    }
-
-    #[test]
-    fn moment_snapshots_merge_like_pooled_samples() {
-        // Two disjoint sample sets: merging their snapshots must agree
-        // with one estimator fed the concatenation (windows large enough
-        // that nothing slides out).
-        let xs: Vec<f64> = (0..60)
-            .map(|i| 0.2 + ((i * 31) % 47) as f64 * 0.03)
-            .collect();
-        let (a_half, b_half) = xs.split_at(23);
-        let mut a = MomentEstimator::new(128);
-        let mut b = MomentEstimator::new(128);
-        let mut all = MomentEstimator::new(128);
-        for &x in a_half {
-            a.observe(x);
-            all.observe(x);
-        }
-        for &x in b_half {
-            b.observe(x);
-            all.observe(x);
-        }
-        let merged = a.snapshot().merge(b.snapshot());
-        assert_eq!(merged.count, 60);
-        assert!((merged.mean - all.mean()).abs() < 1e-12);
-        assert!((merged.variance() - all.variance()).abs() < 1e-9);
-        assert!((merged.scv() - all.scv()).abs() < 1e-9);
-        // EMPTY is the merge identity on both sides.
-        assert_eq!(merged.merge(MomentSnapshot::EMPTY), merged);
-        assert_eq!(MomentSnapshot::EMPTY.merge(merged), merged);
-        // Degenerate snapshots report zeros, not NaNs.
-        assert_eq!(MomentSnapshot::EMPTY.variance(), 0.0);
-        assert_eq!(MomentSnapshot::EMPTY.scv(), 0.0);
     }
 
     #[test]

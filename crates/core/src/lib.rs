@@ -36,7 +36,11 @@
 //!   cluster average. [`planner::LivePlanner`] owns them and makes the
 //!   per-request decision with rate, mean, and variability all measured
 //!   — the one loop both `storesim::sharded` (simulated traffic) and
-//!   `storesim::rt` (real threads) run.
+//!   `storesim::rt` (real threads) run. Each loop keeps one moment
+//!   window, trusts it and recalibrates on the cadence
+//!   [`planner::moment_gates`] derives from its length, and resolves every
+//!   recalibrated threshold through one process-wide memo
+//!   ([`planner::ThresholdCache`]).
 //!
 //! ## Quick start (threads)
 //!

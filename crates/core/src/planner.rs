@@ -18,11 +18,10 @@
 //! is the one decision loop behind both the simulated service's frontend
 //! and the wall-clock runtime.
 
-use crate::estimator::{EstimatorBank, LoadSummary, MomentEstimator, MomentSnapshot, PeerLoads};
+use crate::estimator::{EstimatorBank, LoadSummary, MomentEstimator, PeerLoads};
 use queuesim::analytic::pk::{self, ServiceMoments};
 use queuesim::analytic::two_moment;
 use simcore::dist::Distribution;
-use simcore::stats::Welford;
 use std::collections::HashMap;
 use std::sync::{OnceLock, RwLock};
 
@@ -42,19 +41,6 @@ pub struct WorkloadProfile {
 }
 
 impl WorkloadProfile {
-    /// Builds a profile from observed latency samples at *low load* (so
-    /// the samples approximate service time rather than queueing) plus a
-    /// measured per-copy overhead.
-    pub fn from_samples(samples: &Welford, client_overhead: f64) -> Self {
-        assert!(samples.count() >= 2, "need at least two samples");
-        let mean = samples.mean();
-        WorkloadProfile {
-            mean_service: mean,
-            scv: samples.variance() / (mean * mean),
-            client_overhead,
-        }
-    }
-
     fn moments(&self) -> ServiceMoments {
         ServiceMoments::new(
             self.mean_service,
@@ -161,9 +147,9 @@ impl Planner {
     /// request adds a copy to *both* candidates — the §2.1 trade is only
     /// safe if the busier of the two can still absorb it.
     ///
-    /// The threshold is resolved through `cache` (the quantized
-    /// dimensionless grid), so the per-request cost is a hash lookup, not
-    /// a bisection.
+    /// The threshold is resolved through the [`ThresholdCache`] store (the
+    /// quantized dimensionless grid), so the per-request cost is a hash
+    /// lookup, not a bisection.
     ///
     /// # Panics
     /// Panics on an empty candidate slice; debug-panics on non-finite or
@@ -228,45 +214,32 @@ impl Planner {
 /// inside the ±0.05–0.08 bands the experiments enforce. Both bounds are
 /// pinned in the tests below.
 ///
-/// Every handle also consults a **process-wide** store on a local miss:
-/// a grid point's threshold is a pure function of its key, so replications
-/// of the same workload (and parallel runner threads) share each other's
-/// bisections instead of re-paying them. The store is an `RwLock`: the
-/// steady state is all reads, so F sharded frontends (or N runner threads)
-/// resolve warm grid points concurrently instead of serializing behind one
-/// mutex — and each handle's private memo means a warm frontend stops
-/// touching the shared store at all. The bisection itself runs outside
-/// any lock — two threads racing on a fresh key may both compute it, but
-/// they compute the identical value, so results stay bit-reproducible at
-/// any thread count.
-#[derive(Clone, Debug, Default)]
-pub struct ThresholdCache {
-    // Determinism audit (clippy's hash-traversal bans): HashMap is safe here
-    // because every access is a keyed get/insert on the quantized grid
-    // point — the map is never traversed, so iteration order can't leak
-    // into results. Keep it that way; a traversal must move to BTreeMap.
-    map: HashMap<(i64, i64), f64>,
-}
+/// The memo is one **process-wide** store, and a handle holds no state:
+/// a grid point's threshold is a pure function of its key, so every live
+/// loop, replication and runner thread shares each other's bisections
+/// instead of re-paying them. The store is an `RwLock`: the steady state
+/// is all reads, so F sharded frontends (or N runner threads) resolve warm
+/// grid points concurrently instead of serializing behind one mutex. The
+/// bisection itself runs outside any lock — two threads racing on a fresh
+/// key may both compute it, but they compute the identical value, so
+/// results stay bit-reproducible at any thread count.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct ThresholdCache;
 
-/// Process-wide grid-point store backing every [`ThresholdCache`] handle.
+/// The grid-point store behind every [`ThresholdCache`] lookup.
 /// Read-mostly: warm lookups take the shared read lock; only the first
 /// resolution of a grid point takes the write lock.
+///
+/// Determinism audit (clippy's hash-traversal bans): `HashMap` is safe here
+/// because every access is a keyed get/insert on the quantized grid point —
+/// the map is never traversed, so iteration order can't leak into results.
+/// Keep it that way; a traversal must move to `BTreeMap`.
 static SHARED_THRESHOLDS: OnceLock<RwLock<HashMap<(i64, i64), f64>>> = OnceLock::new();
 
 impl ThresholdCache {
-    /// An empty cache.
+    /// A handle onto the process-wide store.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Distinct grid points resolved through this handle (diagnostic).
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// `true` when no grid point has been evaluated yet.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        ThresholdCache
     }
 
     /// Absolute grid below 2 (step 0.02), log grid above (5 % relative,
@@ -294,7 +267,7 @@ impl ThresholdCache {
     /// # Panics
     /// Panics on a non-finite SCV, a non-positive mean, a negative SCV, or
     /// a negative overhead.
-    pub fn threshold(&mut self, mean_service: f64, scv: f64, client_overhead: f64) -> f64 {
+    pub fn threshold(&self, mean_service: f64, scv: f64, client_overhead: f64) -> f64 {
         assert_finite_scv(scv);
         assert!(mean_service > 0.0, "mean must be positive: {mean_service}");
         assert!(scv >= 0.0 && client_overhead >= 0.0);
@@ -302,12 +275,8 @@ impl ThresholdCache {
             Self::quantize_scv(scv),
             (client_overhead / mean_service / 5.0e-4).round() as i64,
         );
-        if let Some(&t) = self.map.get(&key) {
-            return t;
-        }
         let shared = SHARED_THRESHOLDS.get_or_init(Default::default);
         if let Some(&t) = shared.read().expect("threshold store poisoned").get(&key) {
-            self.map.insert(key, t);
             return t;
         }
         // Bisect at the grid representative in unit-mean time, so every
@@ -318,7 +287,6 @@ impl ThresholdCache {
             client_overhead: key.1 as f64 * 5.0e-4,
         })
         .threshold_load();
-        self.map.insert(key, t);
         shared
             .write()
             .expect("threshold store poisoned")
@@ -327,16 +295,27 @@ impl ThresholdCache {
     }
 }
 
+/// The self-calibration rule, `(min_samples, recalibrate)` for a moment
+/// window of `window` demands: the window is trusted once it holds
+/// `window / 16` demands, and the threshold is re-derived every
+/// `window / 8`. Both runtimes pass these to
+/// [`LivePlanner::with_moments`]; a window below 32 yields a trust gate
+/// below 2, which `with_moments` rejects.
+pub fn moment_gates(window: usize) -> (usize, usize) {
+    (window / 16, window / 8)
+}
+
 /// The live decision loop — the one implementation of the per-request
 /// §2.1 rule, run by the simulated frontend lanes and the wall-clock
 /// runtime alike. It owns an [`EstimatorBank`] (width 1 for a global load
-/// estimate, one index per server otherwise), the [`PeerLoads`] board,
-/// an optional [`MomentEstimator`] and a [`ThresholdCache`].
+/// estimate, one index per server otherwise), the [`PeerLoads`] board and
+/// an optional [`MomentEstimator`].
 ///
 /// A warm index's load is `(own + peer rates) · live mean / split`; a cold
 /// one reads `cold_load`. The threshold starts at the configured-moment
 /// value and, once the moment window is trusted, is re-derived through
-/// the cache every `recalibrate` observed demands.
+/// the process-wide [`ThresholdCache`] store every `recalibrate` observed
+/// demands.
 #[derive(Clone, Debug)]
 pub struct LivePlanner {
     planner: Planner,
@@ -347,7 +326,6 @@ pub struct LivePlanner {
     recalibrate: u64,
     observed: u64,
     recalibrations: u64,
-    cache: ThresholdCache,
     threshold: f64,
     cold_load: f64,
 }
@@ -377,14 +355,14 @@ impl LivePlanner {
             recalibrate: 1,
             observed: 0,
             recalibrations: 0,
-            cache: ThresholdCache::new(),
             threshold,
             cold_load,
         }
     }
 
     /// Self-calibration: a moment window of `window` demands, trusted from
-    /// `min_samples` on, recalibrating every `recalibrate` observations.
+    /// `min_samples` on, recalibrating every `recalibrate` observations
+    /// (the runtimes take both from [`moment_gates`]).
     ///
     /// # Panics
     /// Panics if `min_samples` is outside `[2, window]` or `recalibrate`
@@ -427,7 +405,7 @@ impl LivePlanner {
             self.observed += 1;
             if me.len() >= self.min_samples && self.observed.is_multiple_of(self.recalibrate) {
                 let overhead = self.planner.profile().client_overhead;
-                self.threshold = self.cache.threshold(me.mean(), me.scv(), overhead);
+                self.threshold = ThresholdCache.threshold(me.mean(), me.scv(), overhead);
                 self.recalibrations += 1;
             }
         }
@@ -435,10 +413,16 @@ impl LivePlanner {
 
     /// The trusted window's mean service time, else the configured one.
     pub fn live_mean(&self) -> f64 {
-        match &self.moments {
-            Some(me) if me.len() >= self.min_samples => me.mean(),
-            _ => self.planner.profile().mean_service,
-        }
+        self.calibrated()
+            .map_or(self.planner.profile().mean_service, MomentEstimator::mean)
+    }
+
+    /// The moment window once it holds `min_samples` demands (`None`
+    /// before that, or without [`with_moments`](Self::with_moments)).
+    pub fn calibrated(&self) -> Option<&MomentEstimator> {
+        self.moments
+            .as_ref()
+            .filter(|me| me.len() >= self.min_samples)
     }
 
     /// The threshold in force.
@@ -449,16 +433,6 @@ impl LivePlanner {
     /// Threshold recalibrations so far.
     pub fn recalibrations(&self) -> u64 {
         self.recalibrations
-    }
-
-    /// The moment window's trust gate (0 without one).
-    pub fn min_samples(&self) -> usize {
-        self.min_samples
-    }
-
-    /// A mergeable snapshot of the moment window, if there is one.
-    pub fn moment_snapshot(&self) -> Option<MomentSnapshot> {
-        self.moments.as_ref().map(MomentEstimator::snapshot)
     }
 
     /// Own plus peer rates summed over the indices and divided by `split`
@@ -549,33 +523,16 @@ mod tests {
     }
 
     #[test]
-    fn profile_from_samples() {
-        let mut w = Welford::new();
-        // Synthetic low-load latency samples, mean ~2ms, scv ~1.
-        let mut rng = simcore::rng::Rng::seed_from(5);
-        for _ in 0..50_000 {
-            w.push(rng.exponential(500.0));
-        }
-        let prof = WorkloadProfile::from_samples(&w, 0.0);
-        assert!((prof.mean_service - 2e-3).abs() < 1e-4);
-        assert!((prof.scv - 1.0).abs() < 0.05);
-        let planner = Planner::new(prof);
-        assert!((planner.threshold_load() - 1.0 / 3.0).abs() < 0.01);
-    }
-
-    #[test]
     fn threshold_cache_matches_direct_bisection_and_memoizes() {
-        let mut cache = ThresholdCache::new();
+        let cache = ThresholdCache::new();
         // On-grid inputs reproduce the direct bisection exactly.
         let direct = Planner::new(exp_profile(0.0)).threshold_load();
         let cached = cache.threshold(1.0, 1.0, 0.0);
         assert_eq!(cached.to_bits(), direct.to_bits());
-        assert_eq!(cache.len(), 1);
         // Nearby inputs snap to the same grid point: no new bisection and
         // the identical value back.
         let near = cache.threshold(2.5e-3, 1.004, 0.0);
         assert_eq!(near.to_bits(), cached.to_bits());
-        assert_eq!(cache.len(), 1);
         // Off-grid inputs land within the documented quantization error.
         for scv in [0.27, 3.3, 12.47] {
             let exact = Planner::new(WorkloadProfile {
@@ -600,7 +557,7 @@ mod tests {
         // The overhead axis has a cliff (Fig 4): verify the quantized
         // lookup tracks the exact bisection to the documented ~0.02 bound
         // across it, including off-grid ratios right at the steep part.
-        let mut cache = ThresholdCache::new();
+        let cache = ThresholdCache::new();
         for &ratio in &[0.049, 0.2513, 0.499, 0.5021, 0.601, 0.75] {
             let exact = Planner::new(WorkloadProfile {
                 mean_service: 1.0,
@@ -691,7 +648,7 @@ mod tests {
         lp.observe_demand(4.0e-3);
         assert_eq!(lp.recalibrations(), 1);
         assert_eq!(lp.live_mean(), 2.0e-3);
-        let mut cache = ThresholdCache::new();
+        let cache = ThresholdCache::new();
         let want = cache.threshold(2.0e-3, 1.0, 0.02e-3);
         assert_eq!(lp.threshold().to_bits(), want.to_bits());
         assert!(want > 0.0 && want < cache.threshold(2.0e-3, 1.0, 0.0));
@@ -816,12 +773,31 @@ mod tests {
     }
 
     #[test]
+    fn moment_gates_on_the_windows_in_use() {
+        // The figures' 8192-demand window, `storesim::rt`'s 4096 and the
+        // 2048 of the multi-lane property tests.
+        assert_eq!(moment_gates(8192), (512, 1024));
+        assert_eq!(moment_gates(4096), (256, 512));
+        assert_eq!(moment_gates(2048), (128, 256));
+    }
+
+    /// A moment window's state, bit for bit.
+    fn window_bits(me: &MomentEstimator) -> (usize, u64, u64, u64) {
+        (
+            me.len(),
+            me.mean().to_bits(),
+            me.variance().to_bits(),
+            me.scv().to_bits(),
+        )
+    }
+
+    #[test]
     fn live_planner_recalibrates_on_cadence_through_the_cache() {
         let (window, min_samples, recalibrate) = (64usize, 20usize, 8usize);
         let mut lp = live(1, 0).with_moments(window, min_samples, recalibrate);
         let initial = lp.threshold();
         let mut me = MomentEstimator::new(window);
-        let mut cache = ThresholdCache::new();
+        let cache = ThresholdCache::new();
         let mut rng = simcore::rng::Rng::seed_from(7);
         for n in 1..=200usize {
             // A deterministic-ish law (scv well below 1): its cached
@@ -839,8 +815,11 @@ mod tests {
             if n < min_samples {
                 assert_eq!(lp.threshold().to_bits(), initial.to_bits());
                 assert_eq!(lp.live_mean(), 1.0, "untrusted window");
+                assert!(lp.calibrated().is_none(), "after {n}");
             } else {
                 assert_eq!(lp.live_mean().to_bits(), me.mean().to_bits());
+                let trusted = lp.calibrated().expect("trusted window");
+                assert_eq!(window_bits(trusted), window_bits(&me), "after {n}");
             }
             if due {
                 let want = cache.threshold(me.mean(), me.scv(), 0.0);
@@ -851,7 +830,7 @@ mod tests {
             lp.threshold() < initial,
             "light tail must lower the threshold"
         );
-        assert_eq!(lp.moment_snapshot(), Some(me.snapshot()));
+        assert!(live(1, 0).calibrated().is_none(), "no moment window");
     }
 
     #[test]

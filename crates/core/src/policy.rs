@@ -32,18 +32,6 @@ impl Policy {
         }
     }
 
-    /// Expected *extra* load multiplier relative to `Single`, given the
-    /// probability `p_slow` that an operation outlives the hedging delay.
-    /// `Always(k)` always costs k×; a hedge costs `1 + (k−1)·p_slow`.
-    pub fn expected_load_factor(&self, p_slow: f64) -> f64 {
-        assert!((0.0..=1.0).contains(&p_slow));
-        match *self {
-            Policy::Single => 1.0,
-            Policy::Always { copies } => copies as f64,
-            Policy::Hedged { copies, .. } => 1.0 + (copies as f64 - 1.0) * p_slow,
-        }
-    }
-
     /// Validates structural invariants (copies ≥ 2 for redundant modes).
     pub fn validate(&self) -> Result<(), &'static str> {
         match *self {
@@ -62,18 +50,6 @@ impl Policy {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn load_factors() {
-        assert_eq!(Policy::Single.expected_load_factor(0.5), 1.0);
-        assert_eq!(Policy::Always { copies: 2 }.expected_load_factor(0.5), 2.0);
-        let hedge = Policy::Hedged {
-            copies: 2,
-            after: Duration::from_millis(5),
-        };
-        // Hedging at the 95th percentile costs ~5% extra load.
-        assert!((hedge.expected_load_factor(0.05) - 1.05).abs() < 1e-12);
-    }
 
     #[test]
     fn validation() {

@@ -58,11 +58,6 @@ impl Packet {
             _ => Priority::High,
         }
     }
-
-    /// `true` for data packets (original or replica).
-    pub fn is_data(&self) -> bool {
-        matches!(self.kind, PacketKind::Data { .. })
-    }
 }
 
 /// Number of full-or-partial data packets needed for `bytes` of payload.
@@ -129,6 +124,5 @@ mod tests {
         assert_eq!(d.priority(), Priority::High);
         assert_eq!(r.priority(), Priority::Low);
         assert_eq!(a.priority(), Priority::High);
-        assert!(d.is_data() && r.is_data() && !a.is_data());
     }
 }

@@ -157,6 +157,9 @@ pub fn run<D: Distribution>(cfg: &Config<D>, seed: u64) -> RunResult {
     let mut measured_busy = 0.0f64;
 
     let mut placements = vec![0usize; k];
+    // (server, start, service) per copy, so cancellation can refund copies
+    // that had not started when the winner finished.
+    let mut copies = vec![(0usize, 0.0f64, 0.0f64); k];
     let mut now = 0.0f64;
     let mut warmup_end_time = 0.0f64;
     for i in 0..total_requests {
@@ -168,30 +171,19 @@ pub fn run<D: Distribution>(cfg: &Config<D>, seed: u64) -> RunResult {
         // copy 0's service time is shared between the paired runs.
         let mut req_rng = Rng::seed_from(salt ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let mut best_done = f64::INFINITY;
-        let mut services = [0.0f64; 16];
-        let kk = k.min(16);
-        for s in services.iter_mut().take(kk) {
-            *s = cfg.service.sample(&mut req_rng);
+        for copy in copies.iter_mut() {
+            copy.2 = cfg.service.sample(&mut req_rng);
         }
         req_rng.distinct_indices(n, &mut placements);
-        // (server, start, svc) per copy, so cancellation can refund copies
-        // that had not started when the winner finished.
-        let mut copies_state: [(usize, f64, f64); 16] = [(0, 0.0, 0.0); 16];
-        for (j, &srv) in placements.iter().enumerate() {
-            let svc = if j < 16 {
-                services[j]
-            } else {
-                cfg.service.sample(&mut req_rng)
-            };
+        for (copy, &srv) in copies.iter_mut().zip(&placements) {
+            let svc = copy.2;
             let start = now.max(free_at[srv]);
             let done = start + svc;
             free_at[srv] = done;
             if i >= cfg.warmup {
                 measured_busy += svc;
             }
-            if j < 16 {
-                copies_state[j] = (srv, start, svc);
-            }
+            *copy = (srv, start, svc);
             if done < best_done {
                 best_done = done;
             }
@@ -200,7 +192,7 @@ pub fn run<D: Distribution>(cfg: &Config<D>, seed: u64) -> RunResult {
             // Withdraw siblings that had not started service by the time
             // the winner completed. Safe under arrival-order processing:
             // no later arrival has touched these servers yet.
-            for &(srv, start, svc) in copies_state.iter().take(k.min(16)) {
+            for &(srv, start, svc) in &copies {
                 if start >= best_done && start + svc == free_at[srv] {
                     free_at[srv] -= svc;
                     if i >= cfg.warmup {
@@ -227,7 +219,7 @@ pub fn run<D: Distribution>(cfg: &Config<D>, seed: u64) -> RunResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simcore::dist::{Deterministic, Exponential, Pareto};
+    use simcore::dist::{Deterministic, DiscreteEmpirical, Exponential, Pareto};
 
     #[test]
     fn mm1_mean_matches_theory_single_copy() {
@@ -353,6 +345,28 @@ mod tests {
             "tied {} vs single {}",
             tied.moments.mean(),
             single.moments.mean()
+        );
+    }
+
+    #[test]
+    fn cancellation_withdraws_every_queued_copy_at_any_k() {
+        // At k = N every server holds a copy of every request, so at one
+        // per-server load k·ρ the busy fraction cannot depend on how many
+        // copies a request has once every queued sibling is withdrawn. A
+        // near-zero service value makes most winners finish while their
+        // siblings still queue; copies past the 16th must go too.
+        let service = DiscreteEmpirical::new(&[(1.0e-6, 0.5), (2.0, 0.5)]);
+        let busy = |n: usize| {
+            let cfg = Config::new(service.clone(), 0.85 / n as f64)
+                .with_servers(n)
+                .with_copies(n)
+                .with_cancellation(true);
+            run(&cfg, 11).achieved_utilization
+        };
+        let (at20, at16) = (busy(20), busy(16));
+        assert!(
+            (at20 - at16).abs() < 0.015,
+            "busy fraction at k = N = 20: {at20}, at k = N = 16: {at16}"
         );
     }
 

@@ -11,14 +11,9 @@
 use crate::dist::DiscreteEmpirical;
 use crate::rng::Rng;
 
-/// Draws a probability vector of length `n` uniformly from the simplex
-/// (equivalently Dirichlet(1, …, 1)), via normalized exponentials.
-pub fn uniform_simplex(rng: &mut Rng, n: usize) -> Vec<f64> {
-    dirichlet(rng, n, 1.0)
-}
-
 /// Draws from a symmetric Dirichlet with concentration `alpha` by
-/// normalizing independent Gamma(α, 1) variates.
+/// normalizing independent Gamma(α, 1) variates; α = 1 is the uniform
+/// distribution on the simplex.
 ///
 /// # Panics
 /// Panics if `n == 0` or `alpha ≤ 0`.
@@ -57,7 +52,7 @@ mod tests {
     fn simplex_sums_to_one() {
         let mut rng = Rng::seed_from(99);
         for n in [1usize, 2, 7, 64] {
-            let v = uniform_simplex(&mut rng, n);
+            let v = dirichlet(&mut rng, n, 1.0);
             assert_eq!(v.len(), n);
             let s: f64 = v.iter().sum();
             assert!((s - 1.0).abs() < 1e-12, "sum {s}");

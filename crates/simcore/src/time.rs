@@ -52,22 +52,10 @@ impl SimTime {
         Self::from_secs(us * 1e-6)
     }
 
-    /// Creates a time from nanoseconds.
-    #[inline]
-    pub fn from_nanos(ns: f64) -> Self {
-        Self::from_secs(ns * 1e-9)
-    }
-
     /// This time expressed in seconds.
     #[inline]
     pub fn as_secs(self) -> f64 {
         self.0
-    }
-
-    /// This time expressed in milliseconds.
-    #[inline]
-    pub fn as_millis(self) -> f64 {
-        self.0 * 1e3
     }
 
     /// This time expressed in microseconds.
@@ -232,8 +220,6 @@ mod tests {
     #[test]
     fn constructors_roundtrip() {
         assert_eq!(SimTime::from_millis(1500.0).as_secs(), 1.5);
-        assert_eq!(SimTime::from_micros(250.0).as_millis(), 0.25);
-        assert_eq!(SimTime::from_nanos(1e9).as_secs(), 1.0);
         assert_eq!(SimTime::from_secs(2.0).as_micros(), 2e6);
     }
 

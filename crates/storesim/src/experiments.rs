@@ -459,11 +459,7 @@ mod tests {
         cfg.warmup = 1_200;
         cfg.frontend = Frontend::Adaptive {
             window: 768,
-            moments: MomentSource::Estimated {
-                window: 4096,
-                min_samples: 256,
-                recalibrate: 512,
-            },
+            moments: MomentSource::Estimated { window: 4096 },
             load_model: LoadModel::Global,
         };
         let out = run_service_ramp(&cfg, 2);
@@ -515,11 +511,7 @@ mod tests {
         cfg.popularity = Some(zipf_popularity(cfg.shards, 0.6));
         cfg.frontend = Frontend::Adaptive {
             window: 512,
-            moments: MomentSource::Estimated {
-                window: 2048,
-                min_samples: 128,
-                recalibrate: 256,
-            },
+            moments: MomentSource::Estimated { window: 2048 },
             load_model: LoadModel::PerServer,
         };
         let pooled = run_service_ramp_on(&Runner::serial(), &cfg, 1);

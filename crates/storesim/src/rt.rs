@@ -66,7 +66,7 @@
 
 use crate::service::{ramp_load, switch_off_load};
 use redundancy::cancel::CancelToken;
-use redundancy::planner::{LivePlanner, Planner};
+use redundancy::planner::{moment_gates, LivePlanner, Planner};
 use simcore::dist::{DynDist, Exponential};
 use simcore::rng::Rng;
 use simcore::stats::SampleSet;
@@ -74,13 +74,6 @@ use std::collections::VecDeque;
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Scripted demands the moment window must hold before the live moments
-/// are trusted.
-const MIN_SAMPLES: usize = 256;
-
-/// Planner recalibration cadence, in observed demands.
-const RECALIBRATE: usize = 512;
 
 /// Configuration of one wall-clock run.
 ///
@@ -101,8 +94,9 @@ pub struct RtConfig {
     pub service: DynDist,
     /// Arrival-rate estimator window, in inter-arrival gaps per server.
     pub window: usize,
-    /// Moment-estimator window, in observed (scripted) demands: at least
-    /// the 256 the live moments need before they are trusted.
+    /// Moment-estimator window, in observed (scripted) demands; it also
+    /// sets when the live moments are trusted and how often they
+    /// recalibrate the threshold ([`moment_gates`]). At least 32.
     pub moment_window: usize,
     /// Offered baseline per-server utilization at the ramp start (the
     /// warm-up runs entirely at this load). This shapes the *script
@@ -351,8 +345,8 @@ fn execute(demand_secs: f64, token: &CancelToken) -> bool {
 ///
 /// # Panics
 /// Panics on a zero worker count, `servers < 2`, loads outside the
-/// replicated system's stable region, or a `moment_window` below 256
-/// (the demands the live moments need before they are trusted).
+/// replicated system's stable region, or a `moment_window` below 32
+/// (where its [`moment_gates`] trust gate falls below 2).
 pub fn run(cfg: &RtConfig) -> RtResult {
     assert!(cfg.workers >= 1, "need at least one worker");
     assert!(cfg.servers >= 2, "need at least 2 servers to replicate");
@@ -406,6 +400,7 @@ pub fn run(cfg: &RtConfig) -> RtResult {
     // which are `Send`, cross to workers).
     let base_planner = Planner::for_service(cfg.service.as_ref());
     let offline_threshold = base_planner.threshold_load();
+    let (min_samples, recalibrate) = moment_gates(cfg.moment_window);
     let mut planner = LivePlanner::new(
         base_planner,
         offline_threshold,
@@ -414,7 +409,7 @@ pub fn run(cfg: &RtConfig) -> RtResult {
         0,
         cfg.load_start,
     )
-    .with_moments(cfg.moment_window, MIN_SAMPLES, RECALIBRATE);
+    .with_moments(cfg.moment_window, min_samples, recalibrate);
 
     // The request script's two streams: arrival gaps, and each request's
     // demands and placement.

@@ -104,33 +104,27 @@ pub enum MomentSource {
     /// response reaches the client, or when it is dispatched if the
     /// servers run PS with cancellation (see
     /// [`run_sharded`](crate::sharded::run_sharded)).
-    /// Until `min_samples` durations have been observed the front-end
-    /// falls back to the clairvoyant threshold (the warm-up
+    /// Until the window's trust gate
+    /// ([`moment_gates`](redundancy::planner::moment_gates)) is met the
+    /// front-end falls back to the clairvoyant threshold (the warm-up
     /// fallback: a fresh deployment starts from its capacity-planning
-    /// assumptions and then calibrates them away).
+    /// assumptions and then calibrates them away); from then on it
+    /// re-derives the threshold on the cadence `moment_gates` sets,
+    /// memoized on a quantized-SCV grid
+    /// ([`ThresholdCache`](redundancy::planner::ThresholdCache)), so a
+    /// converged estimator stops paying for the bisection entirely.
     Estimated {
         /// Moment-estimator window, in observed durations.
         window: usize,
-        /// Observations required before the live moments are trusted.
-        min_samples: usize,
-        /// Threshold recalibration cadence, in observed durations. The
-        /// recalibration itself is memoized on a quantized-SCV grid
-        /// ([`ThresholdCache`](redundancy::planner::ThresholdCache)), so a
-        /// converged estimator stops paying for the bisection entirely.
-        recalibrate: usize,
     },
 }
 
 impl MomentSource {
-    /// Estimated mode with figure-sized defaults: an 8192-duration window
-    /// (large enough to see a heavy tail's rare giants), trust after 512
-    /// observations, recalibrate every 1024.
+    /// Estimated mode with the figures' 8192-duration window (large
+    /// enough to see a heavy tail's rare giants): trusted after 512
+    /// observations, recalibrated every 1024.
     pub fn estimated() -> Self {
-        MomentSource::Estimated {
-            window: 8192,
-            min_samples: 512,
-            recalibrate: 1024,
-        }
+        MomentSource::Estimated { window: 8192 }
     }
 }
 
@@ -531,11 +525,11 @@ pub struct ServiceResult {
     /// `planner_threshold` in clairvoyant mode, the last recalibrated
     /// value in estimated mode, NaN for fixed policies.
     pub live_threshold: f64,
-    /// Final online estimate of the mean service time (NaN unless
-    /// estimated mode ran warm).
+    /// Final online estimate of the mean service time: lane 0's trusted
+    /// moment window (NaN unless estimated mode ran warm).
     pub est_mean_service: f64,
-    /// Final online estimate of the service SCV (NaN unless estimated
-    /// mode ran warm).
+    /// Final online estimate of the service SCV: lane 0's trusted moment
+    /// window (NaN unless estimated mode ran warm).
     pub est_scv: f64,
     /// Threshold recalibrations performed (0 outside estimated mode).
     pub recalibrations: u64,
@@ -699,7 +693,7 @@ pub(crate) fn validate_config(cfg: &ServiceConfig) {
                 ),
             }
         }
-        Frontend::Adaptive { moments, .. } => {
+        Frontend::Adaptive { .. } => {
             assert!(
                 cfg.stored_replicas >= 2,
                 "adaptive mode needs at least 2 stored replicas"
@@ -709,18 +703,6 @@ pub(crate) fn validate_config(cfg: &ServiceConfig) {
                 "adaptive ramp starts saturated: 2*load_start = {}",
                 2.0 * cfg.load_start
             );
-            if let MomentSource::Estimated {
-                window,
-                min_samples,
-                recalibrate,
-            } = moments
-            {
-                assert!(
-                    *min_samples >= 2 && *min_samples <= *window,
-                    "min_samples must be in [2, window]"
-                );
-                assert!(*recalibrate >= 1, "recalibrate cadence must be >= 1");
-            }
         }
     }
     if let Some(pop) = &cfg.popularity {

@@ -98,8 +98,8 @@ use crate::service::{
     bucket_switch_off, load_shares_of, shard_of, stored_table, validate_config, Discipline,
     Frontend, LoadModel, MomentSource, RampBucket, ServiceConfig, ServiceResult,
 };
-use redundancy::estimator::{LoadSummary, MomentSnapshot};
-use redundancy::planner::{LivePlanner, Planner};
+use redundancy::estimator::LoadSummary;
+use redundancy::planner::{moment_gates, LivePlanner, Planner};
 use redundancy::policy::Policy;
 use simcore::dist::Distribution;
 use simcore::rng::Rng;
@@ -1060,10 +1060,11 @@ impl ShardedOutcome {
 /// offered load that saturates the cluster (`max_copies × load ≥ 1` for
 /// `Always` policies, `2 × load_start ≥ 1` for the adaptive mode, which
 /// replicates only below the sub-½ threshold), non-positive propagation
-/// (it is the lookahead), estimated-mode parameters with `min_samples`
-/// outside `[2, window]` (per lane, after both are split across the
-/// lanes), or an inconsistent lane/autoscale setup. Also panics if
-/// `groups` is outside `[1, servers]`.
+/// (it is the lookahead), an estimated-moments window whose trust gate
+/// ([`moment_gates`]) falls outside `[2, window]` per lane, after both are
+/// split across the lanes (at one lane: a window below 32), or an
+/// inconsistent lane/autoscale setup. Also panics if `groups` is outside
+/// `[1, servers]`.
 ///
 /// In estimated-moments mode each copy reports its service demand when
 /// its response reaches the client, except under PS with cancellation,
@@ -1173,19 +1174,15 @@ pub fn run_sharded(cfg: &ServiceConfig, groups: usize, threads: usize) -> Sharde
             cfg.load_start,
         );
         if let Frontend::Adaptive {
-            moments:
-                MomentSource::Estimated {
-                    window,
-                    min_samples,
-                    recalibrate,
-                },
+            moments: MomentSource::Estimated { window },
             ..
         } = &cfg.frontend
         {
+            let (min_samples, recalibrate) = moment_gates(*window);
             live = live.with_moments(
                 lane_window(*window),
                 min_samples.div_ceil(lanes),
-                *recalibrate,
+                recalibrate,
             );
         }
 
@@ -1370,31 +1367,20 @@ pub fn run_sharded(cfg: &ServiceConfig, groups: usize, threads: usize) -> Sharde
         })
         .collect();
 
-    // Pooled service moments across the lanes (Chan's combine) — at one
-    // lane this is exactly the lane's own windowed estimate.
-    let moment_pool = lanes_out
-        .iter()
-        .filter_map(|l| l.planner.moment_snapshot())
-        .fold(None::<MomentSnapshot>, |acc, s| {
-            Some(acc.map_or(s, |a| a.merge(s)))
-        });
-    // Report the pooled moments once the lanes together hold as many
-    // samples as the single-lane gate demanded (at one lane: the same
-    // `len >= min_samples` comparison as before).
-    let min_pooled = lanes_out.first().map_or(0, |l| l.planner.min_samples()) * lanes;
-    let (est_mean_service, est_scv) = match moment_pool {
-        Some(snap) if (snap.count as usize) >= min_pooled => (snap.mean, snap.scv()),
-        _ => (f64::NAN, f64::NAN),
-    };
+    // Lane 0's trusted moment window, read as `live_threshold` reads
+    // lane 0's threshold.
+    let (est_mean_service, est_scv) = lanes_out[0]
+        .planner
+        .calibrated()
+        .map_or((f64::NAN, f64::NAN), |me| (me.mean(), me.scv()));
 
     let result = ServiceResult {
         switch_off: bucket_switch_off(&buckets, RampBucket::frac_k2),
         planner_threshold: threshold,
         live_threshold: match &cfg.frontend {
             Frontend::Fixed(_) => f64::NAN,
-            // Lane 0's view; lanes recalibrate from the same pooled
-            // summaries so the spread across lanes is within the
-            // exchange period's drift.
+            // Lane 0's view. Summaries carry arrival rates only: each
+            // lane recalibrates from its own moment window.
             Frontend::Adaptive { .. } => lanes_out[0].planner.threshold(),
         },
         est_mean_service,

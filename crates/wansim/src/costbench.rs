@@ -19,11 +19,6 @@ pub fn savings_ms_per_kb(saved_ms: f64, extra_bytes: f64) -> f64 {
     saved_ms / (extra_bytes / 1024.0)
 }
 
-/// `true` when a savings rate clears the benchmark.
-pub fn is_cost_effective(saved_ms: f64, extra_bytes: f64) -> bool {
-    savings_ms_per_kb(saved_ms, extra_bytes) >= BREAK_EVEN_MS_PER_KB
-}
-
 /// Incremental ms/KB of going from `k−1` to `k` copies, given the latency
 /// metric at each copy count (`metric[i]` = latency in ms with `i+1`
 /// copies) and the extra bytes each additional copy costs.
@@ -43,8 +38,6 @@ mod tests {
     fn rate_arithmetic() {
         // 32 ms saved for 2 KB = 16 ms/KB: exactly break-even.
         assert!((savings_ms_per_kb(32.0, 2048.0) - 16.0).abs() < 1e-12);
-        assert!(is_cost_effective(32.0, 2048.0));
-        assert!(!is_cost_effective(31.9, 2048.0));
     }
 
     #[test]

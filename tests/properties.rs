@@ -612,11 +612,7 @@ fn service_scenarios_bit_identical_across_thread_counts() {
     };
     let estimated = Frontend::Adaptive {
         window: 512,
-        moments: MomentSource::Estimated {
-            window: 2048,
-            min_samples: 128,
-            recalibrate: 256,
-        },
+        moments: MomentSource::Estimated { window: 2048 },
         load_model: LoadModel::Global,
     };
 
@@ -663,11 +659,7 @@ fn service_scenarios_bit_identical_across_thread_counts() {
     ));
     skew_aware.frontend = Frontend::Adaptive {
         window: 256,
-        moments: MomentSource::Estimated {
-            window: 2048,
-            min_samples: 128,
-            recalibrate: 256,
-        },
+        moments: MomentSource::Estimated { window: 2048 },
         load_model: LoadModel::PerServer,
     };
     skew_aware.popularity = Some(zipf_popularity(skew_aware.shards, 0.6));
@@ -981,11 +973,7 @@ fn partitioned_frontend_trace_identical_across_workers() {
     cfg.frontend_lanes = 4;
     cfg.frontend = Frontend::Adaptive {
         window: 512,
-        moments: MomentSource::Estimated {
-            window: 2048,
-            min_samples: 128,
-            recalibrate: 256,
-        },
+        moments: MomentSource::Estimated { window: 2048 },
         load_model: LoadModel::Global,
     };
 
