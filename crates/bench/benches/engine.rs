@@ -78,7 +78,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use redundancy::cancel::CancelToken;
-use redundancy::planner::{moment_gates, LivePlanner, Planner, WorkloadProfile};
+use redundancy::planner::{LivePlanner, Planner, WorkloadProfile};
 use redundancy::sync_exec::{race, replica};
 use redundancy::tokio_exec::{block_on, race_async};
 use simcore::dist::{DynDist, Exponential};
@@ -418,10 +418,10 @@ fn main() {
     let measure = |f: &mut dyn FnMut()| if quick { time_ns(f) } else { best_ns(f) };
 
     // Mirror RtConfig::smoke's planner: 8 servers, 512-gap arrival
-    // windows, a 4096-demand moment window with rt's trust gate and
-    // recalibration cadence, exponential service (scv 1). Smoke charges
-    // no client overhead; this bench adds its own, 2 % of the mean
-    // service, well under the paper's 9 % flip.
+    // windows, a 4096-demand moment window (which sets the trust gate and
+    // recalibration cadence, as in rt), exponential service (scv 1).
+    // Smoke charges no client overhead; this bench adds its own, 2 % of
+    // the mean service, well under the paper's 9 % flip.
     let servers = 8u16;
     let mean_service = 5.0e-6;
     let planner = Planner::new(WorkloadProfile {
@@ -440,9 +440,8 @@ fn main() {
     // A warm loop, shared by the stages below: every index has seen a few
     // gaps (so requests read real loads, not the cold-server fallback)
     // and the moment window is full.
-    let (min_samples, recalibrate) = moment_gates(demands.len());
     let mut live = LivePlanner::new(planner, threshold, servers as usize, 512, 0, 0.05)
-        .with_moments(demands.len(), min_samples, recalibrate);
+        .with_moments(demands.len());
     for i in 0..servers * 8 {
         live.decide(f64::from(i) * 1.0e-5, &[i % servers], 2.0);
     }

@@ -6,7 +6,6 @@ use queuesim::analytic::{heavy_tail, mm1, two_moment};
 use queuesim::sweeps;
 use queuesim::threshold::{threshold_load, ThresholdOptions};
 use simcore::dist::{Deterministic, Distribution, Exponential, Pareto};
-use simcore::runner::Runner;
 
 fn opts(effort: Effort) -> ThresholdOptions {
     match effort {
@@ -208,16 +207,17 @@ pub fn fig4(effort: Effort) -> String {
         "threshold_load",
     ]);
     let o = opts(effort);
-    // The three service laws sweep in parallel (each sweep is itself
-    // parallel over overhead points).
+    // The three service laws sweep one after another, so one law's draw
+    // cache is resident at a time; each sweep runs its overhead points side
+    // by side on the global runner.
     let dists: Vec<(&str, Box<dyn Distribution>)> = vec![
         ("pareto(2.1)", Box::new(Pareto::unit_mean(2.1))),
         ("exponential", Box::new(Exponential::unit())),
         ("deterministic", Box::new(Deterministic::unit())),
     ];
-    let series = Runner::global().map(&dists, |_i, (label, d)| {
-        (*label, sweeps::overhead_sweep(&d.as_ref(), &overheads, &o))
-    });
+    let series = dists
+        .iter()
+        .map(|(label, d)| (*label, sweeps::overhead_sweep(&d.as_ref(), &overheads, &o)));
     for (label, rows) in series {
         for (frac, t) in rows {
             r.row(&[num(frac), label.into(), num(t)]);

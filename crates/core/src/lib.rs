@@ -38,8 +38,8 @@
 //!   — the one loop both `storesim::sharded` (simulated traffic) and
 //!   `storesim::rt` (real threads) run. Each loop keeps one moment
 //!   window, trusts it and recalibrates on the cadence
-//!   [`planner::moment_gates`] derives from its length, and resolves every
-//!   recalibrated threshold through one process-wide memo
+//!   [`planner::LivePlanner::with_moments`] derives from its length, and
+//!   resolves every recalibrated threshold through one process-wide memo
 //!   ([`planner::ThresholdCache`]).
 //!
 //! ## Quick start (threads)

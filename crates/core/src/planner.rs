@@ -295,16 +295,6 @@ impl ThresholdCache {
     }
 }
 
-/// The self-calibration rule, `(min_samples, recalibrate)` for a moment
-/// window of `window` demands: the window is trusted once it holds
-/// `window / 16` demands, and the threshold is re-derived every
-/// `window / 8`. Both runtimes pass these to
-/// [`LivePlanner::with_moments`]; a window below 32 yields a trust gate
-/// below 2, which `with_moments` rejects.
-pub fn moment_gates(window: usize) -> (usize, usize) {
-    (window / 16, window / 8)
-}
-
 /// The live decision loop — the one implementation of the per-request
 /// §2.1 rule, run by the simulated frontend lanes and the wall-clock
 /// runtime alike. It owns an [`EstimatorBank`] (width 1 for a global load
@@ -314,8 +304,8 @@ pub fn moment_gates(window: usize) -> (usize, usize) {
 /// A warm index's load is `(own + peer rates) · live mean / split`; a cold
 /// one reads `cold_load`. The threshold starts at the configured-moment
 /// value and, once the moment window is trusted, is re-derived through
-/// the process-wide [`ThresholdCache`] store every `recalibrate` observed
-/// demands.
+/// the process-wide [`ThresholdCache`] store on the cadence
+/// [`LivePlanner::with_moments`] derives from the window.
 #[derive(Clone, Debug)]
 pub struct LivePlanner {
     planner: Planner,
@@ -360,22 +350,23 @@ impl LivePlanner {
         }
     }
 
-    /// Self-calibration: a moment window of `window` demands, trusted from
-    /// `min_samples` on, recalibrating every `recalibrate` observations
-    /// (the runtimes take both from [`moment_gates`]).
+    /// Self-calibration over a moment window of `window` demands: the
+    /// window is trusted once it holds `window / 16` of them, and from then
+    /// on the threshold is re-derived every `window / 8` observations. Both
+    /// follow the window, so `L` loops that each see `1/L` of the demands
+    /// through a `window / L` window trust and recalibrate when one loop
+    /// seeing them all through `window` would.
     ///
     /// # Panics
-    /// Panics if `min_samples` is outside `[2, window]` or `recalibrate`
-    /// is 0.
-    pub fn with_moments(mut self, window: usize, min_samples: usize, recalibrate: usize) -> Self {
+    /// Panics if `window < 32` (a trust gate below 2 demands).
+    pub fn with_moments(mut self, window: usize) -> Self {
         assert!(
-            (2..=window).contains(&min_samples),
-            "min_samples must be in [2, window]: {min_samples} vs {window}"
+            window >= 32,
+            "moment window must hold at least 32 demands: {window}"
         );
-        assert!(recalibrate >= 1, "recalibrate cadence must be >= 1");
         self.moments = Some(MomentEstimator::new(window));
-        self.min_samples = min_samples;
-        self.recalibrate = recalibrate as u64;
+        self.min_samples = window / 16;
+        self.recalibrate = (window / 8) as u64;
         self
     }
 
@@ -642,10 +633,13 @@ mod tests {
             scv: 1.0,
             client_overhead: 0.02e-3,
         });
-        let mut lp = LivePlanner::new(p, p.threshold_load(), 1, 2, 0, 0.0).with_moments(4, 2, 2);
+        // The smallest window: trusted from 2 demands, recalibrating
+        // every 4.
+        let mut lp = LivePlanner::new(p, p.threshold_load(), 1, 2, 0, 0.0).with_moments(32);
         // Mean 2 ms, scv 1: the measured law halves the overhead ratio.
-        lp.observe_demand(0.0);
-        lp.observe_demand(4.0e-3);
+        for d in [0.0, 4.0e-3, 0.0, 4.0e-3] {
+            lp.observe_demand(d);
+        }
         assert_eq!(lp.recalibrations(), 1);
         assert_eq!(lp.live_mean(), 2.0e-3);
         let cache = ThresholdCache::new();
@@ -773,12 +767,18 @@ mod tests {
     }
 
     #[test]
-    fn moment_gates_on_the_windows_in_use() {
+    fn moment_window_sets_trust_point_and_cadence() {
         // The figures' 8192-demand window, `storesim::rt`'s 4096 and the
-        // 2048 of the multi-lane property tests.
-        assert_eq!(moment_gates(8192), (512, 1024));
-        assert_eq!(moment_gates(4096), (256, 512));
-        assert_eq!(moment_gates(2048), (128, 256));
+        // 2048 of the multi-lane tests: trusted from window / 16 demands,
+        // first recalibrated at window / 8.
+        for (window, trusted, first) in [(8192, 512, 1024), (4096, 256, 512), (2048, 128, 256)] {
+            let mut lp = live(1, 0).with_moments(window);
+            for n in 1..=first {
+                lp.observe_demand(1.0);
+                assert_eq!(lp.calibrated().is_some(), n >= trusted, "{window}: {n}");
+                assert_eq!(lp.recalibrations(), u64::from(n == first), "{window}: {n}");
+            }
+        }
     }
 
     /// A moment window's state, bit for bit.
@@ -793,8 +793,9 @@ mod tests {
 
     #[test]
     fn live_planner_recalibrates_on_cadence_through_the_cache() {
-        let (window, min_samples, recalibrate) = (64usize, 20usize, 8usize);
-        let mut lp = live(1, 0).with_moments(window, min_samples, recalibrate);
+        let window = 64usize;
+        let (min_samples, recalibrate) = (window / 16, window / 8);
+        let mut lp = live(1, 0).with_moments(window);
         let initial = lp.threshold();
         let mut me = MomentEstimator::new(window);
         let cache = ThresholdCache::new();
@@ -856,15 +857,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "min_samples must be in [2, window]")]
+    #[should_panic(expected = "at least 32 demands")]
     fn live_planner_rejects_min_samples_below_two() {
-        let _ = live(1, 0).with_moments(64, 1, 8);
-    }
-
-    #[test]
-    #[should_panic(expected = "min_samples must be in [2, window]")]
-    fn live_planner_rejects_min_samples_above_window() {
-        let _ = live(1, 0).with_moments(64, 65, 8);
+        // A window below 32 would be trusted from fewer than 2 demands.
+        let _ = live(1, 0).with_moments(31);
     }
 
     #[test]

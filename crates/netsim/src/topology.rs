@@ -105,21 +105,7 @@ impl FatTree {
         }
 
         // Routing tables.
-        let link = |from: NodeId, to: NodeId| -> LinkId {
-            links
-                .iter()
-                .position(|l| l.from == from && l.to == to)
-                .expect("link must exist") as LinkId
-        };
-        // The closure-based lookup above is O(E); with k = 6 (180 links)
-        // and 54*99 route entries this stays trivial, but reuse the map for
-        // larger k.
-        let link = |from: NodeId, to: NodeId| -> LinkId {
-            match link_of.get(&(from, to)) {
-                Some(&id) => id,
-                None => link(from, to),
-            }
-        };
+        let link = |from: NodeId, to: NodeId| -> LinkId { link_of[&(from, to)] };
 
         let pod_of_host = |d: usize| d / (half * half);
         let edge_of_host = |d: usize| (d / half) % half;

@@ -29,8 +29,7 @@ impl ServiceMoments {
         let variance = dist.variance();
         assert!(
             mean.is_finite() && variance.is_finite(),
-            "{} has non-finite moments; use the heavy-tail analysis",
-            dist.label()
+            "{dist:?} has non-finite moments; use the heavy-tail analysis"
         );
         ServiceMoments { mean, variance }
     }

@@ -417,8 +417,7 @@ mod tests {
             let t = threshold(ServiceMoments::of(dist.as_ref()), 0.0);
             assert!(
                 t >= t_det - 1e-3,
-                "{}: threshold {t} below deterministic {t_det}",
-                dist.label()
+                "{dist:?}: threshold {t} below deterministic {t_det}"
             );
         }
     }

@@ -3,10 +3,13 @@
 //! Each function returns plain data series (no I/O); the `repro-bench`
 //! harness formats them into the same rows the paper plots. Everything is
 //! deterministic given the options' seed — including under parallelism:
-//! every sweep runs its points on a [`Runner`] (the `*_on` variants take
-//! an explicit one; the plain versions use [`Runner::global`]), with
-//! per-point randomness derived from the point's index, so results are
-//! bit-identical at any thread count.
+//! every sweep fans its independent runs out on a [`Runner`] (the `*_on`
+//! variants take an explicit one; the plain versions use
+//! [`Runner::global`]), with each run's randomness derived from its index,
+//! so results are bit-identical at any thread count. A Fig 2 family runs
+//! its threshold searches one at a time and parallelizes the replications
+//! inside each; a Fig 4 sweep runs its overhead points side by side over
+//! one draw cache; Fig 3's many small searches run side by side.
 
 use crate::model::{run, Config};
 use crate::threshold::{threshold_load_on, ThresholdOptions};
@@ -83,32 +86,33 @@ pub fn ccdf_at_load<D: Distribution + Clone>(
 
 /// Fig 2(a): threshold load vs Weibull inverse shape γ.
 pub fn weibull_family(gammas: &[f64], opts: &ThresholdOptions) -> Vec<(f64, f64)> {
-    let runner = Runner::global();
-    runner.map(gammas, |_i, &g| {
-        (
-            g,
-            threshold_load_on(&runner, &Weibull::unit_mean_inverse_shape(g), opts),
-        )
-    })
+    family(gammas, Weibull::unit_mean_inverse_shape, opts)
 }
 
 /// Fig 2(b): threshold load vs Pareto inverse scale β.
 pub fn pareto_family(betas: &[f64], opts: &ThresholdOptions) -> Vec<(f64, f64)> {
-    let runner = Runner::global();
-    runner.map(betas, |_i, &b| {
-        (
-            b,
-            threshold_load_on(&runner, &Pareto::unit_mean_inverse_scale(b), opts),
-        )
-    })
+    family(betas, Pareto::unit_mean_inverse_scale, opts)
 }
 
 /// Fig 2(c): threshold load vs the two-point parameter p.
 pub fn two_point_family(ps: &[f64], opts: &ThresholdOptions) -> Vec<(f64, f64)> {
+    family(ps, TwoPoint::new, opts)
+}
+
+/// One threshold search per family parameter, in order. The searches run
+/// one at a time, each fanning its replications out on the global runner,
+/// so one search's draw cache is resident at once and the peak does not
+/// depend on which search finishes first.
+fn family<D: Distribution + Clone>(
+    params: &[f64],
+    dist: impl Fn(f64) -> D,
+    opts: &ThresholdOptions,
+) -> Vec<(f64, f64)> {
     let runner = Runner::global();
-    runner.map(ps, |_i, &p| {
-        (p, threshold_load_on(&runner, &TwoPoint::new(p), opts))
-    })
+    params
+        .iter()
+        .map(|&x| (x, threshold_load_on(&runner, &dist(x), opts)))
+        .collect()
 }
 
 /// One row of Fig 3: the spread of threshold loads over randomly drawn
@@ -171,8 +175,7 @@ pub fn random_distributions(
 /// CRN draw cache ([`crate::threshold::overhead_thresholds_on`]): the
 /// draws depend only on the seed, not the overhead, so they are generated
 /// once instead of per point — bit-identical to per-point searches.
-/// Replications inside each bisection step run in parallel on the global
-/// runner.
+/// The points search side by side on the global runner.
 pub fn overhead_sweep<D: Distribution + Clone>(
     dist: &D,
     overhead_fractions: &[f64],

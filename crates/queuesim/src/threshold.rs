@@ -52,17 +52,21 @@
 //! versions use [`Runner::global`]). Per-replication seeds are derived
 //! from explicit [`Rng::fork`] streams of the options' base seed — never
 //! from loop order — so results are **bit-identical at any thread count**.
+//! A replication's records are generated inside the task of the first
+//! pass that reads them, so generation fans out with the passes, and
+//! several searches can read one cache at once (Fig 4's overhead points).
 
 use crate::model::SERVERS;
 use simcore::dist::Distribution;
 use simcore::rng::{Rng, SplitMix64};
 use simcore::runner::Runner;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// Process-wide ceiling on simultaneously materialized CRN draw
-/// **bytes** (512 MB): the Fig 2/3 family sweeps run up to
-/// thread-count searches concurrently, so a per-search bound alone would
-/// scale resident memory with cores. Searches that cannot reserve budget
+/// **bytes** (512 MB): the Fig 3 sweep runs up to thread-count searches
+/// concurrently, so a per-search bound alone would scale resident memory
+/// with cores. Searches that cannot reserve budget
 /// stream their draws instead, with identical results.
 const CRN_CACHE_GLOBAL_BUDGET_BYTES: usize = 512 << 20;
 static CRN_CACHE_RESERVED_BYTES: AtomicUsize = AtomicUsize::new(0);
@@ -223,10 +227,10 @@ struct CrnCache<'a, D: ?Sized> {
     /// Per-replication seeds, forked from the base seed upfront so a
     /// replication's stream is a pure function of its index.
     seeds: Vec<u64>,
-    /// Materialized streams, grown lazily in replication order; empty
-    /// when the search streams.
-    cached: Vec<Vec<Draw>>,
-    cacheable: bool,
+    /// Materialized streams, one slot per replication up to the ceiling,
+    /// each filled by the first pass that reads it; empty when the search
+    /// streams.
+    cached: Vec<OnceLock<Vec<Draw>>>,
     /// Bytes reserved from the process-wide budget (released on drop).
     reserved_bytes: usize,
 }
@@ -266,8 +270,11 @@ impl<'a, D: Distribution + ?Sized> CrnCache<'a, D> {
             mean_service: dist.mean(),
             max_replications,
             seeds,
-            cached: Vec::new(),
-            cacheable,
+            cached: if cacheable {
+                (0..max_replications).map(|_| OnceLock::new()).collect()
+            } else {
+                Vec::new()
+            },
             reserved_bytes: if cacheable { bytes } else { 0 },
         }
     }
@@ -277,15 +284,18 @@ impl<'a, D: Distribution + ?Sized> CrnCache<'a, D> {
         DrawGen::new(self.dist, self.seeds[r]).take(self.total)
     }
 
-    /// Materializes draw streams for replications `0..reps` (no-op when
-    /// already present or when this search streams instead of caching).
-    fn ensure(&mut self, reps: usize, runner: &Runner) {
-        let have = self.cached.len();
-        if !self.cacheable || have >= reps {
-            return;
-        }
-        let new = runner.run(reps - have, |j| self.draws(have + j).collect());
-        self.cached.extend(new);
+    /// Replication `r`'s stored records, generated by the first pass that
+    /// reads them.
+    fn records(&self, r: usize) -> &[Draw] {
+        self.cached[r].get_or_init(|| self.draws(r).collect())
+    }
+
+    /// Materializes every replication up to the ceiling in parallel (no-op
+    /// when this search streams instead of caching).
+    fn fill(&self, runner: &Runner) {
+        runner.run(self.cached.len(), |r| {
+            self.records(r);
+        });
     }
 
     /// Runs the paired k = 1 / k = 2 queues over replication `r`'s draws at
@@ -296,10 +306,10 @@ impl<'a, D: Distribution + ?Sized> CrnCache<'a, D> {
     /// it.
     fn paired_diff(&self, r: usize, rho: f64, overhead: f64) -> f64 {
         let lambda = SERVERS as f64 * rho / self.mean_service;
-        if self.cacheable {
-            self.paired_pass(lambda, overhead, self.cached[r].iter().copied())
-        } else {
+        if self.cached.is_empty() {
             self.paired_pass(lambda, overhead, self.draws(r))
+        } else {
+            self.paired_pass(lambda, overhead, self.records(r).iter().copied())
         }
     }
 
@@ -346,7 +356,7 @@ impl<'a, D: Distribution + ?Sized> CrnCache<'a, D> {
     /// or the load is not positive — the same guards [`crate::model::run`]
     /// enforces.
     fn decisive_gain(
-        &mut self,
+        &self,
         rho: f64,
         base_reps: usize,
         overhead: f64,
@@ -360,7 +370,6 @@ impl<'a, D: Distribution + ?Sized> CrnCache<'a, D> {
         let mut diffs: Vec<f64> = Vec::new();
         let mut reps = base_reps.min(self.max_replications);
         loop {
-            self.ensure(reps, runner);
             let have = diffs.len();
             diffs.extend(runner.run(reps - have, |j| self.paired_diff(have + j, rho, overhead)));
             let (g, se) = mean_and_se(&diffs);
@@ -376,7 +385,7 @@ impl<'a, D: Distribution + ?Sized> CrnCache<'a, D> {
 /// [`threshold_load_on`] (one overhead) and [`overhead_thresholds_on`]
 /// (many overheads, one cache).
 fn bisect<D: Distribution + ?Sized>(
-    cache: &mut CrnCache<'_, D>,
+    cache: &CrnCache<'_, D>,
     overhead: f64,
     opts: &ThresholdOptions,
     runner: &Runner,
@@ -435,8 +444,7 @@ pub fn threshold_load_on<D: Distribution + Clone>(
     dist: &D,
     opts: &ThresholdOptions,
 ) -> f64 {
-    let mut cache = CrnCache::new(dist, opts);
-    bisect(&mut cache, 0.0, opts, runner)
+    bisect(&CrnCache::new(dist, opts), 0.0, opts, runner)
 }
 
 /// Threshold loads for several client overheads of **one** service
@@ -445,21 +453,20 @@ pub fn threshold_load_on<D: Distribution + Clone>(
 /// to 0 once it outweighs the min-of-two gain (Fig 4's right edge). All
 /// points share a single CRN cache: the draws depend only on `(seed,
 /// replication index)`, never on the overhead, so each value is
-/// bit-identical to a search of that point alone. Points run in sequence
-/// (they share the mutable cache); the replications inside each
-/// bisection step fan out on the runner, and results are bit-identical
-/// at any thread count.
+/// bit-identical to a search of that point alone. The cache fills every
+/// replication up to the ceiling first, in parallel (a search widens to
+/// the ceiling near its root, so some point needs them all), and the
+/// points then search side by side on the runner, only reading it;
+/// results are bit-identical at any thread count.
 pub fn overhead_thresholds_on<D: Distribution + Clone>(
     runner: &Runner,
     dist: &D,
     overheads: &[f64],
     opts: &ThresholdOptions,
 ) -> Vec<f64> {
-    let mut cache = CrnCache::new(dist, opts);
-    overheads
-        .iter()
-        .map(|&o| bisect(&mut cache, o, opts, runner))
-        .collect()
+    let cache = CrnCache::new(dist, opts);
+    cache.fill(runner);
+    runner.map(overheads, |_i, &o| bisect(&cache, o, opts, runner))
 }
 
 #[cfg(test)]
@@ -521,8 +528,7 @@ mod tests {
             let thr = threshold_load(&dist.as_ref(), &fast);
             assert!(
                 (0.22..0.5).contains(&thr),
-                "{} threshold {thr} outside band",
-                dist.label()
+                "{dist:?} threshold {thr} outside band"
             );
         }
     }
@@ -545,7 +551,7 @@ mod tests {
     fn gain_sign_flips_across_threshold() {
         let opts = ThresholdOptions::fast();
         let dist = Exponential::unit();
-        let mut cache = CrnCache::new(&dist, &opts);
+        let cache = CrnCache::new(&dist, &opts);
         let runner = Runner::global();
         let (g_low, _) = cache.decisive_gain(0.15, opts.replications, 0.0, &runner);
         let (g_high, _) = cache.decisive_gain(0.45, opts.replications, 0.0, &runner);
@@ -562,8 +568,7 @@ mod tests {
         opts.requests = 6_000;
         opts.warmup = 600;
         let dist = Exponential::unit();
-        let mut cache = CrnCache::new(&dist, &opts);
-        cache.ensure(1, &Runner::serial());
+        let cache = CrnCache::new(&dist, &opts);
         for rho in [0.1, 0.3, 0.45] {
             let shift = cache.paired_diff(0, rho, 0.5) - cache.paired_diff(0, rho, 0.0);
             assert!((shift - 0.5).abs() < 1e-9, "rho={rho}: shift {shift}");
@@ -604,11 +609,12 @@ mod tests {
         dist: &'a D,
         opts: &ThresholdOptions,
     ) -> (CrnCache<'a, D>, CrnCache<'a, D>) {
-        let mut cached = CrnCache::new(dist, opts);
-        cached.ensure(2, &Runner::serial());
-        assert!(cached.cacheable && cached.cached.len() == 2);
+        let cached = CrnCache::new(dist, opts);
+        for r in 0..2 {
+            assert_eq!(cached.records(r).len(), cached.total);
+        }
         let mut streamed = CrnCache::new(dist, opts);
-        streamed.cacheable = false;
+        streamed.cached.clear();
         (cached, streamed)
     }
 
@@ -621,8 +627,7 @@ mod tests {
                 assert_eq!(
                     cached.paired_diff(r, rho, 0.0).to_bits(),
                     streamed.paired_diff(r, rho, 0.0).to_bits(),
-                    "{} r={r} rho={rho}",
-                    dist.label()
+                    "{dist:?} r={r} rho={rho}"
                 );
             }
         }
@@ -644,8 +649,7 @@ mod tests {
         let dist = Pareto::unit_mean(2.1);
         let (cached, streamed) = cached_and_streamed(&dist, &cache_check_opts());
         for r in 0..2 {
-            assert_eq!(cached.cached[r].len(), cached.total);
-            for (i, (a, b)) in cached.cached[r].iter().zip(streamed.draws(r)).enumerate() {
+            for (i, (a, b)) in cached.records(r).iter().zip(streamed.draws(r)).enumerate() {
                 assert_eq!(a.arrival.to_bits(), b.arrival.to_bits(), "r={r} i={i}");
                 assert_eq!(
                     a.svc.map(f32::to_bits),
@@ -671,20 +675,13 @@ mod tests {
             Box::new(Pareto::unit_mean(2.1)),
         ] {
             let dist = dist.as_ref();
-            let (mut cached, mut streamed) = cached_and_streamed(dist, &opts);
-            let thr_cached = bisect(&mut cached, 0.0, &opts, &runner);
-            let thr_streamed = bisect(&mut streamed, 0.0, &opts, &runner);
-            assert!(streamed.cached.is_empty(), "streaming stored draws");
-            assert_eq!(
-                thr_cached.to_bits(),
-                thr_streamed.to_bits(),
-                "{}",
-                dist.label()
-            );
+            let (cached, streamed) = cached_and_streamed(dist, &opts);
+            let thr_cached = bisect(&cached, 0.0, &opts, &runner);
+            let thr_streamed = bisect(&streamed, 0.0, &opts, &runner);
+            assert_eq!(thr_cached.to_bits(), thr_streamed.to_bits(), "{dist:?}");
             assert!(
                 (0.22..0.5).contains(&thr_cached),
-                "{} threshold {thr_cached} outside the band",
-                dist.label()
+                "{dist:?} threshold {thr_cached} outside the band"
             );
         }
     }
@@ -705,7 +702,7 @@ mod tests {
             "full-effort heavy point draw count moved; re-check the budget"
         );
         assert!(
-            cache.cacheable,
+            !cache.cached.is_empty(),
             "full-effort heavy point must fit the budget"
         );
         assert_eq!(cache.reserved_bytes, 15_840_000 * 16);
@@ -726,8 +723,7 @@ mod tests {
         opts.requests = 12_000;
         opts.warmup = 1_200;
         let dist = Exponential::unit();
-        let mut cache = CrnCache::new(&dist, &opts);
-        cache.ensure(2, &Runner::serial());
+        let cache = CrnCache::new(&dist, &opts);
         for r in 0..2 {
             for rho in [0.15, 0.3, 0.45] {
                 let g_cache = cache.paired_diff(r, rho, 0.0);
@@ -786,14 +782,18 @@ mod tests {
         opts.replications = 2;
         opts.max_replications = 8;
         let dist = Exponential::unit();
-        let mut cache = CrnCache::new(&dist, &opts);
+        let cache = CrnCache::new(&dist, &opts);
         let runner = Runner::serial();
         let (_g, _se) = cache.decisive_gain(1.0 / 3.0, opts.replications, 0.0, &runner);
+        let filled = cache
+            .cached
+            .iter()
+            .filter(|slot| slot.get().is_some())
+            .count();
         assert!(
-            cache.cached.len() > opts.replications,
-            "expected widening beyond {} replications, cached {}",
+            filled > opts.replications,
+            "expected widening beyond {} replications, cached {filled}",
             opts.replications,
-            cache.cached.len()
         );
     }
 }

@@ -66,15 +66,6 @@ pub trait Distribution: std::fmt::Debug + Send + Sync {
         let m = self.mean();
         self.variance() / (m * m)
     }
-
-    /// Alias for [`scv`](Self::scv) (`c²` in the queueing literature).
-    fn cv2(&self) -> f64 {
-        self.scv()
-    }
-
-    /// Short human-readable name with parameters, for reports and
-    /// assertion messages.
-    fn label(&self) -> String;
 }
 
 /// A shared, heterogeneous distribution handle (cheap to clone).
@@ -95,9 +86,6 @@ impl<D: Distribution + ?Sized> Distribution for &D {
     fn scv(&self) -> f64 {
         (**self).scv()
     }
-    fn label(&self) -> String {
-        (**self).label()
-    }
 }
 
 impl Distribution for Box<dyn Distribution> {
@@ -113,9 +101,6 @@ impl Distribution for Box<dyn Distribution> {
     fn scv(&self) -> f64 {
         (**self).scv()
     }
-    fn label(&self) -> String {
-        (**self).label()
-    }
 }
 
 impl Distribution for Arc<dyn Distribution> {
@@ -130,9 +115,6 @@ impl Distribution for Arc<dyn Distribution> {
     }
     fn scv(&self) -> f64 {
         (**self).scv()
-    }
-    fn label(&self) -> String {
-        (**self).label()
     }
 }
 
@@ -169,9 +151,6 @@ impl Distribution for Deterministic {
     }
     fn variance(&self) -> f64 {
         0.0
-    }
-    fn label(&self) -> String {
-        format!("Deterministic({})", self.value)
     }
 }
 
@@ -211,9 +190,6 @@ impl Distribution for Uniform {
     fn variance(&self) -> f64 {
         let w = self.hi - self.lo;
         w * w / 12.0
-    }
-    fn label(&self) -> String {
-        format!("Uniform({}, {})", self.lo, self.hi)
     }
 }
 
@@ -256,9 +232,6 @@ impl Distribution for Exponential {
     fn variance(&self) -> f64 {
         1.0 / (self.rate * self.rate)
     }
-    fn label(&self) -> String {
-        format!("Exponential(rate={})", self.rate)
-    }
 }
 
 /// Erlang-k: the sum of `k` i.i.d. exponentials (scv `1/k`) — the bridge
@@ -294,9 +267,6 @@ impl Distribution for Erlang {
     }
     fn variance(&self) -> f64 {
         self.k as f64 / (self.rate * self.rate)
-    }
-    fn label(&self) -> String {
-        format!("Erlang(k={}, rate={})", self.k, self.rate)
     }
 }
 
@@ -351,12 +321,6 @@ impl Distribution for HyperExponential {
     fn variance(&self) -> f64 {
         let m = self.mean();
         self.second_raw() - m * m
-    }
-    fn label(&self) -> String {
-        format!(
-            "H2(p1={:.4}, r1={:.4}, r2={:.4})",
-            self.p1, self.r1, self.r2
-        )
     }
 }
 
@@ -432,9 +396,6 @@ impl Distribution for Pareto {
             self.xm * self.xm * a / ((a - 1.0) * (a - 1.0) * (a - 2.0))
         }
     }
-    fn label(&self) -> String {
-        format!("Pareto(alpha={}, xm={:.4})", self.alpha, self.xm)
-    }
 }
 
 /// Pareto truncated to `[lo, hi]`: density `∝ x^{−α−1}` on the interval.
@@ -493,12 +454,6 @@ impl Distribution for BoundedPareto {
         let m = self.mean();
         self.raw_moment(2.0) - m * m
     }
-    fn label(&self) -> String {
-        format!(
-            "BoundedPareto(alpha={}, {}..{})",
-            self.alpha, self.lo, self.hi
-        )
-    }
 }
 
 /// Weibull with shape `k` and scale `λ`:
@@ -546,9 +501,6 @@ impl Distribution for Weibull {
         let g2 = ln_gamma(1.0 + 2.0 / self.shape).exp();
         self.scale * self.scale * (g2 - g1 * g1)
     }
-    fn label(&self) -> String {
-        format!("Weibull(k={}, scale={:.4})", self.shape, self.scale)
-    }
 }
 
 /// Log-normal: `exp(μ + σZ)` for standard normal `Z`. The WAN models'
@@ -589,9 +541,6 @@ impl Distribution for LogNormal {
     fn variance(&self) -> f64 {
         let s2 = self.sigma * self.sigma;
         (s2.exp() - 1.0) * (2.0 * self.mu + s2).exp()
-    }
-    fn label(&self) -> String {
-        format!("LogNormal(mu={:.4}, sigma={})", self.mu, self.sigma)
     }
 }
 
@@ -640,9 +589,6 @@ impl Distribution for TwoPoint {
     }
     fn variance(&self) -> f64 {
         self.p / (4.0 * (1.0 - self.p))
-    }
-    fn label(&self) -> String {
-        format!("TwoPoint(p={})", self.p)
     }
 }
 
@@ -726,14 +672,6 @@ impl Distribution for Mixture {
     fn variance(&self) -> f64 {
         let m = self.mean();
         self.second_raw() - m * m
-    }
-    fn label(&self) -> String {
-        let parts: Vec<String> = self
-            .components
-            .iter()
-            .map(|(w, d)| format!("{w:.4}*{}", d.label()))
-            .collect();
-        format!("Mixture({})", parts.join(" + "))
     }
 }
 
@@ -857,9 +795,6 @@ impl Distribution for DiscreteEmpirical {
             .map(|(v, p)| p * (v - m) * (v - m))
             .sum()
     }
-    fn label(&self) -> String {
-        format!("DiscreteEmpirical(n={})", self.values.len())
-    }
 }
 
 #[cfg(test)]
@@ -876,7 +811,7 @@ mod tests {
         let mut sum2 = 0.0f64;
         for _ in 0..n {
             let x = d.sample(&mut rng);
-            assert!(x.is_finite(), "{}: non-finite sample", d.label());
+            assert!(x.is_finite(), "{d:?}: non-finite sample");
             sum += x;
             sum2 += x * x;
         }
@@ -886,13 +821,11 @@ mod tests {
         let ev = d.variance();
         assert!(
             (mean - em).abs() <= tol_mean * em.abs().max(1e-9),
-            "{}: sample mean {mean} vs exact {em}",
-            d.label()
+            "{d:?}: sample mean {mean} vs exact {em}"
         );
         assert!(
             (var - ev).abs() <= tol_var * ev.abs().max(1e-9),
-            "{}: sample var {var} vs exact {ev}",
-            d.label()
+            "{d:?}: sample var {var} vs exact {ev}"
         );
     }
 
@@ -903,12 +836,7 @@ mod tests {
         for _ in 0..1_000 {
             let x = d.sample(&mut a);
             let y = d.sample(&mut b);
-            assert_eq!(
-                x.to_bits(),
-                y.to_bits(),
-                "{}: same seed diverged",
-                d.label()
-            );
+            assert_eq!(x.to_bits(), y.to_bits(), "{d:?}: same seed diverged");
         }
     }
 
@@ -1016,12 +944,7 @@ mod tests {
             Box::new(DiscreteEmpirical::new(&[(3.0, 1.0), (9.0, 2.0)]).scaled_to_unit_mean()),
         ];
         for d in units {
-            assert!(
-                (d.mean() - 1.0).abs() < 1e-9,
-                "{}: mean {}",
-                d.label(),
-                d.mean()
-            );
+            assert!((d.mean() - 1.0).abs() < 1e-9, "{d:?}: mean {}", d.mean());
         }
     }
 
@@ -1038,8 +961,6 @@ mod tests {
         assert!((scvs[1] - 0.25).abs() < 1e-12);
         assert!((scvs[2] - 1.0).abs() < 1e-12);
         assert!((scvs[3] - 4.0).abs() < 1e-9);
-        // cv2 is an alias.
-        assert_eq!(Exponential::unit().cv2(), Exponential::unit().scv());
     }
 
     #[test]
@@ -1229,7 +1150,6 @@ mod tests {
         ] {
             assert_eq!(d, 1.0);
         }
-        assert_eq!(boxed.label(), concrete.label());
         assert_eq!(by_ref.scv(), 1.0);
     }
 

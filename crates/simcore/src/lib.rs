@@ -85,6 +85,6 @@ pub mod prelude {
     pub use crate::rng::Rng;
     pub use crate::runner::Runner;
     pub use crate::shard::{EngineStats, ShardCtx, ShardEngine, ShardLogic, ShardQueue};
-    pub use crate::stats::{Ccdf, SampleSet, Summary, Welford};
+    pub use crate::stats::{Ccdf, SampleSet, Welford};
     pub use crate::time::SimTime;
 }

@@ -237,25 +237,26 @@ impl Runner {
         // a time, balancing uneven task costs without per-task contention.
         let chunk = (n / (threads * 8)).max(1);
         let next = AtomicUsize::new(0);
+        let work = || {
+            let mut out: Vec<(usize, R)> = Vec::new();
+            loop {
+                let start = next.fetch_add(chunk, Ordering::Relaxed);
+                if start >= n {
+                    break;
+                }
+                for i in start..(start + chunk).min(n) {
+                    out.push((i, f(i)));
+                }
+            }
+            out
+        };
         let mut tagged: Vec<(usize, R)> = Vec::with_capacity(n);
+        // The caller is one of the leased threads, as in `pair`: it pulls
+        // work beside the `threads - 1` it spawns instead of idling in
+        // `join`.
         std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut out: Vec<(usize, R)> = Vec::new();
-                        loop {
-                            let start = next.fetch_add(chunk, Ordering::Relaxed);
-                            if start >= n {
-                                break;
-                            }
-                            for i in start..(start + chunk).min(n) {
-                                out.push((i, f(i)));
-                            }
-                        }
-                        out
-                    })
-                })
-                .collect();
+            let handles: Vec<_> = (1..threads).map(|_| scope.spawn(work)).collect();
+            tagged.extend(work());
             for h in handles {
                 tagged.extend(h.join().expect("runner worker panicked"));
             }

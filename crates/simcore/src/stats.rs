@@ -203,27 +203,6 @@ impl SampleSet {
         }
     }
 
-    /// Summarizes into the fixed set of statistics the paper reports.
-    pub fn summary(&mut self) -> Summary {
-        assert!(!self.xs.is_empty(), "summary of empty sample");
-        Summary {
-            count: self.xs.len(),
-            mean: self.mean(),
-            p50: self.quantile(0.50),
-            p95: self.quantile(0.95),
-            p99: self.quantile(0.99),
-            p999: self.quantile(0.999),
-            min: *self.sorted_slice().first().unwrap(),
-            max: *self.sorted_slice().last().unwrap(),
-        }
-    }
-
-    /// The sorted raw samples.
-    pub fn sorted_slice(&mut self) -> &[f64] {
-        self.ensure_sorted();
-        &self.xs
-    }
-
     /// Extracts a complementary CDF with `points` log-spaced thresholds
     /// between the smallest positive sample and the maximum.
     pub fn ccdf(&mut self, points: usize) -> Ccdf {
@@ -260,37 +239,6 @@ impl FromIterator<f64> for SampleSet {
             s.push(x);
         }
         s
-    }
-}
-
-/// The statistics every experiment table reports.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Summary {
-    /// Number of samples.
-    pub count: usize,
-    /// Sample mean.
-    pub mean: f64,
-    /// Median.
-    pub p50: f64,
-    /// 95th percentile.
-    pub p95: f64,
-    /// 99th percentile.
-    pub p99: f64,
-    /// 99.9th percentile.
-    pub p999: f64,
-    /// Minimum.
-    pub min: f64,
-    /// Maximum.
-    pub max: f64,
-}
-
-impl std::fmt::Display for Summary {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "n={} mean={:.6} p50={:.6} p95={:.6} p99={:.6} p999={:.6} max={:.6}",
-            self.count, self.mean, self.p50, self.p95, self.p99, self.p999, self.max
-        )
     }
 }
 
@@ -425,20 +373,6 @@ mod tests {
     }
 
     #[test]
-    fn summary_orders_percentiles() {
-        let mut rng = crate::rng::Rng::seed_from(8);
-        let mut s = SampleSet::new();
-        for _ in 0..50_000 {
-            s.push(rng.exponential(2.0));
-        }
-        let sum = s.summary();
-        assert!(sum.p50 < sum.p95 && sum.p95 < sum.p99 && sum.p99 < sum.p999);
-        assert!(sum.min <= sum.p50 && sum.p999 <= sum.max);
-        // Exponential mean-1/2 sanity: median = ln(2)/2 ≈ 0.3466.
-        assert!((sum.p50 - 0.3466).abs() < 0.02);
-    }
-
-    #[test]
     fn merge_sampleset() {
         let mut a: SampleSet = [1.0, 2.0].into_iter().collect();
         let b: SampleSet = [3.0, 4.0].into_iter().collect();
@@ -448,7 +382,7 @@ mod tests {
         // Merging into an empty set takes the other set whole.
         let mut c = SampleSet::new();
         c.merge(a.clone());
-        assert_eq!(c.sorted_slice(), [1.0, 2.0, 3.0, 4.0]);
+        assert_eq!((c.len(), c.mean()), (4, 2.5));
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //!
 //! * `Eq`/`Ord` via `f64::total_cmp`, so times can key a [`BinaryHeap`]
 //!   (the event queue) — NaN is rejected at construction in debug builds;
-//! * unit-explicit constructors/accessors (`from_millis`, `as_micros`, …) so
-//!   call sites never contain raw unit conversions;
+//! * unit-explicit constructors (`from_millis`, `from_micros`, …) so call
+//!   sites never contain raw unit conversions;
 //! * saturating-at-zero subtraction is *not* provided on purpose: a negative
 //!   elapsed time in a simulator is always a logic error and should surface.
 //!
@@ -56,12 +56,6 @@ impl SimTime {
     #[inline]
     pub fn as_secs(self) -> f64 {
         self.0
-    }
-
-    /// This time expressed in microseconds.
-    #[inline]
-    pub fn as_micros(self) -> f64 {
-        self.0 * 1e6
     }
 
     /// The later of two times.
@@ -220,7 +214,6 @@ mod tests {
     #[test]
     fn constructors_roundtrip() {
         assert_eq!(SimTime::from_millis(1500.0).as_secs(), 1.5);
-        assert_eq!(SimTime::from_secs(2.0).as_micros(), 2e6);
     }
 
     #[test]

@@ -66,7 +66,7 @@
 
 use crate::service::{ramp_load, switch_off_load};
 use redundancy::cancel::CancelToken;
-use redundancy::planner::{moment_gates, LivePlanner, Planner};
+use redundancy::planner::{LivePlanner, Planner};
 use simcore::dist::{DynDist, Exponential};
 use simcore::rng::Rng;
 use simcore::stats::SampleSet;
@@ -96,7 +96,8 @@ pub struct RtConfig {
     pub window: usize,
     /// Moment-estimator window, in observed (scripted) demands; it also
     /// sets when the live moments are trusted and how often they
-    /// recalibrate the threshold ([`moment_gates`]). At least 32.
+    /// recalibrate the threshold ([`LivePlanner::with_moments`]). At
+    /// least 32.
     pub moment_window: usize,
     /// Offered baseline per-server utilization at the ramp start (the
     /// warm-up runs entirely at this load). This shapes the *script
@@ -346,7 +347,7 @@ fn execute(demand_secs: f64, token: &CancelToken) -> bool {
 /// # Panics
 /// Panics on a zero worker count, `servers < 2`, loads outside the
 /// replicated system's stable region, or a `moment_window` below 32
-/// (where its [`moment_gates`] trust gate falls below 2).
+/// (see [`LivePlanner::with_moments`]).
 pub fn run(cfg: &RtConfig) -> RtResult {
     assert!(cfg.workers >= 1, "need at least one worker");
     assert!(cfg.servers >= 2, "need at least 2 servers to replicate");
@@ -400,7 +401,6 @@ pub fn run(cfg: &RtConfig) -> RtResult {
     // which are `Send`, cross to workers).
     let base_planner = Planner::for_service(cfg.service.as_ref());
     let offline_threshold = base_planner.threshold_load();
-    let (min_samples, recalibrate) = moment_gates(cfg.moment_window);
     let mut planner = LivePlanner::new(
         base_planner,
         offline_threshold,
@@ -409,7 +409,7 @@ pub fn run(cfg: &RtConfig) -> RtResult {
         0,
         cfg.load_start,
     )
-    .with_moments(cfg.moment_window, min_samples, recalibrate);
+    .with_moments(cfg.moment_window);
 
     // The request script's two streams: arrival gaps, and each request's
     // demands and placement.

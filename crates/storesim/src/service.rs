@@ -104,13 +104,14 @@ pub enum MomentSource {
     /// response reaches the client, or when it is dispatched if the
     /// servers run PS with cancellation (see
     /// [`run_sharded`](crate::sharded::run_sharded)).
-    /// Until the window's trust gate
-    /// ([`moment_gates`](redundancy::planner::moment_gates)) is met the
-    /// front-end falls back to the clairvoyant threshold (the warm-up
-    /// fallback: a fresh deployment starts from its capacity-planning
-    /// assumptions and then calibrates them away); from then on it
-    /// re-derives the threshold on the cadence `moment_gates` sets,
-    /// memoized on a quantized-SCV grid
+    /// Until the window holds `window / 16` durations the front-end falls
+    /// back to the clairvoyant threshold (the warm-up fallback: a fresh
+    /// deployment starts from its capacity-planning assumptions and then
+    /// calibrates them away); from then on it re-derives the threshold
+    /// every `window / 8` durations
+    /// ([`LivePlanner::with_moments`](redundancy::planner::LivePlanner::with_moments)
+    /// owns both rules; a multi-lane frontend splits the window, and so
+    /// both, across its lanes), memoized on a quantized-SCV grid
     /// ([`ThresholdCache`](redundancy::planner::ThresholdCache)), so a
     /// converged estimator stops paying for the bisection entirely.
     Estimated {

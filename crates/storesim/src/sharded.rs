@@ -7,10 +7,10 @@
 //! many.
 //!
 //! The partition follows the physical message flow: `Arrive` and
-//! `HedgeFire` are frontend-local, `FifoDepart`/`PsDepart` are
-//! server-local, and exactly the events that cross the client↔server
-//! boundary in the model — copy dispatches, responses, and cancellations —
-//! become cross-shard messages carrying the existing one-way
+//! `HedgeFire` are frontend-local, `Depart` is server-local, and exactly
+//! the events that cross the client↔server boundary in the model — copy
+//! dispatches, responses, and cancellations — become cross-shard messages
+//! carrying the existing one-way
 //! [`propagation`](ServiceConfig::propagation) delay, which is therefore
 //! the engine's lookahead window.
 //!
@@ -99,7 +99,7 @@ use crate::service::{
     Frontend, LoadModel, MomentSource, RampBucket, ServiceConfig, ServiceResult,
 };
 use redundancy::estimator::LoadSummary;
-use redundancy::planner::{moment_gates, LivePlanner, Planner};
+use redundancy::planner::{LivePlanner, Planner};
 use redundancy::policy::Policy;
 use simcore::dist::Distribution;
 use simcore::rng::Rng;
@@ -134,11 +134,9 @@ enum SEv {
         demand: f64,
         bucket: u16,
     },
-    /// The in-service FIFO copy at `server` completes (server shard).
-    FifoDepart { server: u16 },
-    /// The PS job set at `server` may have drained its minimum; stale
-    /// epochs are ignored (server shard).
-    PsDepart { server: u16, epoch: u32 },
+    /// `server`'s departure scheduled under `epoch` fires; a stale epoch
+    /// (a PS job set reshaped since) is ignored (server shard).
+    Depart { server: u16, epoch: u32 },
     /// A completion travels back to the client; `demand` is re-surfaced
     /// for completion-mode moment reporting (cross-shard).
     Response { req: u32, server: u16, demand: f64 },
@@ -184,6 +182,34 @@ struct ReqSlot {
     sent: u8,
     hot: bool,
     done: bool,
+}
+
+/// One ramp bucket's measurements on one lane; the lanes' tallies merge
+/// into the bucket's [`RampBucket`] after the run.
+#[derive(Default)]
+struct BucketTally {
+    /// Exact latency samples of the measured requests answered.
+    samples: SampleSet,
+    /// Measured requests that arrived in the bucket.
+    requests: usize,
+    /// Of those, requests that dispatched a second chosen copy.
+    k2: usize,
+    /// Requests whose shard the hot server stores.
+    hot: usize,
+    /// Hot requests that dispatched a second chosen copy.
+    hot_k2: usize,
+}
+
+impl BucketTally {
+    /// Folds `other` in after this tally's own record; merging into an
+    /// empty tally moves `other`'s samples instead of copying them.
+    fn merge(&mut self, other: BucketTally) {
+        self.samples.merge(other.samples);
+        self.requests += other.requests;
+        self.k2 += other.k2;
+        self.hot += other.hot;
+        self.hot_k2 += other.hot_k2;
+    }
 }
 
 /// Immutable tables shared by every lane.
@@ -239,12 +265,8 @@ struct Lane {
     front: usize,
     /// Most slots the window has held at once.
     peak_window: usize,
-    /// Measured latency samples per ramp bucket.
-    bucket_samples: Vec<SampleSet>,
-    bucket_reqs: Vec<usize>,
-    bucket_k2: Vec<usize>,
-    bucket_hot: Vec<usize>,
-    bucket_hot_k2: Vec<usize>,
+    /// What this lane measured in each ramp bucket.
+    buckets: Vec<BucketTally>,
     /// Bucket of this lane's latest measured arrival ([`NO_BUCKET`]
     /// until the first); every dispatched copy carries it.
     cur_bucket: u16,
@@ -345,9 +367,10 @@ impl Lane {
         // not a planner choice, so a k = 1 request never counts.
         if from < 2 && to >= 2 && self.reqs[slot].k >= 2 && (req as usize) >= self.st.cfg.warmup {
             let b = self.bucket_of(self.reqs[slot].offered);
-            self.bucket_k2[b] += 1;
+            let tally = &mut self.buckets[b];
+            tally.k2 += 1;
             if self.reqs[slot].hot {
-                self.bucket_hot_k2[b] += 1;
+                tally.hot_k2 += 1;
             }
         }
         self.reqs[slot].sent = to as u8;
@@ -469,9 +492,9 @@ impl Lane {
 
         if i >= self.st.cfg.warmup {
             let b = self.bucket_of(offered);
-            self.bucket_reqs[b] += 1;
+            self.buckets[b].requests += 1;
             if hot {
-                self.bucket_hot[b] += 1;
+                self.buckets[b].hot += 1;
             }
             self.cur_bucket = b as u16;
         }
@@ -520,7 +543,7 @@ impl Lane {
         let offered = state.offered;
         if i >= self.st.cfg.warmup {
             let b = self.bucket_of(offered);
-            self.bucket_samples[b].push(rt);
+            self.buckets[b].samples.push(rt);
             self.completed += 1;
         }
         if self.st.cfg.cancellation && self.reqs[slot].sent > 1 {
@@ -655,18 +678,6 @@ impl Lane {
     }
 }
 
-#[derive(Default)]
-struct FifoServer {
-    /// `(request id, service demand)` of the queued copies.
-    queue: VecDeque<(u32, f64)>,
-    /// `(request id, service demand)` of the copy in service, if any —
-    /// the demand is re-surfaced at departure as the server's measured
-    /// duration report to the moment estimator.
-    in_service: Option<(u32, f64)>,
-    /// Cumulative busy time, accrued as a lump at each service start.
-    busy: f64,
-}
-
 struct PsJob {
     req: u32,
     /// Total service demand (reported to the moment estimator at
@@ -675,42 +686,196 @@ struct PsJob {
     remaining: f64,
 }
 
-#[derive(Default)]
-struct PsServer {
-    jobs: Vec<PsJob>,
-    /// Time the shared-progress clock was last advanced to.
-    last: f64,
-    /// Departure-schedule generation; stale `PsDepart`s are ignored.
-    epoch: u32,
-    /// Cumulative busy time, accrued continuously by `advance`.
-    busy: f64,
+/// Advances a PS job set's shared-progress clock from `last` to `now`.
+fn advance(jobs: &mut [PsJob], last: &mut f64, busy: &mut f64, now: f64) {
+    let elapsed = now - *last;
+    if elapsed > 0.0 && !jobs.is_empty() {
+        let share = elapsed / jobs.len() as f64;
+        for j in jobs.iter_mut() {
+            j.remaining -= share;
+        }
+        *busy += elapsed;
+    }
+    *last = now;
 }
 
-impl PsServer {
-    /// Advances the shared-progress clock to `now`.
-    fn advance(&mut self, now: f64) {
-        let elapsed = now - self.last;
-        if elapsed > 0.0 && !self.jobs.is_empty() {
-            let share = elapsed / self.jobs.len() as f64;
-            for j in &mut self.jobs {
-                j.remaining -= share;
-            }
-            self.busy += elapsed;
+/// One server under the configured [`Discipline`]: it owns its queue, its
+/// busy-time accrual, the scheduling of its next departure and what a
+/// cancellation purges, so a [`Group`] only routes copies to it.
+enum Server {
+    /// One copy in service, the rest queued in arrival order.
+    Fifo {
+        /// `(request id, service demand)` of the queued copies.
+        queue: VecDeque<(u32, f64)>,
+        /// `(request id, service demand)` of the copy in service, if any —
+        /// the demand is re-surfaced at departure as the server's measured
+        /// duration report to the moment estimator.
+        in_service: Option<(u32, f64)>,
+        /// Cumulative busy time, accrued as a lump at each service start.
+        busy: f64,
+    },
+    /// Processor sharing: every resident copy progresses at `1/n` speed.
+    Ps {
+        jobs: Vec<PsJob>,
+        /// Time the shared-progress clock was last advanced to.
+        last: f64,
+        /// Departure-schedule generation; a `Depart` of an older one is
+        /// stale and ignored.
+        epoch: u32,
+        /// Cumulative busy time, accrued continuously by `advance`.
+        busy: f64,
+    },
+}
+
+impl Server {
+    fn new(discipline: Discipline) -> Self {
+        match discipline {
+            Discipline::Fifo => Server::Fifo {
+                queue: VecDeque::new(),
+                in_service: None,
+                busy: 0.0,
+            },
+            Discipline::Ps => Server::Ps {
+                jobs: Vec::new(),
+                last: 0.0,
+                epoch: 0,
+                busy: 0.0,
+            },
         }
-        self.last = now;
     }
 
-    /// Next departure instant for the current job set, if any.
-    fn next_departure(&self, now: f64) -> Option<f64> {
-        let min = self
-            .jobs
-            .iter()
-            .map(|j| j.remaining)
-            .fold(f64::INFINITY, f64::min);
-        if min.is_finite() {
-            Some(now + min.max(0.0) * self.jobs.len() as f64)
-        } else {
-            None
+    /// Cumulative busy time as of `t`: FIFO accrues a copy's whole demand
+    /// at service start (so a saturated stretch can read slightly above
+    /// 1), PS continuously — a resident PS job set has been busy since
+    /// `last`.
+    fn busy_at(&self, t: f64) -> f64 {
+        match self {
+            Server::Ps {
+                jobs, last, busy, ..
+            } if !jobs.is_empty() => busy + (t - last),
+            Server::Fifo { busy, .. } | Server::Ps { busy, .. } => *busy,
+        }
+    }
+
+    /// No copy queued or in service.
+    fn is_idle(&self) -> bool {
+        match self {
+            Server::Fifo {
+                queue, in_service, ..
+            } => in_service.is_none() && queue.is_empty(),
+            Server::Ps { jobs, .. } => jobs.is_empty(),
+        }
+    }
+
+    /// Schedules this server's next departure (it is server `id`): FIFO
+    /// starts its next queued copy, if any; PS re-plans its earliest
+    /// completion under a new epoch. A FIFO departure is never withdrawn,
+    /// so its epoch is always 0.
+    fn schedule(&mut self, t: f64, id: u16, ctx: &mut ShardCtx<'_, SEv>) {
+        let next = match self {
+            Server::Fifo {
+                queue,
+                in_service,
+                busy,
+            } => {
+                *in_service = queue.pop_front();
+                in_service.map(|(_, svc)| {
+                    *busy += svc;
+                    (t + svc, 0)
+                })
+            }
+            Server::Ps { jobs, epoch, .. } => {
+                *epoch = epoch.wrapping_add(1);
+                let min = jobs
+                    .iter()
+                    .map(|j| j.remaining)
+                    .fold(f64::INFINITY, f64::min);
+                min.is_finite()
+                    .then(|| (t + min.max(0.0) * jobs.len() as f64, *epoch))
+            }
+        };
+        if let Some((at, epoch)) = next {
+            ctx.schedule_at(SimTime::from_secs(at), SEv::Depart { server: id, epoch });
+        }
+    }
+
+    /// A copy of `req` with service `demand` joins the server.
+    fn arrive(&mut self, t: f64, req: u32, demand: f64, id: u16, ctx: &mut ShardCtx<'_, SEv>) {
+        match self {
+            Server::Fifo {
+                queue, in_service, ..
+            } => {
+                queue.push_back((req, demand));
+                if in_service.is_some() {
+                    return;
+                }
+            }
+            Server::Ps {
+                jobs, last, busy, ..
+            } => {
+                advance(jobs, last, busy, t);
+                jobs.push(PsJob {
+                    req,
+                    size: demand,
+                    remaining: demand,
+                });
+            }
+        }
+        self.schedule(t, id, ctx);
+    }
+
+    /// The departure scheduled under `epoch` fires: removes and returns the
+    /// finished copy's `(request id, demand)`, or `None` for a stale PS
+    /// schedule. The caller answers it, then calls [`schedule`](Self::schedule).
+    fn depart(&mut self, t: f64, epoch: u32) -> Option<(u32, f64)> {
+        match self {
+            Server::Fifo { in_service, .. } => {
+                Some(in_service.take().expect("depart with idle server"))
+            }
+            Server::Ps {
+                jobs,
+                last,
+                epoch: current,
+                busy,
+            } => {
+                if *current != epoch {
+                    return None;
+                }
+                advance(jobs, last, busy, t);
+                let idx = jobs
+                    .iter()
+                    .enumerate()
+                    .min_by(|a, b| a.1.remaining.total_cmp(&b.1.remaining))?
+                    .0;
+                let job = jobs.remove(idx);
+                Some((job.req, job.size))
+            }
+        }
+    }
+
+    /// Purges `req`'s copies and returns how many went. FIFO purges only
+    /// queued copies — the one in service runs to completion (a disk read
+    /// cannot be withdrawn mid-seek); PS drops in-progress work too
+    /// (closing the shared connection frees the server's share).
+    fn cancel(&mut self, t: f64, req: u32, id: u16, ctx: &mut ShardCtx<'_, SEv>) -> u64 {
+        match self {
+            Server::Fifo { queue, .. } => {
+                let before = queue.len();
+                queue.retain(|&(r, _)| r != req);
+                (before - queue.len()) as u64
+            }
+            Server::Ps {
+                jobs, last, busy, ..
+            } => {
+                advance(jobs, last, busy, t);
+                let before = jobs.len();
+                jobs.retain(|j| j.req != req);
+                let purged = (before - jobs.len()) as u64;
+                if purged > 0 {
+                    self.schedule(t, id, ctx);
+                }
+                purged
+            }
         }
     }
 }
@@ -723,10 +888,11 @@ struct Group {
     lo: usize,
     /// Lane count: request `req` belongs to lane (and shard) `req % lanes`.
     lanes: u32,
-    discipline: Discipline,
     propagation: f64,
-    fifo: Vec<FifoServer>,
-    ps: Vec<PsServer>,
+    servers: Vec<Server>,
+    /// Copies that completed service and were answered.
+    served: u64,
+    /// Copies purged by cancellations.
     cancelled: u64,
     // --- per-bucket busy slicing (see the module docs) ---
     /// Ramp bucket of the open busy slice ([`NO_BUCKET`] until the first
@@ -744,33 +910,15 @@ struct Group {
 }
 
 impl Group {
-    /// Cumulative busy time of local server `s` as of `t`: FIFO accrues
-    /// a copy's whole demand at service start (so a saturated stretch can
-    /// read slightly above 1), PS continuously — a resident PS job set
-    /// has been busy since `last`.
-    fn busy_at(&self, s: usize, t: f64) -> f64 {
-        match self.discipline {
-            Discipline::Fifo => self.fifo[s].busy,
-            Discipline::Ps => {
-                let srv = &self.ps[s];
-                if srv.jobs.is_empty() {
-                    srv.busy
-                } else {
-                    srv.busy + (t - srv.last)
-                }
-            }
-        }
-    }
-
     /// Closes the open busy slice at `t` — each server's busy delta and
     /// the slice's duration accrue to its bucket — and opens one for
     /// `bucket`. The first measured copy only opens a slice: warm-up busy
     /// time belongs to no bucket.
     fn slice_at(&mut self, t: f64, bucket: u16) {
-        let n = self.snap_busy.len();
+        let n = self.servers.len();
         let open = (self.bucket != NO_BUCKET).then_some(self.bucket as usize);
-        for s in 0..n {
-            let busy = self.busy_at(s, t);
+        for (s, srv) in self.servers.iter().enumerate() {
+            let busy = srv.busy_at(t);
             if let Some(b) = open {
                 self.bucket_busy[b * n + s] += busy - self.snap_busy[s];
             }
@@ -786,7 +934,7 @@ impl Group {
     /// Raises `peak[b]` to this group's largest per-server busy fraction
     /// in bucket `b` (buckets without slice time are left alone).
     fn fold_peaks(&self, peak: &mut [f64]) {
-        let n = self.snap_busy.len();
+        let n = self.servers.len();
         for (b, p) in peak.iter_mut().enumerate() {
             let elapsed = self.bucket_elapsed[b];
             if elapsed > 0.0 {
@@ -794,49 +942,6 @@ impl Group {
                     *p = p.max(busy / elapsed);
                 }
             }
-        }
-    }
-
-    /// Sends a completion back to the lane owning `req`.
-    fn respond(&self, req: u32, server: u16, demand: f64, ctx: &mut ShardCtx<'_, SEv>) {
-        ctx.send(
-            (req % self.lanes) as usize,
-            SimTime::from_secs(self.propagation),
-            SEv::Response {
-                req,
-                server,
-                demand,
-            },
-        );
-    }
-
-    fn fifo_start_next(&mut self, s: usize, t: f64, ctx: &mut ShardCtx<'_, SEv>) {
-        let srv = &mut self.fifo[s];
-        if let Some((req, svc)) = srv.queue.pop_front() {
-            srv.in_service = Some((req, svc));
-            srv.busy += svc;
-            ctx.schedule_at(
-                SimTime::from_secs(t + svc),
-                SEv::FifoDepart {
-                    server: (self.lo + s) as u16,
-                },
-            );
-        } else {
-            srv.in_service = None;
-        }
-    }
-
-    fn ps_reschedule(&mut self, s: usize, t: f64, ctx: &mut ShardCtx<'_, SEv>) {
-        let srv = &mut self.ps[s];
-        srv.epoch = srv.epoch.wrapping_add(1);
-        if let Some(at) = srv.next_departure(t) {
-            ctx.schedule_at(
-                SimTime::from_secs(at),
-                SEv::PsDepart {
-                    server: (self.lo + s) as u16,
-                    epoch: srv.epoch,
-                },
-            );
         }
     }
 
@@ -854,88 +959,30 @@ impl Group {
         if bucket != NO_BUCKET && bucket != self.bucket {
             self.slice_at(t, bucket);
         }
-        let s = server as usize - self.lo;
-        match self.discipline {
-            Discipline::Fifo => {
-                let srv = &mut self.fifo[s];
-                srv.queue.push_back((req, demand));
-                if srv.in_service.is_none() {
-                    self.fifo_start_next(s, t, ctx);
-                }
-            }
-            Discipline::Ps => {
-                let srv = &mut self.ps[s];
-                srv.advance(t);
-                srv.jobs.push(PsJob {
-                    req,
-                    size: demand,
-                    remaining: demand,
-                });
-                self.ps_reschedule(s, t, ctx);
-            }
-        }
+        self.servers[server as usize - self.lo].arrive(t, req, demand, server, ctx);
     }
 
-    fn fifo_depart(&mut self, t: f64, server: u16, ctx: &mut ShardCtx<'_, SEv>) {
-        let s = server as usize - self.lo;
-        let (req, svc) = self.fifo[s]
-            .in_service
-            .take()
-            .expect("depart with idle server");
-        self.respond(req, server, svc, ctx);
-        self.fifo_start_next(s, t, ctx);
-    }
-
-    fn ps_depart(&mut self, t: f64, server: u16, epoch: u32, ctx: &mut ShardCtx<'_, SEv>) {
-        let s = server as usize - self.lo;
-        if self.ps[s].epoch != epoch {
-            return; // stale schedule
-        }
-        self.ps[s].advance(t);
-        let Some(idx) = self.ps[s]
-            .jobs
-            .iter()
-            .enumerate()
-            .min_by(|a, b| a.1.remaining.total_cmp(&b.1.remaining))
-            .map(|(i, _)| i)
-        else {
+    /// A departure fires: the finished copy's response goes back to the
+    /// lane owning its request, then the server schedules its next one.
+    fn depart(&mut self, t: f64, server: u16, epoch: u32, ctx: &mut ShardCtx<'_, SEv>) {
+        let srv = &mut self.servers[server as usize - self.lo];
+        let Some((req, demand)) = srv.depart(t, epoch) else {
             return;
         };
-        let job = self.ps[s].jobs.remove(idx);
-        self.respond(job.req, server, job.size, ctx);
-        self.ps_reschedule(s, t, ctx);
+        self.served += 1;
+        let ev = SEv::Response {
+            req,
+            server,
+            demand,
+        };
+        let delay = SimTime::from_secs(self.propagation);
+        ctx.send((req % self.lanes) as usize, delay, ev);
+        srv.schedule(t, server, ctx);
     }
 
     fn cancel(&mut self, t: f64, req: u32, server: u16, ctx: &mut ShardCtx<'_, SEv>) {
-        let s = server as usize - self.lo;
-        match self.discipline {
-            Discipline::Fifo => {
-                // Queued copies of the cancelled request are purged; the
-                // in-service copy runs to completion (a disk read cannot
-                // be withdrawn mid-seek).
-                let before = self.fifo[s].queue.len();
-                self.fifo[s].queue.retain(|&(r, _)| r != req);
-                self.cancelled += (before - self.fifo[s].queue.len()) as u64;
-            }
-            Discipline::Ps => {
-                // PS drops in-progress work too: closing the shared
-                // connection frees the server's share.
-                self.ps[s].advance(t);
-                let before = self.ps[s].jobs.len();
-                self.ps[s].jobs.retain(|j| j.req != req);
-                if self.ps[s].jobs.len() != before {
-                    self.cancelled += (before - self.ps[s].jobs.len()) as u64;
-                    self.ps_reschedule(s, t, ctx);
-                }
-            }
-        }
-    }
-
-    fn busy_total(&self) -> f64 {
-        match self.discipline {
-            Discipline::Fifo => self.fifo.iter().map(|s| s.busy).sum(),
-            Discipline::Ps => self.ps.iter().map(|s| s.busy).sum(),
-        }
+        let srv = &mut self.servers[server as usize - self.lo];
+        self.cancelled += srv.cancel(t, req, server, ctx);
     }
 }
 
@@ -981,8 +1028,7 @@ impl ShardLogic for Node {
                     bucket,
                 },
             ) => g.copy_arrive(t, req, server, demand, bucket, ctx),
-            (Node::Group(g), SEv::FifoDepart { server }) => g.fifo_depart(t, server, ctx),
-            (Node::Group(g), SEv::PsDepart { server, epoch }) => g.ps_depart(t, server, epoch, ctx),
+            (Node::Group(g), SEv::Depart { server, epoch }) => g.depart(t, server, epoch, ctx),
             (Node::Group(g), SEv::Cancel { req, server }) => g.cancel(t, req, server, ctx),
             _ => unreachable!("event routed to the wrong shard kind"),
         }
@@ -1060,9 +1106,8 @@ impl ShardedOutcome {
 /// offered load that saturates the cluster (`max_copies × load ≥ 1` for
 /// `Always` policies, `2 × load_start ≥ 1` for the adaptive mode, which
 /// replicates only below the sub-½ threshold), non-positive propagation
-/// (it is the lookahead), an estimated-moments window whose trust gate
-/// ([`moment_gates`]) falls outside `[2, window]` per lane, after both are
-/// split across the lanes (at one lane: a window below 32), or an
+/// (it is the lookahead), an estimated-moments window below 32 per lane
+/// once split across the lanes (see [`LivePlanner::with_moments`]), or an
 /// inconsistent lane/autoscale setup. Also panics if `groups` is outside
 /// `[1, servers]`.
 ///
@@ -1151,13 +1196,15 @@ pub fn run_sharded(cfg: &ServiceConfig, groups: usize, threads: usize) -> Sharde
         let place_rng = root.fork((3 * l + 2) as u64);
         let svc_rng = root.fork((3 * l + 3) as u64);
 
-        // A lane sees a `1/lanes` thinning of the arrival stream, so a
-        // window of `window` of its own gaps would span `lanes`× more
-        // simulated time than the single-lane estimator's — and lag a
-        // ramp `lanes`× harder. Scaling the per-lane window down keeps
-        // the aggregate time horizon (and so the estimator's
-        // responsiveness) what the config asked for; at one lane the
-        // division is exact and nothing changes.
+        // A lane sees a `1/lanes` thinning of the arrival and demand
+        // streams, so a window of `window` of its own gaps or demands
+        // would span `lanes`× more simulated time than the single-lane
+        // estimator's — and lag a ramp `lanes`× harder. Scaling the
+        // per-lane windows down keeps the aggregate time horizon (and so
+        // the estimator's responsiveness) what the config asked for, and
+        // with it the moment window's trust point and recalibration
+        // cadence, which `with_moments` derives from the window; at one
+        // lane the division is exact and nothing changes.
         let lane_window = |w: usize| (w / lanes).max(2);
         let width = if statics.per_server { cfg.servers } else { 1 };
         let window = match &cfg.frontend {
@@ -1178,12 +1225,7 @@ pub fn run_sharded(cfg: &ServiceConfig, groups: usize, threads: usize) -> Sharde
             ..
         } = &cfg.frontend
         {
-            let (min_samples, recalibrate) = moment_gates(*window);
-            live = live.with_moments(
-                lane_window(*window),
-                min_samples.div_ceil(lanes),
-                recalibrate,
-            );
+            live = live.with_moments(lane_window(*window));
         }
 
         // Lane l owns requests {l, l+lanes, l+2·lanes, …} below `total`.
@@ -1201,11 +1243,7 @@ pub fn run_sharded(cfg: &ServiceConfig, groups: usize, threads: usize) -> Sharde
             reqs: VecDeque::new(),
             front: 0,
             peak_window: 0,
-            bucket_samples: (0..cfg.buckets).map(|_| SampleSet::new()).collect(),
-            bucket_reqs: vec![0; cfg.buckets],
-            bucket_k2: vec![0; cfg.buckets],
-            bucket_hot: vec![0; cfg.buckets],
-            bucket_hot_k2: vec![0; cfg.buckets],
+            buckets: (0..cfg.buckets).map(|_| BucketTally::default()).collect(),
             cur_bucket: NO_BUCKET,
             copies_issued: 0,
             completed: 0,
@@ -1241,17 +1279,12 @@ pub fn run_sharded(cfg: &ServiceConfig, groups: usize, threads: usize) -> Sharde
     }
     for g in 0..groups {
         let n = bounds[g + 1] - bounds[g];
-        let (fifo, ps) = match cfg.discipline {
-            Discipline::Fifo => ((0..n).map(|_| FifoServer::default()).collect(), Vec::new()),
-            Discipline::Ps => (Vec::new(), (0..n).map(|_| PsServer::default()).collect()),
-        };
         nodes.push(Node::Group(Box::new(Group {
             lo: bounds[g],
             lanes: lanes as u32,
-            discipline: cfg.discipline,
             propagation: cfg.propagation,
-            fifo,
-            ps,
+            servers: (0..n).map(|_| Server::new(cfg.discipline)).collect(),
+            served: 0,
             cancelled: 0,
             bucket: NO_BUCKET,
             snap_busy: vec![0.0; n],
@@ -1278,6 +1311,7 @@ pub fn run_sharded(cfg: &ServiceConfig, groups: usize, threads: usize) -> Sharde
 
     let mut lanes_out: Vec<Lane> = Vec::with_capacity(lanes);
     let mut busy = 0.0f64;
+    let mut copies_served = 0u64;
     let mut copies_cancelled = 0u64;
     // Per-bucket peak busy fraction over every server; the final slice
     // runs through the post-arrival drain.
@@ -1288,7 +1322,16 @@ pub fn run_sharded(cfg: &ServiceConfig, groups: usize, threads: usize) -> Sharde
         match node {
             Node::Lane(lane) => lanes_out.push(*lane),
             Node::Group(mut g) => {
-                busy += g.busy_total();
+                debug_assert!(
+                    g.servers.iter().all(Server::is_idle),
+                    "a server still holds a copy after the drain"
+                );
+                busy += g
+                    .servers
+                    .iter()
+                    .map(|srv| srv.busy_at(end_time))
+                    .sum::<f64>();
+                copies_served += g.served;
                 copies_cancelled += g.cancelled;
                 g.slice_at(end_time, NO_BUCKET);
                 g.fold_peaks(&mut peak);
@@ -1325,6 +1368,13 @@ pub fn run_sharded(cfg: &ServiceConfig, groups: usize, threads: usize) -> Sharde
         recalibrations += lane.planner.recalibrations();
         summaries += lane.summaries_sent;
     }
+    // Conservation: every dispatched copy was either served and answered
+    // or purged by a cancellation, exactly once.
+    debug_assert_eq!(
+        copies_issued,
+        copies_served + copies_cancelled,
+        "copies issued vs served + cancelled"
+    );
 
     let span = statics.span;
     let buckets: Vec<RampBucket> = (0..cfg.buckets)
@@ -1335,20 +1385,14 @@ pub fn run_sharded(cfg: &ServiceConfig, groups: usize, threads: usize) -> Sharde
                 span / cfg.buckets as f64
             };
             let load = cfg.load_start + width * (b as f64 + 0.5);
-            // The lanes' samples move into the merged set (a single
-            // lane's vector is taken whole, never copied).
-            let mut samples = SampleSet::new();
-            let mut requests = 0usize;
-            let mut k2_requests = 0usize;
-            let mut hot_requests = 0usize;
-            let mut hot_k2_requests = 0usize;
+            // The lanes' tallies merge one bucket at a time, so only one
+            // merged sample set is alive at once (a single lane's samples
+            // are taken whole, never copied).
+            let mut tally = BucketTally::default();
             for lane in &mut lanes_out {
-                samples.merge(std::mem::take(&mut lane.bucket_samples[b]));
-                requests += lane.bucket_reqs[b];
-                k2_requests += lane.bucket_k2[b];
-                hot_requests += lane.bucket_hot[b];
-                hot_k2_requests += lane.bucket_hot_k2[b];
+                tally.merge(std::mem::take(&mut lane.buckets[b]));
             }
+            let samples = &mut tally.samples;
             let (mean_response, p99) = if samples.is_empty() {
                 (f64::NAN, f64::NAN)
             } else {
@@ -1356,13 +1400,13 @@ pub fn run_sharded(cfg: &ServiceConfig, groups: usize, threads: usize) -> Sharde
             };
             RampBucket {
                 load,
-                requests,
-                k2_requests,
+                requests: tally.requests,
+                k2_requests: tally.k2,
                 mean_response,
                 p99,
                 peak_utilization: peak[b],
-                hot_requests,
-                hot_k2_requests,
+                hot_requests: tally.hot,
+                hot_k2_requests: tally.hot_k2,
             }
         })
         .collect();
@@ -1847,5 +1891,28 @@ mod tests {
         let cfg = short(small_ramp());
         let pooled = crate::experiments::run_service_ramp_on(&Runner::new(3), &cfg, 3);
         assert_complete("3 replications", &pooled, 3 * cfg.requests);
+    }
+
+    #[test]
+    fn lanes_split_the_recalibration_cadence_with_the_window() {
+        // Each of 4 lanes sees a quarter of the demands through a quarter
+        // of the moment window, so it recalibrates every quarter as many
+        // of its own demands: the single-lane cadence in simulated time,
+        // and about 4x the single-lane run's recalibrations in total.
+        let run = |lanes: usize| {
+            let mut cfg = small_ramp();
+            cfg.frontend_lanes = lanes;
+            cfg.frontend = Frontend::Adaptive {
+                window: 512,
+                moments: MomentSource::Estimated { window: 2048 },
+                load_model: LoadModel::Global,
+            };
+            run_sharded(&cfg, 4, 1).result.recalibrations
+        };
+        let (one, four) = (run(1), run(4));
+        assert!(
+            one > 0 && (3 * one..=5 * one).contains(&four),
+            "recalibrations: 1 lane {one}, 4 lanes {four}"
+        );
     }
 }

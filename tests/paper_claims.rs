@@ -24,8 +24,7 @@ fn threshold_band_holds_across_distributions() {
         let t = threshold_load(&dist.as_ref(), &opts);
         assert!(
             (0.22..0.5).contains(&t),
-            "{}: threshold {t} outside the paper's band",
-            dist.label()
+            "{dist:?}: threshold {t} outside the paper's band"
         );
     }
 }

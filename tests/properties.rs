@@ -138,14 +138,13 @@ fn unit_mean_families_normalized() {
         };
         assert!(
             (dist.mean() - 1.0).abs() < 1e-6,
-            "{} mean {}",
-            dist.label(),
+            "{dist:?} mean {}",
             dist.mean()
         );
         let mut sample_rng = Rng::seed_from(seed);
         for _ in 0..200 {
             let x = dist.sample(&mut sample_rng);
-            assert!(x > 0.0 && x.is_finite(), "{}: sample {x}", dist.label());
+            assert!(x > 0.0 && x.is_finite(), "{dist:?}: sample {x}");
         }
     }
 }
@@ -291,8 +290,7 @@ fn sampling_is_deterministic_across_runs() {
             assert_eq!(
                 d.sample(&mut a).to_bits(),
                 d.sample(&mut b).to_bits(),
-                "{} diverged",
-                d.label()
+                "{d:?} diverged"
             );
         }
     }
@@ -331,8 +329,7 @@ fn parallel_sweeps_bit_identical_across_thread_counts() {
             assert_eq!(
                 thr_base.to_bits(),
                 thr.to_bits(),
-                "{}: threshold diverged at {threads} threads",
-                dist.label()
+                "{dist:?}: threshold diverged at {threads} threads"
             );
             let pts = mean_vs_load_on(&runner, &dist.as_ref(), &loads, 5_000, 0xBEE);
             for (a, b) in pts_base.iter().zip(&pts) {
@@ -345,8 +342,7 @@ fn parallel_sweeps_bit_identical_across_thread_counts() {
                     assert_eq!(
                         x.to_bits(),
                         y.to_bits(),
-                        "{}: sweep diverged at {threads} threads",
-                        dist.label()
+                        "{dist:?}: sweep diverged at {threads} threads"
                     );
                 }
             }
