@@ -7,7 +7,8 @@
 //! machines or runs. The *decision trace* is deterministic, and this
 //! experiment asserts it in-run: the same script is served at 1, 4, and
 //! 8 worker threads and every trace fingerprint must match before the
-//! report is emitted.
+//! report is emitted. Each run must also answer every request and account
+//! every dispatched copy exactly once.
 
 use crate::util::{num, Report};
 use crate::Effort;
@@ -18,13 +19,14 @@ use storesim::rt::{run, RtConfig};
 pub const WALL_CLOCK_IDS: &[&str] = &["svc-rt"];
 
 /// Runs the scripted wall-clock service at several worker counts,
-/// asserts the decision traces are identical, and reports the
-/// deterministic trace statistics followed by the (non-deterministic)
-/// wall-clock numbers.
+/// asserts the decision traces are identical and every copy accounted, and
+/// reports the deterministic trace statistics followed by the
+/// (non-deterministic) wall-clock numbers.
 ///
 /// # Panics
 /// Panics if any worker count produces a different decision trace — that
-/// would mean wall-clock state leaked into the planner inputs.
+/// would mean wall-clock state leaked into the planner inputs — or leaves
+/// a request unanswered or a dispatched copy unaccounted.
 pub fn svc_rt(effort: Effort) -> String {
     let requests = effort.scale(100_000, 20_000);
     let worker_counts = [1usize, 4, 8];
@@ -33,11 +35,17 @@ pub fn svc_rt(effort: Effort) -> String {
         .map(|&w| run(&RtConfig::smoke(requests, w)))
         .collect();
     let base = &runs[0];
-    for out in &runs[1..] {
+    for out in &runs {
         assert_eq!(
             out.trace_fingerprint, base.trace_fingerprint,
             "decision trace diverged across worker counts — wall-clock \
              state leaked into the planner inputs"
+        );
+        assert_eq!(out.responses, out.requests, "{out:?}");
+        assert_eq!(
+            out.issued_copies,
+            out.responses + out.late + out.purged + out.aborted,
+            "a dispatched copy is unaccounted: {out:?}"
         );
     }
 
@@ -93,7 +101,9 @@ pub fn svc_rt(effort: Effort) -> String {
             out.aborted.to_string(),
         ]);
     }
-    r.note("every dispatched copy is accounted: responses + late + purged + aborted");
+    r.note(
+        "every dispatched copy is accounted (asserted in-run): responses + late + purged + aborted",
+    );
     r.finish()
 }
 
@@ -103,6 +113,8 @@ mod tests {
 
     #[test]
     fn svc_rt_quick_renders_and_asserts_determinism() {
+        // Also asserts, at 1, 4 and 8 workers, that every request is
+        // answered and every dispatched copy accounted.
         let out = svc_rt(Effort::Quick);
         assert!(out.contains("trace fingerprint"));
         assert!(out.contains("planner switch-off load"));

@@ -2,9 +2,11 @@
 //!
 //! [`race`] runs every copy immediately (the paper's scheme); [`hedged`]
 //! releases additional copies only after a delay (tied/hedged requests).
-//! Losers are signalled through a [`CancelToken`]; whether they honor it is
-//! up to the closure — exactly the spectrum between the paper's
-//! no-cancellation model and Dean & Barroso's tied requests.
+//! Losers are signalled through a [`CancelToken`], which each replica's
+//! thread cancels as soon as its closure returns; only the copy whose call
+//! cancelled it reports, so that copy is the response. Whether a loser
+//! honors the token is up to the closure — exactly the spectrum between the
+//! paper's no-cancellation model and Dean & Barroso's tied requests.
 
 #![expect(
     clippy::disallowed_types,
@@ -17,6 +19,8 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 /// A replica operation: runs with a cancellation token, produces a value.
+/// The racer cancels the token when a copy returns; a closure that cancels
+/// it itself gives up its own report.
 pub type Replica<T> = Box<dyn FnOnce(&CancelToken) -> T + Send>;
 
 /// Wraps a closure as a [`Replica`] (helps type inference at call sites).
@@ -41,8 +45,8 @@ pub struct RaceOutcome<T> {
     pub launched: usize,
 }
 
-/// Races all copies at once; returns the first response, cancelling the
-/// rest. Returns `None` on an empty input.
+/// Races all copies at once; returns the first response. The first copy
+/// to return cancels the rest. Returns `None` on an empty input.
 ///
 /// Loser threads are detached: they continue until they observe the token
 /// (or finish), mirroring the paper's both-copies-do-work accounting.
@@ -53,18 +57,14 @@ pub fn race<T: Send + 'static>(ops: Vec<Replica<T>>) -> Option<RaceOutcome<T>> {
     let start = Instant::now();
     let token = CancelToken::new();
     let n = ops.len();
-    let (tx, rx) = mpsc::sync_channel::<(usize, T)>(n);
+    let (tx, rx) = mpsc::channel();
     for (i, op) in ops.into_iter().enumerate() {
         let tx = tx.clone();
         let token = token.clone();
-        thread::spawn(move || {
-            let out = op(&token);
-            let _ = tx.send((i, out));
-        });
+        thread::spawn(move || run_replica(i, op, &token, &tx));
     }
     drop(tx);
     let (winner, value) = rx.recv().ok()?;
-    token.cancel();
     Some(RaceOutcome {
         value,
         winner,
@@ -74,8 +74,9 @@ pub fn race<T: Send + 'static>(ops: Vec<Replica<T>>) -> Option<RaceOutcome<T>> {
 }
 
 /// Hedged execution: launch copy 0 immediately and each subsequent copy
-/// only after `delay` more of silence. First response wins; stragglers are
-/// cancelled.
+/// only after `delay` more of silence. First response wins and cancels the
+/// stragglers; a hedge released just after the primary returned starts
+/// already cancelled and never reports.
 ///
 /// Returns `None` on an empty input.
 pub fn hedged<T: Send + 'static>(ops: Vec<Replica<T>>, delay: Duration) -> Option<RaceOutcome<T>> {
@@ -84,7 +85,7 @@ pub fn hedged<T: Send + 'static>(ops: Vec<Replica<T>>, delay: Duration) -> Optio
     }
     let start = Instant::now();
     let token = CancelToken::new();
-    let (tx, rx) = mpsc::channel::<(usize, T)>();
+    let (tx, rx) = mpsc::channel();
     let mut launched = 0usize;
     // Each copy takes a sender at launch, the last one the original, so
     // once every launched copy has panicked `rx` disconnects instead of
@@ -96,10 +97,7 @@ pub fn hedged<T: Send + 'static>(ops: Vec<Replica<T>>, delay: Duration) -> Optio
         match pending.next() {
             Some((i, (op, tx))) => {
                 let token = token.clone();
-                thread::spawn(move || {
-                    let out = op(&token);
-                    let _ = tx.send((i, out));
-                });
+                thread::spawn(move || run_replica(i, op, &token, &tx));
                 *launched += 1;
                 true
             }
@@ -108,37 +106,35 @@ pub fn hedged<T: Send + 'static>(ops: Vec<Replica<T>>, delay: Duration) -> Optio
     };
 
     launch_next(&mut launched);
-    loop {
+    let (winner, value) = loop {
         match rx.recv_timeout(delay) {
-            Ok((winner, value)) => {
-                token.cancel();
-                return Some(RaceOutcome {
-                    value,
-                    winner,
-                    latency: start.elapsed(),
-                    launched,
-                });
-            }
+            Ok(first) => break first,
+            // Silence: release the next hedge (if any remain, else keep
+            // waiting for whatever is in flight).
             Err(mpsc::RecvTimeoutError::Timeout) => {
-                // Silence: release the next hedge (if any remain, else keep
-                // waiting for whatever is in flight).
                 if !launch_next(&mut launched) {
-                    match rx.recv() {
-                        Ok((winner, value)) => {
-                            token.cancel();
-                            return Some(RaceOutcome {
-                                value,
-                                winner,
-                                latency: start.elapsed(),
-                                launched,
-                            });
-                        }
-                        Err(_) => return None,
-                    }
+                    break rx.recv().ok()?;
                 }
             }
             Err(mpsc::RecvTimeoutError::Disconnected) => return None,
         }
+    };
+    Some(RaceOutcome {
+        value,
+        winner,
+        latency: start.elapsed(),
+        launched,
+    })
+}
+
+/// Runs copy `i` on its own thread. The copy whose `cancel` flips the
+/// token reports; every other copy, a loser that saw the cancel and
+/// returned early included, drops its value, so the caller can only take
+/// the winner's.
+fn run_replica<T>(i: usize, op: Replica<T>, token: &CancelToken, tx: &mpsc::Sender<(usize, T)>) {
+    let out = op(token);
+    if token.cancel() {
+        let _ = tx.send((i, out));
     }
 }
 
@@ -200,6 +196,23 @@ mod tests {
             done_rx.recv_timeout(Duration::from_secs(5)).unwrap(),
             "cancelled"
         );
+    }
+
+    #[test]
+    fn only_the_copy_that_cancels_reports() {
+        // The winner has cancelled the token but not yet sent: a loser that
+        // sees the cancel and returns a sentinel must not report it.
+        let (tx, rx) = mpsc::channel();
+        let token = CancelToken::new();
+        assert!(token.cancel());
+        let loser = |t: &CancelToken| if t.is_cancelled() { 0u32 } else { 7 };
+        run_replica(1, replica(loser), &token, &tx);
+        assert_eq!(rx.try_recv(), Err(mpsc::TryRecvError::Empty));
+        // A copy that finishes on a clear token cancels it and reports.
+        let token = CancelToken::new();
+        run_replica(0, replica(|_t: &CancelToken| 42u32), &token, &tx);
+        assert!(token.is_cancelled());
+        assert_eq!(rx.try_recv(), Ok((0, 42)));
     }
 
     #[test]

@@ -41,17 +41,20 @@
 //!   section of the output, excluded from CI's byte-diff trees.
 //!
 //! Workers execute a copy by spinning for its scripted demand while
-//! polling the request's [`CancelToken`]; the frontend cancels the token
-//! when the first copy completes, so losers are purged from the queue
-//! (cancelled before starting) or aborted mid-execution — the same
-//! tri-state accounting the simulated service keeps. The frontend records
-//! a response exactly once per request: a late winner (a copy that
-//! completed before observing the cancel) increments a counter instead of
-//! double-completing. The frontend keeps per-request state only for the
-//! window from the oldest request with an unaccounted copy to the newest
-//! dispatched one, so its memory follows the in-flight load, not the
-//! script length; the latency samples are the one per-request record kept
-//! for the whole run.
+//! polling the request's [`CancelToken`]. The copy that finishes first
+//! cancels its siblings where it finishes: its worker calls
+//! [`CancelToken::cancel`] before it reports or dequeues its next job, and
+//! the copy whose call flips the token answers the request. Losers are
+//! purged (cancelled before starting; on one worker, every sibling queued
+//! behind its winner) or aborted at their next poll — the same tri-state
+//! accounting the simulated service keeps. A `late` copy ran its full
+//! demand but lost the swap to a sibling, which can only happen across
+//! workers; it never double-completes its request. The frontend only
+//! tallies outcomes, and keeps per-request state (a count of unaccounted
+//! copies) only for the window from the oldest request with an unaccounted
+//! copy to the newest dispatched one, so its memory follows the in-flight
+//! load, not the script length; the latency samples are the one
+//! per-request record kept for the whole run.
 //!
 //! This file is the *only* storesim module exempt from the workspace's
 //! `clippy::disallowed_types` wall-clock ban (the `expect` below):
@@ -184,8 +187,11 @@ struct Job {
 
 /// What happened to one copy.
 enum CopyOutcome {
-    /// Ran its full demand before any cancel was observed.
-    Completed,
+    /// Ran its full demand and cancelled the token first: the request's
+    /// response, with its dispatch → completion latency.
+    Won(Duration),
+    /// Ran its full demand, but a sibling had cancelled the token first.
+    Late,
     /// Token already cancelled when the worker dequeued it.
     Purged,
     /// Cancel observed mid-execution.
@@ -195,25 +201,15 @@ enum CopyOutcome {
 struct CopyDone {
     req: u32,
     outcome: CopyOutcome,
-    latency: Duration,
-}
-
-/// The frontend's state for one dispatched request.
-struct InFlight {
-    token: CancelToken,
-    /// Copies not yet accounted.
-    pending: u8,
-    /// Whether the first completion was recorded.
-    recorded: bool,
 }
 
 /// Frontend-side completion bookkeeping (split out of [`run`] so the
 /// drain sites share one handler without a self-borrowing closure).
 struct FrontState {
-    /// Requests `front..`, from the oldest with a copy still unaccounted
-    /// to the newest dispatched; fully accounted requests retire from the
-    /// front.
-    window: VecDeque<InFlight>,
+    /// Unaccounted copies of requests `front..`, from the oldest with a
+    /// copy still unaccounted to the newest dispatched; fully accounted
+    /// requests retire from the front.
+    window: VecDeque<u8>,
     /// Request index of `window[0]`.
     front: usize,
     latencies: SampleSet,
@@ -221,7 +217,7 @@ struct FrontState {
     late: usize,
     purged: usize,
     aborted: usize,
-    accounted: usize,
+    /// Requests with a copy still unaccounted.
     inflight: usize,
 }
 
@@ -235,37 +231,28 @@ impl FrontState {
             late: 0,
             purged: 0,
             aborted: 0,
-            accounted: 0,
             inflight: 0,
         }
     }
 
     fn handle_done(&mut self, done: CopyDone) {
-        // A copy is accounted only once, so its request is still pending
-        // and inside the window.
-        let req = &mut self.window[done.req as usize - self.front];
         match done.outcome {
-            CopyOutcome::Completed => {
-                if req.recorded {
-                    // A late winner: its sibling already completed. It must
-                    // never double-complete the request — counted, dropped.
-                    self.late += 1;
-                } else {
-                    req.recorded = true;
-                    self.responses += 1;
-                    self.latencies.push(done.latency.as_secs_f64());
-                    req.token.cancel();
-                }
+            CopyOutcome::Won(latency) => {
+                self.responses += 1;
+                self.latencies.push(latency.as_secs_f64());
             }
+            CopyOutcome::Late => self.late += 1,
             CopyOutcome::Purged => self.purged += 1,
             CopyOutcome::Aborted => self.aborted += 1,
         }
-        req.pending -= 1;
-        if req.pending == 0 {
+        // A copy is accounted only once, so its request is still pending
+        // and inside the window.
+        let pending = &mut self.window[done.req as usize - self.front];
+        *pending -= 1;
+        if *pending == 0 {
             self.inflight -= 1;
         }
-        self.accounted += 1;
-        while self.window.front().is_some_and(|r| r.pending == 0) {
+        while self.window.front() == Some(&0) {
             self.window.pop_front();
             self.front += 1;
         }
@@ -287,10 +274,12 @@ pub struct RtResult {
     pub requests: usize,
     /// Copies dispatched to workers (`requests + decisions_k2`).
     pub issued_copies: usize,
-    /// Requests whose first completion was recorded (always `requests`).
+    /// Requests answered by the copy that finished first and cancelled its
+    /// siblings (always `requests`).
     pub responses: usize,
-    /// Copies that completed *after* their request already had a winner —
-    /// the double-completion candidates the frontend must absorb.
+    /// Copies that ran their full demand but lost the cancel swap to a
+    /// sibling that finished first: never a response, and only possible
+    /// when the siblings run on different workers.
     pub late: usize,
     /// Copies cancelled before starting execution.
     pub purged: usize,
@@ -370,23 +359,20 @@ pub fn run(cfg: &RtConfig) -> RtResult {
         job_txs.push(tx);
         handles.push(std::thread::spawn(move || {
             for job in rx {
-                let done_msg = if job.token.is_cancelled() {
-                    CopyDone {
-                        req: job.req,
-                        outcome: CopyOutcome::Purged,
-                        latency: job.enqueued.elapsed(),
-                    }
+                // A finished copy cancels its siblings before it reports
+                // or dequeues the next job.
+                let outcome = if job.token.is_cancelled() {
+                    CopyOutcome::Purged
+                } else if !execute(job.demand_secs, &job.token) {
+                    CopyOutcome::Aborted
+                } else if job.token.cancel() {
+                    CopyOutcome::Won(job.enqueued.elapsed())
                 } else {
-                    let completed = execute(job.demand_secs, &job.token);
-                    CopyDone {
-                        req: job.req,
-                        outcome: if completed {
-                            CopyOutcome::Completed
-                        } else {
-                            CopyOutcome::Aborted
-                        },
-                        latency: job.enqueued.elapsed(),
-                    }
+                    CopyOutcome::Late
+                };
+                let done_msg = CopyDone {
+                    req: job.req,
+                    outcome,
                 };
                 if done.send(done_msg).is_err() {
                     return;
@@ -468,11 +454,7 @@ pub fn run(cfg: &RtConfig) -> RtResult {
 
         // --- real dispatch ---
         let token = CancelToken::new();
-        st.window.push_back(InFlight {
-            token: token.clone(),
-            pending: k,
-            recorded: false,
-        });
+        st.window.push_back(k);
         st.inflight += 1;
         let enqueued = Instant::now();
         for c in 0..k as usize {
@@ -491,7 +473,7 @@ pub fn run(cfg: &RtConfig) -> RtResult {
         }
     }
     drop(job_txs);
-    while st.accounted < issued {
+    while st.inflight > 0 {
         let done = done_rx.recv().expect("workers alive while jobs pending");
         st.handle_done(done);
     }
@@ -648,13 +630,9 @@ mod tests {
         assert_eq!(again.trace_fingerprint, base.trace_fingerprint);
     }
 
-    #[test]
-    fn late_winner_never_double_completes() {
-        // Load pinned far below threshold ⇒ every request replicates, and
-        // near-deterministic sibling demands make the race tight, so late
-        // second completions actually occur. The frontend must record one
-        // response per request and absorb the rest.
-        let mut cfg = tiny(6_000, 4);
+    /// Load pinned far below threshold, so every request replicates.
+    fn all_replicated(workers: usize) -> RtResult {
+        let mut cfg = tiny(6_000, workers);
         cfg.load_start = 0.05;
         cfg.load_end = 0.10;
         let out = run(&cfg);
@@ -664,11 +642,31 @@ mod tests {
             out.issued_copies,
             out.responses + out.late + out.purged + out.aborted
         );
+        out
+    }
+
+    #[test]
+    fn late_winner_never_double_completes() {
+        // Short sibling demands on different workers make the race tight,
+        // so both copies can run their full demand. The token swap must
+        // name one response per request; the loser is late, purged or
+        // aborted.
+        let out = all_replicated(4);
         assert!(
             out.late + out.purged + out.aborted > 0,
             "with 2 copies per request the losing copies must show up \
              somewhere: {out:?}"
         );
+    }
+
+    #[test]
+    fn one_worker_purges_every_loser() {
+        // One worker runs a request's copies back to back, in dispatch
+        // order: the first runs to completion and cancels the token before
+        // the worker dequeues its sibling, so every loser is purged.
+        let out = all_replicated(1);
+        assert_eq!((out.late, out.aborted), (0, 0), "{out:?}");
+        assert_eq!(out.purged, out.decisions_k2, "{out:?}");
     }
 
     #[test]
