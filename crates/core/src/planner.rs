@@ -149,7 +149,8 @@ impl Planner {
     ///
     /// The threshold is resolved through the [`ThresholdCache`] store (the
     /// quantized dimensionless grid), so the per-request cost is a hash
-    /// lookup, not a bisection.
+    /// lookup: without a client overhead it reads the committed column,
+    /// and any other grid point is bisected once per process.
     ///
     /// # Panics
     /// Panics on an empty candidate slice; debug-panics on non-finite or
@@ -194,16 +195,16 @@ impl Planner {
     }
 }
 
-/// Memoized threshold lookup for **live recalibration**.
+/// Threshold lookup for **live recalibration**.
 ///
 /// The threshold load is dimensionless: rescaling time scales every mean in
 /// `gain(ρ)` by the same factor, so the root depends only on the service
 /// SCV and the overhead-to-mean ratio. A self-calibrating front-end
-/// re-deriving the threshold as its moment estimates drift would otherwise
-/// pay the full bisection (3–10 ms of CCDF quadrature in a release build)
-/// on every recalibration; this cache snaps the two dimensionless inputs onto
-/// a ~2 %-relative grid and bisects once per grid point, so a converging
-/// estimator quickly stops paying anything at all.
+/// re-derives the threshold as its moment estimates drift; this handle
+/// snaps the two dimensionless inputs onto a ~2 %-relative grid and reads
+/// the grid point's threshold from one process-wide store, so a
+/// recalibration costs a hash lookup instead of a bisection (3–13 ms of
+/// CCDF quadrature in a release build).
 ///
 /// Quantization error is bounded by the grid, per axis: along the SCV
 /// axis the threshold moves by less than ~0.002 load across one step
@@ -214,27 +215,100 @@ impl Planner {
 /// inside the ±0.05–0.08 bands the experiments enforce. Both bounds are
 /// pinned in the tests below.
 ///
-/// The memo is one **process-wide** store, and a handle holds no state:
-/// a grid point's threshold is a pure function of its key, so every live
-/// loop, replication and runner thread shares each other's bisections
-/// instead of re-paying them. The store is an `RwLock`: the steady state
-/// is all reads, so F sharded frontends (or N runner threads) resolve warm
-/// grid points concurrently instead of serializing behind one mutex. The
-/// bisection itself runs outside any lock — two threads racing on a fresh
-/// key may both compute it, but they compute the identical value, so
-/// results stay bit-reproducible at any thread count.
+/// The store starts from the committed overhead-0 column (scv keys 0 to
+/// 178, scv 0 to ≈ 98.8), the column every lookup without a client
+/// overhead reads: no simulated service config and no `storesim::rt`
+/// config sets one, so neither runtime bisects on its live path. Any other
+/// grid point (a nonzero overhead ratio, or scv past the column) is
+/// bisected at its grid representative on first use and memoized. A grid
+/// point's threshold is a pure function of its key, so every live loop,
+/// replication and runner thread shares each other's bisections instead
+/// of re-paying them. The store is an `RwLock`: the steady state is all
+/// reads, so F sharded frontends (or N runner threads) resolve warm grid
+/// points concurrently instead of serializing behind one mutex. A
+/// bisection runs outside any lock — two threads racing on a fresh key may
+/// both compute it, but they compute the identical value, so results stay
+/// bit-reproducible at any thread count.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ThresholdCache;
 
-/// The grid-point store behind every [`ThresholdCache`] lookup.
-/// Read-mostly: warm lookups take the shared read lock; only the first
-/// resolution of a grid point takes the write lock.
+/// The grid-point store behind every [`ThresholdCache`] lookup, seeded
+/// with [`OVERHEAD0_COLUMN`] on first use. Read-mostly: warm lookups take
+/// the shared read lock; only the first resolution of a grid point outside
+/// the column takes the write lock.
 ///
 /// Determinism audit (clippy's hash-traversal bans): `HashMap` is safe here
 /// because every access is a keyed get/insert on the quantized grid point —
 /// the map is never traversed, so iteration order can't leak into results.
 /// Keep it that way; a traversal must move to `BTreeMap`.
 static SHARED_THRESHOLDS: OnceLock<RwLock<HashMap<(i64, i64), f64>>> = OnceLock::new();
+
+/// The overhead-0 column of the [`ThresholdCache`] grid, as committed data:
+/// entry `k` holds the bits of the threshold at grid key `(k, 0)`, bisected
+/// at the key's representative (mean 1, scv
+/// `ThresholdCache::dequantize_scv(k)`, no client overhead), which is
+/// exactly what a miss on that key would compute.
+///
+/// The column stops at key 178 (scv ≈ 98.8). Every quick and full-effort
+/// service figure stays below it: the highest key any of them reaches is
+/// 150 at quick effort and 159 (scv ≈ 38) at full effort, both from
+/// `fig-service-tail`'s bounded Pareto. Past key 178 the curve is within
+/// 0.003 of its floor (0.2955 at scv 98.8, 0.2932 at 1 000 and 0.2929 in
+/// the limit), and a lookup there still bisects and memoizes, so no input
+/// is clamped.
+///
+/// The bits assume the platform's libm, as the report pins do. The test
+/// `overhead0_column_matches_bisection` bisects every key and, on a
+/// mismatch, prints the regenerated column in this format; re-pin the two
+/// together.
+#[rustfmt::skip]
+const OVERHEAD0_COLUMN: [u64; 179] = [
+    0x3fd2_bf2b_4a55_8eaa, 0x3fd3_7921_ac03_ff6a, 0x3fd3_c81d_9631_2f4e, 0x3fd4_011a_a39c_51dc,
+    0x3fd4_2e18_4fe3_6d22, 0x3fd4_5316_6612_8392, 0x3fd4_7214_cbaf_965c, 0x3fd4_8c13_737d_a61e,
+    0x3fd4_a312_4302_b410, 0x3fd4_b711_3a3e_c030, 0x3fd4_c810_5931_ca7e, 0x3fd4_d80f_8561_d430,
+    0x3fd4_e60e_cc0b_dcae, 0x3fd4_f20e_2d2f_e3f4, 0x3fd4_fd0d_9b90_ea9e, 0x3fd5_070d_172e_f0b0,
+    0x3fd5_100c_a009_f624, 0x3fd5_180c_3621_fafc, 0x3fd5_1f0b_d976_ff3c, 0x3fd5_250b_8a09_02de,
+    0x3fd5_2b0b_3a9b_0682, 0x3fd5_300a_f86a_098a, 0x3fd5_350a_b639_0c92, 0x3fd5_3a0a_7408_0f98,
+    0x3fd5_3d0a_4c51_116a, 0x3fd5_410a_175d_13d8, 0x3fd5_4409_efa6_15aa, 0x3fd5_4709_c7ef_177c,
+    0x3fd5_4a09_a038_194c, 0x3fd5_4c09_85be_1a82, 0x3fd5_4e09_6b44_1bb8, 0x3fd5_5009_50ca_1cf0,
+    0x3fd5_5109_438d_1d8a, 0x3fd5_5209_3650_1e26, 0x3fd5_5409_1bd6_1f5c, 0x3fd5_5509_0e99_1ff8,
+    0x3fd5_5509_0e99_1ff8, 0x3fd5_5609_015c_2092, 0x3fd5_5708_f41f_212e, 0x3fd5_5708_f41f_212e,
+    0x3fd5_5708_f41f_212e, 0x3fd5_5808_e6e2_21c8, 0x3fd5_5808_e6e2_21c8, 0x3fd5_5808_e6e2_21c8,
+    0x3fd5_5808_e6e2_21c8, 0x3fd5_5708_f41f_212e, 0x3fd5_5708_f41f_212e, 0x3fd5_5708_f41f_212e,
+    0x3fd5_5609_015c_2092, 0x3fd5_5609_015c_2092, 0x3fd5_5509_0e99_1ff8, 0x3fd5_5509_0e99_1ff8,
+    0x3fd5_5409_1bd6_1f5c, 0x3fd5_5309_2913_1ec2, 0x3fd5_5309_2913_1ec2, 0x3fd5_5209_3650_1e26,
+    0x3fd5_5109_438d_1d8a, 0x3fd5_5009_50ca_1cf0, 0x3fd5_4f09_5e07_1c54, 0x3fd5_4e09_6b44_1bb8,
+    0x3fd5_4d09_7881_1b1e, 0x3fd5_4c09_85be_1a82, 0x3fd5_4b09_92fb_19e8, 0x3fd5_4a09_a038_194c,
+    0x3fd5_4909_ad75_18b2, 0x3fd5_4809_bab2_1816, 0x3fd5_4709_c7ef_177c, 0x3fd5_4509_e269_1644,
+    0x3fd5_4409_efa6_15aa, 0x3fd5_4309_fce3_150e, 0x3fd5_420a_0a20_1472, 0x3fd5_410a_175d_13d8,
+    0x3fd5_3f0a_31d7_12a2, 0x3fd5_3e0a_3f14_1206, 0x3fd5_3d0a_4c51_116a, 0x3fd5_3b0a_66cb_1034,
+    0x3fd5_3a0a_7408_0f98, 0x3fd5_390a_8145_0efe, 0x3fd5_370a_9bbf_0dc8, 0x3fd5_360a_a8fc_0d2c,
+    0x3fd5_350a_b639_0c92, 0x3fd5_330a_d0b3_0b5c, 0x3fd5_320a_ddf0_0ac0, 0x3fd5_310a_eb2d_0a24,
+    0x3fd5_2f0b_05a7_08ee, 0x3fd5_2e0b_12e4_0852, 0x3fd5_2d0b_2021_07b8, 0x3fd5_2b0b_3a9b_0682,
+    0x3fd5_2a0b_47d8_05e6, 0x3fd5_280b_6252_04b0, 0x3fd5_270b_6f8f_0416, 0x3fd5_260b_7ccc_037a,
+    0x3fd5_240b_9746_0244, 0x3fd5_230b_a483_01a8, 0x3fd5_210b_befd_0072, 0x3fd5_200b_cc39_ffd6,
+    0x3fd5_1f0b_d976_ff3c, 0x3fd5_1d0b_f3f0_fe04, 0x3fd5_1c0c_012d_fd6a, 0x3fd5_1a0c_1ba7_fc32,
+    0x3fd5_190c_28e4_fb98, 0x3fd5_120c_858f_f75a, 0x3fd5_0a0c_ef77_f280, 0x3fd5_030d_4c22_ee42,
+    0x3fd4_fa0d_c347_e8cc, 0x3fd4_f20e_2d2f_e3f4, 0x3fd4_e90e_a454_de80, 0x3fd4_e10f_0e3c_d9a6,
+    0x3fd4_d80f_8561_d430, 0x3fd4_ce10_09c3_ce20, 0x3fd4_c510_80e8_c8ac, 0x3fd4_bb11_054a_c29c,
+    0x3fd4_b111_89ac_bc8c, 0x3fd4_a712_0e0e_b67e, 0x3fd4_9d12_9270_b06c, 0x3fd4_9313_16d2_aa5e,
+    0x3fd4_8913_9b34_a44e, 0x3fd4_7e14_2cd3_9da2, 0x3fd4_7414_b135_9792, 0x3fd4_6a15_3597_9182,
+    0x3fd4_5f15_c736_8ad8, 0x3fd4_5516_4b98_84c8, 0x3fd4_4a16_dd37_7e1c, 0x3fd4_4017_6199_780c,
+    0x3fd4_3517_f338_7162, 0x3fd4_2b18_779a_6b52, 0x3fd4_2118_fbfc_6542, 0x3fd4_1719_805e_5f32,
+    0x3fd4_0d1a_04c0_5922, 0x3fd4_031a_8922_5312, 0x3fd3_f91b_0d84_4d02, 0x3fd3_ef1b_91e6_46f2,
+    0x3fd3_e51c_1648_40e2, 0x3fd3_dc1c_8d6d_3b6e, 0x3fd3_d31d_0492_35fa, 0x3fd3_ca1d_7bb7_3084,
+    0x3fd3_c11d_f2dc_2b10, 0x3fd3_b81e_6a01_259a, 0x3fd3_af1e_e126_2026, 0x3fd3_a71f_4b0e_1b4e,
+    0x3fd3_9e1f_c233_15d8, 0x3fd3_9620_2c1b_10fe, 0x3fd3_8f20_88c6_0cc0, 0x3fd3_8720_f2ae_07e8,
+    0x3fd3_7f21_5c96_030e, 0x3fd3_7821_b940_fece, 0x3fd3_7122_15eb_fa90, 0x3fd3_6a22_7296_f652,
+    0x3fd3_6422_c204_f2b0, 0x3fd3_5d23_1eaf_ee70, 0x3fd3_5723_6e1d_eace, 0x3fd3_5123_bd8b_e72a,
+    0x3fd3_4b24_0cf9_e388, 0x3fd3_4524_5c67_dfe4, 0x3fd3_4024_9e98_dcdc, 0x3fd3_3a24_ee06_d938,
+    0x3fd3_3525_3037_d632, 0x3fd3_3025_7268_d32a, 0x3fd3_2b25_b499_d022, 0x3fd3_2725_e98d_cdb6,
+    0x3fd3_2226_2bbe_caac, 0x3fd3_1e26_60b2_c840, 0x3fd3_1a26_95a6_c5d2, 0x3fd3_1626_ca9a_c366,
+    0x3fd3_1226_ff8e_c0fa, 0x3fd3_0f27_2745_bf28, 0x3fd3_0b27_5c39_bcbc, 0x3fd3_0827_83f0_baea,
+    0x3fd3_0427_b8e4_b87e, 0x3fd3_0127_e09b_b6ac, 0x3fd2_fe28_0852_b4da, 0x3fd2_fb28_3009_b308,
+    0x3fd2_f928_4a83_b1d2, 0x3fd2_f628_723a_b000, 0x3fd2_f428_8cb4_aeca, 0x3fd2_f128_b46b_acf8,
+    0x3fd2_ef28_cee5_abc2, 0x3fd2_ed28_e95f_aa8c, 0x3fd2_ea29_1116_a8ba,
+];
 
 impl ThresholdCache {
     /// A handle onto the process-wide store.
@@ -260,9 +334,20 @@ impl ThresholdCache {
         }
     }
 
+    /// Bisects grid point `key` at its representative in unit-mean time,
+    /// so every (mean, overhead) pair mapping to the key agrees exactly.
+    fn bisect(key: (i64, i64)) -> f64 {
+        Planner::new(WorkloadProfile {
+            mean_service: 1.0,
+            scv: Self::dequantize_scv(key.0),
+            client_overhead: key.1 as f64 * 5.0e-4,
+        })
+        .threshold_load()
+    }
+
     /// The §2.1 threshold load for live moments `(mean_service, scv)` and
-    /// per-copy `client_overhead`, memoized on the quantized
-    /// `(scv, overhead/mean)` grid.
+    /// per-copy `client_overhead`, read from the store at the quantized
+    /// `(scv, overhead/mean)` grid point.
     ///
     /// # Panics
     /// Panics on a non-finite SCV, a non-positive mean, a negative SCV, or
@@ -275,18 +360,18 @@ impl ThresholdCache {
             Self::quantize_scv(scv),
             (client_overhead / mean_service / 5.0e-4).round() as i64,
         );
-        let shared = SHARED_THRESHOLDS.get_or_init(Default::default);
+        let shared = SHARED_THRESHOLDS.get_or_init(|| {
+            RwLock::new(
+                (0..)
+                    .zip(OVERHEAD0_COLUMN)
+                    .map(|(k, bits)| ((k, 0), f64::from_bits(bits)))
+                    .collect(),
+            )
+        });
         if let Some(&t) = shared.read().expect("threshold store poisoned").get(&key) {
             return t;
         }
-        // Bisect at the grid representative in unit-mean time, so every
-        // (mean, overhead) pair mapping to the same key agrees exactly.
-        let t = Planner::new(WorkloadProfile {
-            mean_service: 1.0,
-            scv: Self::dequantize_scv(key.0),
-            client_overhead: key.1 as f64 * 5.0e-4,
-        })
-        .threshold_load();
+        let t = Self::bisect(key);
         shared
             .write()
             .expect("threshold store poisoned")
@@ -305,7 +390,8 @@ impl ThresholdCache {
 /// one reads `cold_load`. The threshold starts at the configured-moment
 /// value and, once the moment window is trusted, is re-derived through
 /// the process-wide [`ThresholdCache`] store on the cadence
-/// [`LivePlanner::with_moments`] derives from the window.
+/// [`LivePlanner::with_moments`] derives from the window. At zero client
+/// overhead that is a read of the committed column, never a bisection.
 #[derive(Clone, Debug)]
 pub struct LivePlanner {
     planner: Planner,
@@ -323,8 +409,9 @@ pub struct LivePlanner {
 impl LivePlanner {
     /// A loop over `width` arrival estimators of `window` gaps each, with
     /// a board for `peers` frontends, starting from `threshold` (callers
-    /// pass `planner.threshold_load()`, bisected once however many loops
-    /// they build).
+    /// pass `planner.threshold_load()`, the one offline bisection, shared
+    /// by every loop they build; recalibrations read the
+    /// [`ThresholdCache`] store instead).
     ///
     /// # Panics
     /// Panics if `width == 0` or `window < 2`.
@@ -606,6 +693,53 @@ mod tests {
                 bits,
                 "scv {scv}, overhead {client_overhead}: {t}"
             );
+        }
+    }
+
+    #[test]
+    fn store_is_seeded_with_the_committed_column() {
+        let _ = ThresholdCache::new().threshold(1.0, 1.0, 0.0);
+        let store = SHARED_THRESHOLDS
+            .get()
+            .expect("a lookup initializes the store")
+            .read()
+            .expect("threshold store poisoned");
+        for (k, bits) in (0..).zip(OVERHEAD0_COLUMN) {
+            assert_eq!(
+                store.get(&(k, 0)).map(|t| t.to_bits()),
+                Some(bits),
+                "scv key {k}"
+            );
+        }
+    }
+
+    /// Regenerates the committed column: bisects every key and requires
+    /// equal bits. On a mismatch it prints the column in the committed
+    /// format, so re-pinning is
+    /// `cargo test -p redundancy overhead0_column_matches_bisection -- --nocapture`
+    /// and a paste over `OVERHEAD0_COLUMN`.
+    #[test]
+    fn overhead0_column_matches_bisection() {
+        let fresh: Vec<u64> = (0..OVERHEAD0_COLUMN.len() as i64)
+            .map(|k| ThresholdCache::bisect((k, 0)).to_bits())
+            .collect();
+        if fresh != OVERHEAD0_COLUMN {
+            let hex = |b: u64| {
+                let h = format!("{b:016x}");
+                format!("0x{}_{}_{}_{}", &h[..4], &h[4..8], &h[8..12], &h[12..])
+            };
+            println!("#[rustfmt::skip]");
+            println!("const OVERHEAD0_COLUMN: [u64; {}] = [", fresh.len());
+            for row in fresh.chunks(4) {
+                let row: Vec<String> = row.iter().map(|&b| hex(b)).collect();
+                println!("    {},", row.join(", "));
+            }
+            println!("];");
+            let stale = fresh
+                .iter()
+                .zip(OVERHEAD0_COLUMN)
+                .filter(|(f, c)| **f != *c);
+            panic!("{} committed entries differ from bisection", stale.count());
         }
     }
 

@@ -12,8 +12,9 @@
 //! constants.
 
 use crate::cluster::{self, ClusterConfig, FilePopulation};
-use crate::service::{self, RampBucket, ServiceConfig, ServiceResult};
-use crate::sharded::run_sharded;
+use crate::service::{self, validate_config, RampBucket, ServiceConfig, ServiceResult};
+use crate::sharded::run_sharded_at;
+use redundancy::planner::Planner;
 use simcore::dist::{BoundedPareto, Deterministic, DynDist, Exponential, Mixture};
 use simcore::rng::Rng;
 use simcore::runner::Runner;
@@ -265,11 +266,13 @@ fn finite_mean(xs: impl Iterator<Item = f64>) -> f64 {
 /// Runs `replications` independent load-ramp simulations of the sharded
 /// service ([`crate::service`]) in parallel on the global [`Runner`] and
 /// pools them into one [`ServiceResult`]. Each replication runs
-/// [`run_sharded`] with one server group on one worker: the replications
-/// already fill the runner's threads, and at these cluster sizes one group
-/// (every server on one engine shard) runs faster than several.
-/// Replication seeds are forked from `cfg.seed` by index, so the result is
-/// bit-identical at any thread count.
+/// [`run_sharded`](crate::sharded::run_sharded) with one server group on
+/// one worker: the replications already fill the runner's threads, and at
+/// these cluster sizes one group (every server on one engine shard) runs
+/// faster than several. The offline threshold is bisected once, before
+/// the replications start, and shared by all of them. Replication seeds
+/// are forked from `cfg.seed` by index, so the result is bit-identical at
+/// any thread count.
 ///
 /// Pooling sums the counts (bucket requests and k = 2 requests, copies,
 /// completions, recalibrations). A bucket's `mean_response` is the
@@ -294,6 +297,8 @@ pub fn run_service_ramp_on(
     replications: usize,
 ) -> ServiceResult {
     assert!(replications >= 1);
+    validate_config(cfg);
+    let threshold = Planner::for_service(cfg.service.as_ref()).threshold_load();
     let mut root = Rng::seed_from(cfg.seed);
     let seeds: Vec<u64> = (0..replications)
         .map(|r| root.fork(r as u64).next_u64())
@@ -301,7 +306,7 @@ pub fn run_service_ramp_on(
     let results = runner.run(replications, |r| {
         let mut c = cfg.clone();
         c.seed = seeds[r];
-        run_sharded(&c, 1, 1).result
+        run_sharded_at(&c, threshold, 1, 1).result
     });
 
     let buckets: Vec<RampBucket> = (0..results[0].buckets.len())
@@ -332,7 +337,7 @@ pub fn run_service_ramp_on(
     let mean_of = |field: fn(&ServiceResult) -> f64| finite_mean(results.iter().map(field));
     ServiceResult {
         switch_off: service::bucket_switch_off(&buckets, RampBucket::frac_k2),
-        planner_threshold: results[0].planner_threshold,
+        planner_threshold: threshold,
         live_threshold: mean_of(|r| r.live_threshold),
         est_mean_service: mean_of(|r| r.est_mean_service),
         est_scv: mean_of(|r| r.est_scv),
@@ -348,6 +353,7 @@ pub fn run_service_ramp_on(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sharded::run_sharded;
 
     #[test]
     fn base_threshold_is_around_30_percent() {
@@ -443,6 +449,11 @@ mod tests {
             serial.planner_threshold
         );
         assert_eq!(serial.switch_off.to_bits(), parallel.switch_off.to_bits());
+        // The one bisection the replications share is the configured law's
+        // own offline threshold, bit for bit.
+        let offline = Planner::for_service(cfg.service.as_ref()).threshold_load();
+        assert_eq!(serial.planner_threshold.to_bits(), offline.to_bits());
+        assert_eq!(parallel.planner_threshold.to_bits(), offline.to_bits());
         for (a, b) in serial.buckets.iter().zip(&parallel.buckets) {
             assert_eq!(a.requests, b.requests);
             assert_eq!(a.k2_requests, b.k2_requests);

@@ -111,9 +111,9 @@ pub enum MomentSource {
     /// every `window / 8` durations
     /// ([`LivePlanner::with_moments`](redundancy::planner::LivePlanner::with_moments)
     /// owns both rules; a multi-lane frontend splits the window, and so
-    /// both, across its lanes), memoized on a quantized-SCV grid
-    /// ([`ThresholdCache`](redundancy::planner::ThresholdCache)), so a
-    /// converged estimator stops paying for the bisection entirely.
+    /// both, across its lanes), read off a quantized-SCV grid
+    /// ([`ThresholdCache`](redundancy::planner::ThresholdCache)) whose
+    /// overhead-0 column is committed data, so the live path never bisects.
     Estimated {
         /// Moment-estimator window, in observed durations.
         window: usize,

@@ -1117,6 +1117,19 @@ impl ShardedOutcome {
 /// censor completion reports toward min(demands).
 pub fn run_sharded(cfg: &ServiceConfig, groups: usize, threads: usize) -> ShardedOutcome {
     validate_config(cfg);
+    let threshold = Planner::for_service(cfg.service.as_ref()).threshold_load();
+    run_sharded_at(cfg, threshold, groups, threads)
+}
+
+/// [`run_sharded`] on a validated `cfg` whose offline §2.1 threshold
+/// (`Planner::for_service(..).threshold_load()`) the caller already
+/// bisected, so a ramp's replications share one bisection.
+pub(crate) fn run_sharded_at(
+    cfg: &ServiceConfig,
+    threshold: f64,
+    groups: usize,
+    threads: usize,
+) -> ShardedOutcome {
     // Elastic runs allocate server slots for the *ceiling* up front;
     // servers beyond the live count simply never receive copies.
     let capacity = cfg.autoscale.map_or(cfg.servers, |a| a.max_servers);
@@ -1129,7 +1142,6 @@ pub fn run_sharded(cfg: &ServiceConfig, groups: usize, threads: usize) -> Sharde
     let mean_service = cfg.service.mean();
     assert!(mean_service.is_finite() && mean_service > 0.0);
     let planner = Planner::for_service(cfg.service.as_ref());
-    let threshold = planner.threshold_load();
 
     // Placement is precomputed into a flat table: the hot path then never
     // touches the ring.
