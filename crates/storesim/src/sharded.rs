@@ -201,6 +201,14 @@ struct BucketTally {
 }
 
 impl BucketTally {
+    /// An empty tally with room for `samples` latencies.
+    fn with_room(samples: usize) -> Self {
+        BucketTally {
+            samples: SampleSet::with_capacity(samples),
+            ..BucketTally::default()
+        }
+    }
+
     /// Folds `other` in after this tally's own record; merging into an
     /// empty tally moves `other`'s samples instead of copying them.
     fn merge(&mut self, other: BucketTally) {
@@ -212,12 +220,49 @@ impl BucketTally {
     }
 }
 
+/// The ramp bucket of offered load `offered`: `cfg.buckets` equal slices
+/// of `[load_start, load_end]`, every load in bucket 0 on a flat ramp.
+fn ramp_bucket(cfg: &ServiceConfig, offered: f64) -> usize {
+    let span = cfg.load_end - cfg.load_start;
+    if span.abs() < f64::EPSILON {
+        0
+    } else {
+        (((offered - cfg.load_start) / span) * cfg.buckets as f64)
+            .floor()
+            .clamp(0.0, (cfg.buckets - 1) as f64) as usize
+    }
+}
+
+/// Latency samples one of `lanes` lanes reserves for bucket `b`.
+///
+/// A static ramp's offered load is linear in the request index, so a
+/// bucket holds a run of at most `ceil(requests / buckets)` consecutive
+/// measured requests, give or take one at each edge where the floor
+/// rounds (a flat ramp holds them all in bucket 0), and a lane owns every
+/// `lanes`-th request of that run. With that room reserved, a bucket's
+/// samples never grow on an engine worker, where the allocator's reuse of
+/// freed blocks makes a run's peak memory depend on thread timing.
+/// Elastic buckets bin by live load, which no index predicts, so they
+/// reserve nothing and grow as samples come.
+fn bucket_room(cfg: &ServiceConfig, lanes: usize, b: usize) -> usize {
+    if cfg.autoscale.is_some() {
+        0
+    } else if (cfg.load_end - cfg.load_start).abs() < f64::EPSILON {
+        if b == 0 {
+            cfg.requests.div_ceil(lanes)
+        } else {
+            0
+        }
+    } else {
+        (cfg.requests.div_ceil(cfg.buckets) + 2).div_ceil(lanes)
+    }
+}
+
 /// Immutable tables shared by every lane.
 struct Statics {
     cfg: ServiceConfig,
     mean_service: f64,
     total: usize,
-    span: f64,
     lanes: usize,
     /// Server id → engine shard id (`lanes + its group`).
     group_shard_of: Vec<u16>,
@@ -320,16 +365,6 @@ impl Lane {
         }
     }
 
-    fn bucket_of(&self, offered: f64) -> usize {
-        if self.st.span.abs() < f64::EPSILON {
-            0
-        } else {
-            (((offered - self.st.cfg.load_start) / self.st.span) * self.st.cfg.buckets as f64)
-                .floor()
-                .clamp(0.0, (self.st.cfg.buckets - 1) as f64) as usize
-        }
-    }
-
     /// This lane's arrival rate at offered load `offered`: its `1/lanes`
     /// share of the cluster rate (slices are equal-mass by the
     /// lanes-divide-shards validation).
@@ -366,7 +401,7 @@ impl Lane {
         // fires. Dual-dispatched migration copies are capacity overhead,
         // not a planner choice, so a k = 1 request never counts.
         if from < 2 && to >= 2 && self.reqs[slot].k >= 2 && (req as usize) >= self.st.cfg.warmup {
-            let b = self.bucket_of(self.reqs[slot].offered);
+            let b = ramp_bucket(&self.st.cfg, self.reqs[slot].offered);
             let tally = &mut self.buckets[b];
             tally.k2 += 1;
             if self.reqs[slot].hot {
@@ -491,7 +526,7 @@ impl Lane {
         self.peak_window = self.peak_window.max(self.reqs.len());
 
         if i >= self.st.cfg.warmup {
-            let b = self.bucket_of(offered);
+            let b = ramp_bucket(&self.st.cfg, offered);
             self.buckets[b].requests += 1;
             if hot {
                 self.buckets[b].hot += 1;
@@ -542,7 +577,7 @@ impl Lane {
         let rt = t - state.arrival;
         let offered = state.offered;
         if i >= self.st.cfg.warmup {
-            let b = self.bucket_of(offered);
+            let b = ramp_bucket(&self.st.cfg, offered);
             self.buckets[b].samples.push(rt);
             self.completed += 1;
         }
@@ -1176,7 +1211,6 @@ pub(crate) fn run_sharded_at(
     let statics = Arc::new(Statics {
         mean_service,
         total,
-        span: cfg.load_end - cfg.load_start,
         lanes,
         group_shard_of,
         stored_tab,
@@ -1255,7 +1289,9 @@ pub(crate) fn run_sharded_at(
             reqs: VecDeque::new(),
             front: 0,
             peak_window: 0,
-            buckets: (0..cfg.buckets).map(|_| BucketTally::default()).collect(),
+            buckets: (0..cfg.buckets)
+                .map(|b| BucketTally::with_room(bucket_room(cfg, lanes, b)))
+                .collect(),
             cur_bucket: NO_BUCKET,
             copies_issued: 0,
             completed: 0,
@@ -1388,7 +1424,7 @@ pub(crate) fn run_sharded_at(
         "copies issued vs served + cancelled"
     );
 
-    let span = statics.span;
+    let span = cfg.load_end - cfg.load_start;
     let buckets: Vec<RampBucket> = (0..cfg.buckets)
         .map(|b| {
             let width = if span.abs() < f64::EPSILON {
@@ -1475,6 +1511,36 @@ mod tests {
         cfg.requests = 30_000;
         cfg.warmup = 3_000;
         cfg
+    }
+
+    #[test]
+    fn a_static_ramp_fits_every_bucket_in_its_room() {
+        let service: DynDist = Arc::new(Exponential::with_mean(1.0));
+        for (requests, warmup, buckets, lanes, lo, hi) in [
+            (1_000_000, 50_000, 22, 1, 0.05, 0.6),
+            (100_000, 5_000, 22, 8, 0.05, 0.6),
+            (12_345, 1, 7, 3, 0.6, 0.05),
+            (1_001, 0, 40, 4, 0.1, 0.45),
+            (999, 7, 3, 2, 0.3, 0.3),
+        ] {
+            let mut cfg = ServiceConfig::ramp(Arc::clone(&service), lo, hi);
+            cfg.requests = requests;
+            cfg.warmup = warmup;
+            cfg.buckets = buckets;
+            let mut counts = vec![0; lanes * buckets];
+            for i in warmup..warmup + requests {
+                counts[i % lanes * buckets + ramp_bucket(&cfg, cfg.offered(i))] += 1;
+            }
+            for (j, &n) in counts.iter().enumerate() {
+                let room = bucket_room(&cfg, lanes, j % buckets);
+                assert!(
+                    n <= room,
+                    "lane {} bucket {}: {n} samples, room {room}",
+                    j / buckets,
+                    j % buckets
+                );
+            }
+        }
     }
 
     #[test]
